@@ -118,7 +118,8 @@ class Character:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        # bool is an int subclass; leave it to NotImplemented, as _as_character does.
+        if type(other) is int:
             other = Character.monomial(0, other)
         if not isinstance(other, Character):
             return NotImplemented

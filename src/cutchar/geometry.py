@@ -23,6 +23,7 @@ invariant section through the node (r_P >= 0 or r_Q <= 0) and 0 otherwise.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .characters import Character, CharPoly
@@ -37,6 +38,9 @@ __all__ = [
     "cut",
     "mcut_cohomology",
 ]
+
+
+_WEIGHT = re.compile("-?[0-9]+")
 
 
 class MalformedCut(ValueError):
@@ -83,16 +87,19 @@ class EquivBundleCP1:
 
     @classmethod
     def parse(cls, literal: str) -> "EquivBundleCP1":
-        """Parse ``"rP:rQ,rP:rQ,..."``; raises ValueError on bad syntax."""
+        """Parse ``"rP:rQ,rP:rQ,..."``, each weight ASCII ``-?[0-9]+``.
+
+        Raises ValueError on bad syntax.
+        """
         summands = []
         for piece in literal.split(","):
             head, sep, tail = piece.partition(":")
             if not sep:
                 raise ValueError(f"bad summand {piece!r}: expected rP:rQ")
-            try:
-                summands.append(LineWeights(int(head), int(tail)))
-            except ValueError:
-                raise ValueError(f"bad summand {piece!r}: weights must be integers") from None
+            # int() alone would also take "1_0", "+3", " 3" and non-ASCII digits.
+            if not (_WEIGHT.fullmatch(head) and _WEIGHT.fullmatch(tail)):
+                raise ValueError(f"bad summand {piece!r}: weights must match -?[0-9]+")
+            summands.append(LineWeights(int(head), int(tail)))
         return cls(tuple(summands))
 
     def literal(self) -> str:

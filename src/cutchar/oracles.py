@@ -134,12 +134,14 @@ class GradedCechComplex:
         return 1 - rank
 
     def cohomology(self) -> CohomologyTable:
-        h0 = Character()
-        h1 = Character()
+        # Collect (weight, dimension) pairs and build each character once:
+        # summing characters term by term would copy the whole sum per weight.
+        h0: list[tuple[int, int]] = []
+        h1: list[tuple[int, int]] = []
         for m in range(self.lo, self.hi + 1):
-            h0 += Character.monomial(m, len(self.sections(m)))
-            h1 += Character.monomial(m, self.h1_at(m))
-        return CohomologyTable(h0, h1)
+            h0.append((m, len(self.sections(m))))
+            h1.append((m, self.h1_at(m)))
+        return CohomologyTable(Character(h0), Character(h1))
 
 
 def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
@@ -191,8 +193,9 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
         raise MalformedCut(
             f"red_dims {cutd.red_dims} does not match a point reduced space"
         )
-    h0 = Character()
-    h1 = Character()
+    # (weight, dimension) pairs over all summands; the constructor sums repeats.
+    h0: list[tuple[int, int]] = []
+    h1: list[tuple[int, int]] = []
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
         plus = GradedCechComplex(ps)
         minus = GradedCechComplex(ms)
@@ -206,9 +209,9 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
             fiber_dim = 1 if m == 0 else 0
             beta = [evals] if fiber_dim else []
             rank, _ = _rref([list(r) for r in beta], len(evals))
-            h0 += Character.monomial(m, len(evals) - rank)
-            h1 += Character.monomial(m, plus.h1_at(m) + minus.h1_at(m) + fiber_dim - rank)
-    return CohomologyTable(h0, h1)
+            h0.append((m, len(evals) - rank))
+            h1.append((m, plus.h1_at(m) + minus.h1_at(m) + fiber_dim - rank))
+    return CohomologyTable(Character(h0), Character(h1))
 
 
 class NonPolynomialResult(ValueError):

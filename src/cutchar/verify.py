@@ -25,10 +25,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from io import StringIO
 
 from .characters import Character, CharPoly, NotDivisible, morse_quotient
-from .geometry import CohomologyTable, EquivBundleCP1, LineWeights, cohomology, cut, mcut_cohomology
+from .geometry import (
+    CohomologyTable,
+    CutDecomposition,
+    EquivBundleCP1,
+    LineWeights,
+    cohomology,
+    cut,
+    mcut_cohomology,
+)
 from .oracles import cech_cohomology_nodal, cech_cohomology_p1, localization_index
 
 __all__ = [
@@ -101,22 +110,33 @@ def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: Char
     return CheckResult(check_id, bundle, q.is_nonneg(), witness=q)
 
 
-def _tables(bundle: EquivBundleCP1) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable, CohomologyTable, int]:
+@lru_cache(maxsize=1)
+def _tables(
+    bundle: EquivBundleCP1,
+) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable, CohomologyTable, CutDecomposition]:
+    """Closed forms of M, plus, minus and the cut space, and the cut itself.
+
+    Cached for the most recent bundle only: :func:`sweep` runs all checks of
+    one bundle before the next, so each bundle gets one closed-form pass,
+    while a cache over many bundles would keep their large characters alive.
+    The closed forms are looked up in this module at call time, so a test
+    that patches one of them must call ``_tables.cache_clear()`` first.
+    """
     cutd = cut(bundle)
     return (
         cohomology(bundle),
         cohomology(cutd.plus),
         cohomology(cutd.minus),
         mcut_cohomology(cutd),
-        cutd.red_dims[0],
+        cutd,
     )
 
 
 def verify_gluing(bundle: EquivBundleCP1) -> CheckResult:
     """Index additivity over the cut, correcting for the reduced point."""
-    tm, tp, tmin, _, red0 = _tables(bundle)
+    tm, tp, tmin, _, cutd = _tables(bundle)
     lhs = tm.index()
-    rhs = tp.index() + tmin.index() - Character.monomial(0, red0)
+    rhs = tp.index() + tmin.index() - Character.monomial(0, cutd.red_dims[0])
     if lhs == rhs:
         return CheckResult("gluing", bundle, True)
     return CheckResult("gluing", bundle, False, residual=CharPoly([lhs - rhs]))
@@ -135,21 +155,21 @@ def _sides_euler(tp: CohomologyTable, tmin: CohomologyTable, red0: int) -> CharP
 
 def verify_morse(bundle: EquivBundleCP1) -> CheckResult:
     """The two sides plus the node term dominate euler(M)."""
-    tm, tp, tmin, _, red0 = _tables(bundle)
-    return _morse_check("morse", bundle, _sides_euler(tp, tmin, red0), tm.euler_poly())
+    tm, tp, tmin, _, cutd = _tables(bundle)
+    return _morse_check("morse", bundle, _sides_euler(tp, tmin, cutd.red_dims[0]), tm.euler_poly())
 
 
 def verify_mv_morse(bundle: EquivBundleCP1) -> CheckResult:
     """The two sides plus the node term dominate euler(cut)."""
-    _, tp, tmin, tcut, red0 = _tables(bundle)
-    return _morse_check("mv", bundle, _sides_euler(tp, tmin, red0), tcut.euler_poly())
+    _, tp, tmin, tcut, cutd = _tables(bundle)
+    return _morse_check("mv", bundle, _sides_euler(tp, tmin, cutd.red_dims[0]), tcut.euler_poly())
 
 
 def verify_simple(bundle: EquivBundleCP1) -> CheckResult:
     """Degreewise inequalities between the sides and M, no factoring."""
-    tm, tp, tmin, _, red0 = _tables(bundle)
+    tm, tp, tmin, _, cutd = _tables(bundle)
     d0 = tp.h0 + tmin.h0 - tm.h0
-    d1 = tp.h1 + tmin.h1 + Character.monomial(0, red0) - tm.h1
+    d1 = tp.h1 + tmin.h1 + Character.monomial(0, cutd.red_dims[0]) - tm.h1
     slack = CharPoly([d0, d1])
     return CheckResult("simple", bundle, slack.is_nonneg(), witness=slack)
 
@@ -166,7 +186,7 @@ def verify_semicontinuity(bundle: EquivBundleCP1) -> CheckResult:
 
 def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
     """Closed forms against the Cech, nodal Cech and localization routes."""
-    tm, _, _, tcut, _ = _tables(bundle)
+    tm, _, _, tcut, cutd = _tables(bundle)
     cech_h0 = Character()
     cech_h1 = Character()
     loc_index = Character()
@@ -175,7 +195,7 @@ def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
         cech_h0 += table.h0
         cech_h1 += table.h1
         loc_index += localization_index(s)
-    nodal = cech_cohomology_nodal(cut(bundle))
+    nodal = cech_cohomology_nodal(cutd)
     diffs = [
         tm.h0 - cech_h0,
         tm.h1 - cech_h1,

@@ -82,6 +82,12 @@ class TestCharacter:
         assert Character.monomial(0, 2) == 2
         assert Character.monomial(1) != 1
 
+    def test_eq_with_bool_is_false(self):
+        # bool is an int subclass, but never a character.
+        assert (Character({0: 1}) == True) is False  # noqa: E712
+        assert (Character() == False) is False  # noqa: E712
+        assert Character({0: 1}) != True  # noqa: E712
+
     def test_json_round_trip(self):
         a = Character({-1: 1, 0: 2})
         obj = a.to_json_obj()

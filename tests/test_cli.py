@@ -65,6 +65,12 @@ class TestVerify:
         report = SweepReport.from_json_obj(json.loads(proc.stdout))
         assert [r.check_id for r in report.results[0]] == ["gluing", "oracle"]
 
+    def test_underscored_weight_exits_2(self):
+        proc = run_cli("verify", "1_0:0")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert proc.stdout == ""
+
     def test_unknown_check_exits_2(self):
         proc = run_cli("verify", "0:0", "--checks", "gluing,bogus")
         assert proc.returncode == 2

@@ -23,7 +23,8 @@ class TestBundle:
         assert EquivBundleCP1.parse("-3:0").summands == (LineWeights(-3, 0),)
 
     def test_parse_rejects_garbage(self):
-        for bad in ["", "1", "1:", ":1", "1:2,", "a:b", "1;2", "1:2:3"]:
+        for bad in ["", "1", "1:", ":1", "1:2,", "a:b", "1;2", "1:2:3",
+                    "1_0:0", "0:1_0", "+3:0", " 3:0", "\u0663:0"]:
             with pytest.raises(ValueError):
                 EquivBundleCP1.parse(bad)
 

@@ -17,6 +17,7 @@ from cutchar import (
     cut,
     localization_index,
     mcut_cohomology,
+    run_check,
 )
 
 u = Character.monomial(1)
@@ -130,3 +131,40 @@ class TestLocalization:
             RationalCharacter(Character.monomial(0, 1), Character.monomial(0, 2)).as_character()
         with pytest.raises(NonPolynomialResult):
             RationalCharacter(u + 1, u - 1).as_character()
+
+
+def _terms_built(monkeypatch, route, arg) -> int:
+    """Total terms of all characters constructed while ``route(arg)`` runs."""
+    init = Character.__init__
+    built = [0]
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[0] += len(self.coeffs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Character, "__init__", counted)
+        route(arg)
+    return built[0]
+
+
+class TestOracleCost:
+    @pytest.mark.parametrize(
+        "route, make",
+        [
+            (cech_cohomology_p1, lambda n: LineWeights(n, -n)),
+            (cech_cohomology_nodal, lambda n: cut(EquivBundleCP1((LineWeights(n, -n),)))),
+        ],
+        ids=["cech", "nodal"],
+    )
+    def test_terms_linear_in_weight_window(self, monkeypatch, route, make):
+        # Doubling the window may at most about double the work; a route
+        # that re-copies its running sum per weight would quadruple it.
+        n = 200
+        small = _terms_built(monkeypatch, route, make(n))
+        large = _terms_built(monkeypatch, route, make(2 * n))
+        assert large <= 2.5 * small, (small, large)
+
+    def test_cross_validate_large_rank_two(self):
+        r = run_check("oracle", EquivBundleCP1.parse("1500:-1500,-1000:1000"))
+        assert r.passed and r.residual is None

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,8 @@ from cutchar import (
     run_check,
     sweep,
 )
-from cutchar.verify import _REGISTRY, _morse_check
+import cutchar.verify
+from cutchar.verify import _REGISTRY, _morse_check, _tables
 
 u = Character.monomial(1)
 
@@ -297,3 +299,30 @@ class TestEqualityRegion:
         morse_eq = set(report.equality_sets["morse"])
         assert claimed.isdisjoint(morse_eq)
         assert morse_eq == {f"{a}:{b}" for a in range(-3, 0) for b in range(1, 4)}
+
+
+class TestPerBundlePass:
+    def test_closed_forms_once_per_bundle(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("cohomology", "mcut_cohomology"):
+            monkeypatch.setattr(cutchar.verify, name, counting(name, getattr(cutchar.verify, name)))
+        _tables.cache_clear()
+        for cid in ALL_CHECKS:
+            run_check(cid, bundle("1:-1,2:2"))
+        # M, plus and minus, and the cut space: once each for all checks.
+        assert calls == {"cohomology": 3, "mcut_cohomology": 1}
+
+    def test_sweep_revisiting_a_bundle_matches_fresh_runs(self):
+        a, b = bundle("2:-1"), bundle("-3:2,1:1")
+        report = sweep([a, b, a])
+        for bun, row in zip(report.grid, report.results):
+            _tables.cache_clear()
+            assert row == tuple(run_check(cid, bun) for cid in ALL_CHECKS), bun.literal()
