@@ -16,7 +16,6 @@ from .geometry import (
 from .oracles import (
     GradedCechComplex,
     NonPolynomialResult,
-    RationalCharacter,
     cech_cohomology_nodal,
     cech_cohomology_p1,
     localization_index,
@@ -55,7 +54,6 @@ __all__ = [
     "cut",
     "mcut_cohomology",
     "GradedCechComplex",
-    "RationalCharacter",
     "NonPolynomialResult",
     "cech_cohomology_p1",
     "cech_cohomology_nodal",

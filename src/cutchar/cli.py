@@ -63,6 +63,10 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     return ids
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """Settings loadable from a JSON file, overridable by flags.
@@ -101,18 +105,20 @@ class RunConfig:
         bundles = grid = None
         if "bundles" in obj:
             lits = obj["bundles"]
-            if not isinstance(lits, list) or not lits:
-                raise _UsageError(f"config {path}: bundles must be a nonempty list")
+            if not _is_str_list(lits) or not lits:
+                raise _UsageError(f"config {path}: bundles must be a nonempty list of strings")
             bundles = tuple(_parse_bundle(lit) for lit in lits)
         else:
             g = obj["grid"]
             if not isinstance(g, dict) or set(g) != {"rp_range", "rq_range"}:
                 raise _UsageError(f"config {path}: grid must have keys rp_range, rq_range")
+            if not all(isinstance(v, str) for v in g.values()):
+                raise _UsageError(f"config {path}: grid ranges must be strings A..B")
             grid = (_parse_range(g["rp_range"]), _parse_range(g["rq_range"]))
         checks = None
         if "checks" in obj:
             ids = obj["checks"]
-            if not isinstance(ids, list):
+            if not _is_str_list(ids):
                 raise _UsageError(f"config {path}: checks must be a list of ids")
             checks = _parse_checks(",".join(ids)) if ids else ()
         fail_fast = obj.get("fail_fast")
@@ -125,6 +131,8 @@ class RunConfig:
                 raise _UsageError(f"config {path}: output takes keys path, format")
             out = output.get("path")
             fmt = output.get("format")
+            if out is not None and not isinstance(out, str):
+                raise _UsageError(f"config {path}: output path must be a string")
             if fmt is not None and fmt not in ("json", "csv", "md"):
                 raise _UsageError(f"config {path}: format must be json, csv or md")
         return cls(bundles, grid, checks, fail_fast, out, fmt)
@@ -156,8 +164,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _cmd_cohomology(args) -> int:
@@ -202,7 +213,7 @@ def _cmd_sweep(args) -> int:
         bundles = grid_bundles(*config.grid)
     else:
         raise _UsageError("no bundles: give --rp-range/--rq-range or --config")
-    if args.checks:
+    if args.checks is not None:
         checks = _parse_checks(args.checks)
     else:
         checks = config.checks if config.checks is not None else ALL_CHECKS

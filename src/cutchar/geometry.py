@@ -137,15 +137,30 @@ class CohomologyTable:
 
 @dataclass(frozen=True, slots=True)
 class CutDecomposition:
-    """The two sides of the level-zero cut and the reduced-space dimensions.
+    """The two sides of the level-zero cut, paired summand by summand.
 
-    ``red_dims[p]`` is dim H^p of the reduced space at level zero with values
-    in the cut bundle; for a point that is (rank, 0).
+    Raises :class:`MalformedCut` when built unless the sides have equal rank
+    and every node fiber weight (r_Q on the plus side, r_P on the minus side)
+    is zero.
     """
 
     plus: EquivBundleCP1
     minus: EquivBundleCP1
-    red_dims: tuple[int, int]
+
+    def __post_init__(self):
+        if self.plus.rank != self.minus.rank:
+            raise MalformedCut(f"sides have different ranks: {self.plus.rank} vs {self.minus.rank}")
+        for s in self.plus.summands:
+            if s.r_q != 0:
+                raise MalformedCut(f"plus-side node weight must be 0, got {s.r_q}")
+        for s in self.minus.summands:
+            if s.r_p != 0:
+                raise MalformedCut(f"minus-side node weight must be 0, got {s.r_p}")
+
+    @property
+    def red_dims(self) -> tuple[int, int]:
+        """dim H^p of the reduced space (a point) in the cut bundle: (rank, 0)."""
+        return (self.plus.rank, 0)
 
 
 def _line_cohomology(s: LineWeights) -> CohomologyTable:
@@ -181,7 +196,7 @@ def cut(bundle: EquivBundleCP1) -> CutDecomposition:
     """
     plus = EquivBundleCP1(tuple(LineWeights(s.r_p, 0) for s in bundle.summands))
     minus = EquivBundleCP1(tuple(LineWeights(0, s.r_q) for s in bundle.summands))
-    return CutDecomposition(plus, minus, (bundle.rank, 0))
+    return CutDecomposition(plus, minus)
 
 
 def _node_rank(plus: LineWeights, minus: LineWeights) -> int:
@@ -199,28 +214,14 @@ def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
         h0(cut) = h0(plus) + h0(minus) - delta * u^0
         h1(cut) = h1(plus) + h1(minus) + (1 - delta) * u^0
 
-    Raises :class:`MalformedCut` unless the two sides pair up, every node
-    fiber weight is zero, and red_dims matches a point reduced space.
+    The sides pair up with zero node weights, which the
+    :class:`CutDecomposition` checked when it was built.
 
     >>> d = cut(EquivBundleCP1.parse("2:2"))
     >>> t = mcut_cohomology(d)
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
-    if cutd.plus.rank != cutd.minus.rank:
-        raise MalformedCut(
-            f"sides have different ranks: {cutd.plus.rank} vs {cutd.minus.rank}"
-        )
-    for s in cutd.plus.summands:
-        if s.r_q != 0:
-            raise MalformedCut(f"plus-side node weight must be 0, got {s.r_q}")
-    for s in cutd.minus.summands:
-        if s.r_p != 0:
-            raise MalformedCut(f"minus-side node weight must be 0, got {s.r_p}")
-    if cutd.red_dims != (cutd.plus.rank, 0):
-        raise MalformedCut(
-            f"red_dims {cutd.red_dims} does not match a point reduced space"
-        )
     h0 = Character()
     h1 = Character()
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):

@@ -6,8 +6,8 @@ Three routes that share no code with the closed forms in :mod:`.geometry`:
   rationals, one weight block at a time;
 * the same machinery on the two cut pieces glued at the node, with the
   matching condition at the node fiber imposed as an extra linear map; and
-* the fixed-point localization formula, evaluated by exact division in the
-  Laurent ring via :class:`RationalCharacter`.
+* the fixed-point localization formula, evaluated as a single exact
+  division in the Laurent ring over the common denominator.
 
 Conventions for the line (r_P, r_Q): chart 0 is centered at the fixed point
 Q with coordinate z, and the monomial z^j there carries weight r_Q + j;
@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import Character
-from .geometry import CohomologyTable, CutDecomposition, LineWeights, MalformedCut
+from .geometry import CohomologyTable, CutDecomposition, LineWeights
 
 __all__ = [
     "GradedCechComplex",
     "cech_cohomology_p1",
     "cech_cohomology_nodal",
-    "RationalCharacter",
     "NonPolynomialResult",
     "localization_index",
 ]
@@ -179,20 +178,6 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
-    if cutd.plus.rank != cutd.minus.rank:
-        raise MalformedCut(
-            f"sides have different ranks: {cutd.plus.rank} vs {cutd.minus.rank}"
-        )
-    for s in cutd.plus.summands:
-        if s.r_q != 0:
-            raise MalformedCut(f"plus-side node weight must be 0, got {s.r_q}")
-    for s in cutd.minus.summands:
-        if s.r_p != 0:
-            raise MalformedCut(f"minus-side node weight must be 0, got {s.r_p}")
-    if cutd.red_dims != (cutd.plus.rank, 0):
-        raise MalformedCut(
-            f"red_dims {cutd.red_dims} does not match a point reduced space"
-        )
     # (weight, dimension) pairs over all summands; the constructor sums repeats.
     h0: list[tuple[int, int]] = []
     h1: list[tuple[int, int]] = []
@@ -218,36 +203,6 @@ class NonPolynomialResult(ValueError):
     """Exact division left a remainder or non-integer coefficients."""
 
 
-@dataclass(frozen=True, slots=True)
-class RationalCharacter:
-    """Formal ratio of two characters, for fixed-point index formulas.
-
-    Only addition and exact reduction to a genuine character are needed:
-
-    >>> u = Character.monomial(1)
-    >>> rc = RationalCharacter(u * u * u - 1, u - 1)
-    >>> rc.as_character()
-    Character({0: 1, 1: 1, 2: 1})
-    """
-
-    numerator: Character
-    denominator: Character
-
-    def __post_init__(self):
-        if not self.denominator:
-            raise ZeroDivisionError("character denominator is zero")
-
-    def __add__(self, other: "RationalCharacter") -> "RationalCharacter":
-        return RationalCharacter(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def as_character(self) -> Character:
-        """Divide exactly; raise :class:`NonPolynomialResult` if impossible."""
-        return _laurent_div(self.numerator, self.denominator)
-
-
 def _dense(ch: Character) -> tuple[int, list[Fraction]]:
     """(valuation, dense coefficient list from the valuation upward)."""
     lo = min(ch.support())
@@ -256,6 +211,7 @@ def _dense(ch: Character) -> tuple[int, list[Fraction]]:
 
 
 def _laurent_div(num: Character, den: Character) -> Character:
+    """Exact quotient num / den; raise :class:`NonPolynomialResult` if there is none."""
     if not den:
         raise ZeroDivisionError("character denominator is zero")
     if not num:
@@ -285,7 +241,8 @@ def localization_index(summand: LineWeights) -> Character:
 
     The point P (moment +1, tangent weight -1) contributes
     u^(r_P) / (1 - u^(-1)); the point Q (moment -1, tangent weight +1)
-    contributes u^(r_Q) / (1 - u).  Their sum is always a genuine character
+    contributes u^(r_Q) / (1 - u).  Their sum, taken over the common
+    denominator (1 - u^(-1))(1 - u), divides exactly to a genuine character
     and equals h0 - h1.
 
     >>> localization_index(LineWeights(2, 0))
@@ -295,6 +252,5 @@ def localization_index(summand: LineWeights) -> Character:
     """
     u = Character.monomial(1)
     u_inv = Character.monomial(-1)
-    at_p = RationalCharacter(Character.monomial(summand.r_p), 1 - u_inv)
-    at_q = RationalCharacter(Character.monomial(summand.r_q), 1 - u)
-    return (at_p + at_q).as_character()
+    num = Character.monomial(summand.r_p) * (1 - u) + Character.monomial(summand.r_q) * (1 - u_inv)
+    return _laurent_div(num, (1 - u_inv) * (1 - u))

@@ -89,10 +89,12 @@ class CheckResult:
     def from_json_obj(cls, obj: object) -> "CheckResult":
         if not isinstance(obj, dict) or set(obj) != {"check_id", "bundle", "passed", "witness", "residual"}:
             raise ValueError(f"malformed check result: {obj!r}")
-        if obj["check_id"] not in _REGISTRY:
+        if not isinstance(obj["check_id"], str) or obj["check_id"] not in _REGISTRY:
             raise ValueError(f"unknown check id {obj['check_id']!r}")
         if type(obj["passed"]) is not bool:
             raise ValueError(f"passed must be a boolean, got {obj['passed']!r}")
+        if not isinstance(obj["bundle"], str):
+            raise ValueError(f"bundle must be a string, got {obj['bundle']!r}")
         return cls(
             obj["check_id"],
             EquivBundleCP1.parse(obj["bundle"]),
@@ -134,9 +136,9 @@ def _tables(
 
 def verify_gluing(bundle: EquivBundleCP1) -> CheckResult:
     """Index additivity over the cut, correcting for the reduced point."""
-    tm, tp, tmin, _, cutd = _tables(bundle)
+    tm, tp, tmin, _, _ = _tables(bundle)
     lhs = tm.index()
-    rhs = tp.index() + tmin.index() - Character.monomial(0, cutd.red_dims[0])
+    rhs = tp.index() + tmin.index() - Character.monomial(0, bundle.rank)
     if lhs == rhs:
         return CheckResult("gluing", bundle, True)
     return CheckResult("gluing", bundle, False, residual=CharPoly([lhs - rhs]))
@@ -148,28 +150,28 @@ def verify_cut_inequality(bundle: EquivBundleCP1) -> CheckResult:
     return _morse_check("mcut", bundle, tcut.euler_poly(), tm.euler_poly())
 
 
-def _sides_euler(tp: CohomologyTable, tmin: CohomologyTable, red0: int) -> CharPoly:
-    node_term = CharPoly([Character(), Character.monomial(0, red0)])
+def _sides_euler(tp: CohomologyTable, tmin: CohomologyTable, rank: int) -> CharPoly:
+    node_term = CharPoly([Character(), Character.monomial(0, rank)])
     return tp.euler_poly() + tmin.euler_poly() + node_term
 
 
 def verify_morse(bundle: EquivBundleCP1) -> CheckResult:
     """The two sides plus the node term dominate euler(M)."""
-    tm, tp, tmin, _, cutd = _tables(bundle)
-    return _morse_check("morse", bundle, _sides_euler(tp, tmin, cutd.red_dims[0]), tm.euler_poly())
+    tm, tp, tmin, _, _ = _tables(bundle)
+    return _morse_check("morse", bundle, _sides_euler(tp, tmin, bundle.rank), tm.euler_poly())
 
 
 def verify_mv_morse(bundle: EquivBundleCP1) -> CheckResult:
     """The two sides plus the node term dominate euler(cut)."""
-    _, tp, tmin, tcut, cutd = _tables(bundle)
-    return _morse_check("mv", bundle, _sides_euler(tp, tmin, cutd.red_dims[0]), tcut.euler_poly())
+    _, tp, tmin, tcut, _ = _tables(bundle)
+    return _morse_check("mv", bundle, _sides_euler(tp, tmin, bundle.rank), tcut.euler_poly())
 
 
 def verify_simple(bundle: EquivBundleCP1) -> CheckResult:
     """Degreewise inequalities between the sides and M, no factoring."""
-    tm, tp, tmin, _, cutd = _tables(bundle)
+    tm, tp, tmin, _, _ = _tables(bundle)
     d0 = tp.h0 + tmin.h0 - tm.h0
-    d1 = tp.h1 + tmin.h1 + Character.monomial(0, cutd.red_dims[0]) - tm.h1
+    d1 = tp.h1 + tmin.h1 + Character.monomial(0, bundle.rank) - tm.h1
     slack = CharPoly([d0, d1])
     return CheckResult("simple", bundle, slack.is_nonneg(), witness=slack)
 
@@ -271,10 +273,11 @@ class SweepReport:
         required = {"grid", "results", "summary", "equality_sets"}
         if not required <= set(obj) or not set(obj) <= required | {"claimed_region"}:
             raise ValueError(f"sweep report keys must be {sorted(required)} (+ claimed_region), got {sorted(obj)}")
-        grid = tuple(EquivBundleCP1.parse(lit) for lit in obj["grid"])
-        results = tuple(
-            tuple(CheckResult.from_json_obj(r) for r in row) for row in obj["results"]
-        )
+        grid = tuple(EquivBundleCP1.parse(lit) for lit in _str_list(obj["grid"], "grid"))
+        rows = obj["results"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"results must be a list of lists, got {rows!r}")
+        results = tuple(tuple(CheckResult.from_json_obj(r) for r in row) for row in rows)
         if len(grid) != len(results):
             raise ValueError("grid and results have different lengths")
         for b, row in zip(grid, results):
@@ -285,9 +288,24 @@ class SweepReport:
         recounted = _summarize(results)
         if summary != recounted:
             raise ValueError(f"summary {summary} does not match results {recounted}")
-        equality_sets = {cid: tuple(lits) for cid, lits in obj["equality_sets"].items()}
+        supplied = obj["equality_sets"]
+        if not isinstance(supplied, dict):
+            raise ValueError(f"equality_sets must be a JSON object, got {supplied!r}")
+        equality_sets = {cid: _str_list(lits, f"equality set {cid!r}") for cid, lits in supplied.items()}
+        # Every selected Morse check has a set, even if fail_fast cut it from the results.
+        present = {r.check_id for row in results for r in row}.intersection(MORSE_CHECKS)
+        if not present <= set(equality_sets) <= set(MORSE_CHECKS):
+            raise ValueError(
+                f"equality_sets keys {sorted(equality_sets)} must cover {sorted(present)} "
+                f"and lie in {list(MORSE_CHECKS)}"
+            )
+        recomputed = _equality_sets(grid, results, equality_sets)
+        if equality_sets != recomputed:
+            raise ValueError(f"equality_sets {equality_sets} do not match results {recomputed}")
         claimed = obj.get("claimed_region")
-        return cls(grid, results, summary, equality_sets, None if claimed is None else tuple(claimed))
+        if claimed is not None:
+            claimed = _str_list(claimed, "claimed_region")
+        return cls(grid, results, summary, equality_sets, claimed)
 
     def to_csv(self) -> str:
         """Delimited form, one row per (bundle, check).
@@ -355,6 +373,26 @@ def _summarize(results: tuple[tuple[CheckResult, ...], ...]) -> dict[str, dict[s
     return summary
 
 
+def _equality_sets(grid, results, check_ids) -> dict[str, tuple[str, ...]]:
+    """Per selected Morse-type check, the bundles whose witness is exactly zero."""
+    return {
+        cid: tuple(
+            bundle.literal()
+            for bundle, row in zip(grid, results)
+            for r in row
+            if r.check_id == cid and r.passed and r.witness == CharPoly()
+        )
+        for cid in check_ids
+        if cid in MORSE_CHECKS
+    }
+
+
+def _str_list(value: object, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _normalize_checks(check_ids) -> tuple[str, ...]:
     if check_ids is None:
         return ALL_CHECKS
@@ -391,17 +429,9 @@ def sweep(bundles, check_ids=None, fail_fast: bool = False) -> SweepReport:
         if stop:
             break
     results = tuple(rows)
-    equality_sets = {
-        cid: tuple(
-            bundle.literal()
-            for bundle, row in zip(grid, results)
-            for r in row
-            if r.check_id == cid and r.passed and r.witness == CharPoly()
-        )
-        for cid in selected
-        if cid in MORSE_CHECKS
-    }
-    return SweepReport(grid[: len(results)], results, _summarize(results), equality_sets)
+    return SweepReport(
+        grid[: len(results)], results, _summarize(results), _equality_sets(grid, results, selected)
+    )
 
 
 def grid_bundles(rp_range: tuple[int, int], rq_range: tuple[int, int]) -> list[EquivBundleCP1]:

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutchar import CharPoly, CheckResult, EquivBundleCP1, SweepReport
 from cutchar.cli import main
@@ -253,3 +259,98 @@ class TestUsage:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "equality-region" in proc.stdout
+
+
+# Input errors that must exit 2 with one message.  Most once escaped as a
+# traceback with exit status 1; an empty sweep --checks ran every check.
+EXIT_2_CASES = [
+    pytest.param(("sweep", "--config"), {"bundles": [5]}, id="config-bundle-int"),
+    pytest.param(
+        ("sweep", "--config"), {"grid": {"rp_range": 5, "rq_range": "0..1"}}, id="config-range-int"
+    ),
+    pytest.param(("sweep", "--config"), {"bundles": ["0:0"], "checks": [1]}, id="config-check-int"),
+    pytest.param(
+        ("sweep", "--config"), {"bundles": ["0:0"], "output": {"path": 7}}, id="config-path-fd7"
+    ),
+    pytest.param(
+        ("sweep", "--config"), {"bundles": ["0:0"], "output": {"path": 1}}, id="config-path-stdout"
+    ),
+    pytest.param(("verify", "1:0", "--out", "/nonexistent/x.json"), None, id="unwritable-out"),
+    pytest.param(("cohomology", "0:0", "--out", "/"), None, id="out-is-a-directory"),
+    pytest.param(
+        ("sweep", "--rp-range", "0..0", "--rq-range", "0..0", "--checks", ""), None,
+        id="sweep-empty-checks",
+    ),
+    pytest.param(("verify", "1:0", "--checks", ""), None, id="verify-empty-checks"),
+]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2, width=16) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3,
+)
+
+
+def _put(slot: str, value) -> dict:
+    """A valid one-bundle config with ``value`` placed at ``slot``."""
+    config = {"bundles": ["0:0"], "checks": ["gluing"]}
+    if slot.startswith("grid"):
+        del config["bundles"]
+        config["grid"] = {"rp_range": "0..0", "rq_range": "0..0"}
+    key, _, sub = slot.partition(".")
+    if not sub:
+        config[key] = value
+    elif sub == "0":
+        config[key] = [value]
+    else:
+        config.setdefault(key, {})[sub] = value
+    return config
+
+
+# slot -> whether a value there has the right type; null means "unset" where optional.
+CONFIG_SLOTS = {
+    "bundles": lambda v: isinstance(v, list),
+    "bundles.0": lambda v: isinstance(v, str),
+    "grid": lambda v: isinstance(v, dict),
+    "grid.rp_range": lambda v: isinstance(v, str),
+    "grid.rq_range": lambda v: isinstance(v, str),
+    "checks": lambda v: isinstance(v, list),
+    "checks.0": lambda v: isinstance(v, str),
+    "fail_fast": lambda v: v is None or type(v) is bool,
+    "output": lambda v: isinstance(v, dict),
+    "output.path": lambda v: v is None or isinstance(v, str),
+    "output.format": lambda v: v is None or isinstance(v, str),
+}
+
+wrong_typed = st.sampled_from(sorted(CONFIG_SLOTS)).flatmap(
+    lambda slot: st.tuples(st.just(slot), json_values.filter(lambda v: not CONFIG_SLOTS[slot](v)))
+)
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("argv, config", EXIT_2_CASES)
+    def test_input_errors_exit_2(self, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = (*argv, str(path))
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wrong_typed)
+    def test_wrong_typed_config_value_exits_2(self, slot_value):
+        slot, value = slot_value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(_put(slot, value)))
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+                status = main(["sweep", "--config", str(path)])
+        assert status == 2, (slot, value)
+        assert err.getvalue().startswith("error: config"), err.getvalue()
+        assert out.getvalue() == ""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cutchar import (
@@ -135,23 +137,24 @@ class TestCut:
 
     def test_mcut_rejects_mismatched_ranks(self):
         d = cut(EquivBundleCP1.parse("1:1"))
-        bad = CutDecomposition(d.plus, EquivBundleCP1.parse("0:1,0:2"), (1, 0))
         with pytest.raises(MalformedCut):
-            mcut_cohomology(bad)
+            CutDecomposition(d.plus, EquivBundleCP1.parse("0:1,0:2"))
 
     def test_mcut_rejects_nonzero_node_weight(self):
         plus = EquivBundleCP1.parse("1:1")  # node weight 1, not 0
         minus = EquivBundleCP1.parse("0:1")
         with pytest.raises(MalformedCut):
-            mcut_cohomology(CutDecomposition(plus, minus, (1, 0)))
+            CutDecomposition(plus, minus)
         with pytest.raises(MalformedCut):
-            mcut_cohomology(
-                CutDecomposition(EquivBundleCP1.parse("1:0"), EquivBundleCP1.parse("1:1"), (1, 0))
-            )
+            CutDecomposition(EquivBundleCP1.parse("1:0"), EquivBundleCP1.parse("1:1"))
 
-    def test_mcut_rejects_bad_red_dims(self):
-        d = cut(EquivBundleCP1.parse("1:1"))
-        with pytest.raises(MalformedCut):
-            mcut_cohomology(CutDecomposition(d.plus, d.minus, (2, 0)))
-        with pytest.raises(MalformedCut):
-            mcut_cohomology(CutDecomposition(d.plus, d.minus, (1, 1)))
+    def test_replace_revalidates(self):
+        d = cut(EquivBundleCP1.parse("1:-1,2:2"))
+        for change in [
+            {"minus": EquivBundleCP1.parse("0:1")},
+            {"plus": EquivBundleCP1.parse("1:1,2:0")},
+            {"minus": EquivBundleCP1.parse("0:-1,3:2")},
+        ]:
+            with pytest.raises(MalformedCut):
+                replace(d, **change)
+        assert replace(d, minus=EquivBundleCP1.parse("0:5,0:6")).red_dims == (2, 0)

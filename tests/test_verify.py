@@ -244,6 +244,46 @@ class TestSweepReportSerialization:
         with pytest.raises(ValueError):
             SweepReport.from_json_obj(obj)
 
+    def test_contradicting_equality_sets_rejected(self):
+        obj = sweep(grid_bundles((-1, 1), (-1, 1)), ("mcut",)).to_json_obj()
+        for sets in [
+            {"mcut": ["9:9"], "bogus": []},
+            {"mcut": ["9:9"]},
+            {"mcut": obj["equality_sets"]["mcut"][1:]},
+            {"mcut": obj["equality_sets"]["mcut"], "morse": ["0:0"]},
+            {},
+        ]:
+            with pytest.raises(ValueError):
+                SweepReport.from_json_obj({**obj, "equality_sets": sets})
+
+    def test_wrong_types_rejected(self):
+        obj = sweep([bundle("0:0")], ("mcut",)).to_json_obj()
+        row = obj["results"][0]
+        for key, value in [
+            ("equality_sets", 5),
+            ("equality_sets", {"mcut": 5}),
+            ("equality_sets", {"mcut": [5]}),
+            ("grid", 5),
+            ("grid", [5]),
+            ("results", 5),
+            ("results", [5]),
+            ("results", [[{**row[0], "bundle": 5}]]),
+            ("results", [[{**row[0], "check_id": []}]]),
+            ("claimed_region", 5),
+        ]:
+            with pytest.raises(ValueError):
+                SweepReport.from_json_obj({**obj, key: value})
+
+    def test_fail_fast_report_round_trips(self, monkeypatch):
+        # mcut was selected but never ran: its set is present and empty.
+        def always_fails(b):
+            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+
+        monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
+        report = sweep([bundle("0:0"), bundle("1:0")], ("gluing", "mcut"), fail_fast=True)
+        assert report.equality_sets == {"mcut": ()}
+        assert SweepReport.from_json_obj(json.loads(json.dumps(report.to_json_obj()))) == report
+
     def test_csv_golden(self):
         report = sweep([bundle("0:0")], ("gluing", "mcut"))
         assert report.to_csv() == (
