@@ -4,9 +4,19 @@ A finite-dimensional circle representation splits into integer weights; its
 formal character is the finite sum of ``multiplicity * u^k`` over weights k,
 where ``u`` stands for the weight-one character (the circle element acts on a
 weight-k line by the phase e^{-ik*theta}, and u^k bookkeeps that phase).
-Characters therefore live in the Laurent polynomial ring Z[u, u^-1], stored
-sparsely as ``{weight: multiplicity}`` with zero multiplicities never kept, so
-structural equality is ring equality.
+Characters therefore live in the Laurent polynomial ring Z[u, u^-1].
+
+A :class:`Character` chi is stored by its jumps: the coefficients of
+d = (1 - u) * chi, so d_k = c_k - c_{k-1} and each c_k is the prefix sum of
+d up to k.  Every closed-form character here is a sum of at most ``rank``
+spans u^lo + ... + u^hi, each of which is the two jumps {lo: +1, hi+1: -1},
+plus u^0 corrections; so sums, differences, equality, nonnegativity (every
+prefix sum of d is >= 0) and the dimension (-sum of k * d_k) cost O(rank),
+whatever the weights.  Multiplication by 1 - u is injective, so the jumps
+with zero entries dropped are canonical and structural equality is ring
+equality.  Only the dense views (:meth:`Character.items`, ``support``,
+``coeffs``, JSON and the string forms) expand the prefix sums, at a cost
+linear in what they return.
 
 :class:`CharPoly` is a polynomial in a formal variable ``t`` with Character
 coefficients; the t^p coefficient records cohomological degree p.  The one
@@ -42,13 +52,35 @@ def _check_int(value: object, what: str) -> int:
     return value
 
 
+def _canonical(terms: Mapping[int, int]) -> dict[int, int]:
+    """Ascending weights, zero entries dropped."""
+    return {k: terms[k] for k in sorted(terms) if terms[k] != 0}
+
+
+def _running_sums(jumps: Mapping[int, int]) -> Iterator[tuple[int, int]]:
+    """``(k, s_k)`` for every k where the prefix sum s_k of ``jumps`` is nonzero.
+
+    ``jumps`` must be canonical and sum to zero.  The sums are constant
+    between consecutive jumps, so a run is emitted only where it is nonzero.
+    """
+    total = 0
+    prev = 0
+    for k, q in jumps.items():
+        if total:
+            for m in range(prev, k):
+                yield m, total
+        total += q
+        prev = k
+
+
 class Character:
-    """Sparse Laurent polynomial in u with integer coefficients.
+    """Laurent polynomial in u with integer coefficients, stored by its jumps.
 
     Supports +, -, * (with other characters or plain integers, an integer
     meaning that multiple of u^0) and the coefficientwise partial order via
     ``>=`` / ``<=``.  Instances are immutable; all operations return new
-    values.
+    values.  The constructor takes the dense ``{weight: multiplicity}``
+    form, which is also what every view and the repr show.
 
     >>> Character.from_weights([0, 1, 2])
     Character({0: 1, 1: 1, 2: 1})
@@ -61,7 +93,7 @@ class Character:
     Character({})
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_jumps",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -70,8 +102,19 @@ class Character:
             _check_int(weight, "weight")
             _check_int(mult, "multiplicity")
             acc[weight] = acc.get(weight, 0) + mult
-        # Canonical form: ascending weights, no zero entries.
-        self._coeffs: dict[int, int] = {k: acc[k] for k in sorted(acc) if acc[k] != 0}
+        # (1 - u) * c u^k puts +c at k and -c at k + 1.
+        jumps: dict[int, int] = {}
+        for k, c in acc.items():
+            jumps[k] = jumps.get(k, 0) + c
+            jumps[k + 1] = jumps.get(k + 1, 0) - c
+        self._jumps: dict[int, int] = _canonical(jumps)
+
+    @classmethod
+    def _from_jumps(cls, jumps: Mapping[int, int]) -> "Character":
+        """The character whose (1 - u) multiple is ``jumps`` (summing to zero)."""
+        new = cls.__new__(cls)
+        new._jumps = _canonical(jumps)
+        return new
 
     @classmethod
     def from_weights(cls, weights: Iterable[int]) -> "Character":
@@ -81,41 +124,54 @@ class Character:
     @classmethod
     def monomial(cls, weight: int, mult: int = 1) -> "Character":
         """The single term ``mult * u^weight``."""
-        return cls({weight: mult})
+        _check_int(weight, "weight")
+        _check_int(mult, "multiplicity")
+        return cls._from_jumps({weight: mult, weight + 1: -mult})
 
     @classmethod
     def span(cls, lo: int, hi: int) -> "Character":
         """Sum of u^m over lo <= m <= hi; zero when the range is empty.
+
+        Costs O(1) for any range: the jumps are +1 at lo and -1 at hi + 1.
 
         >>> Character.span(0, 2)
         Character({0: 1, 1: 1, 2: 1})
         >>> Character.span(3, 2)
         Character({})
         """
-        return cls((m, 1) for m in range(lo, hi + 1))
+        _check_int(lo, "weight")
+        _check_int(hi, "weight")
+        return cls._from_jumps({lo: 1, hi + 1: -1} if lo <= hi else {})
 
     @property
     def coeffs(self) -> Mapping[int, int]:
-        return MappingProxyType(self._coeffs)
+        return MappingProxyType(dict(self.items()))
 
     def multiplicity(self, weight: int) -> int:
-        return self._coeffs.get(weight, 0)
+        return sum(q for k, q in self._jumps.items() if k <= weight)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
+        return tuple(k for k, _ in self.items())
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
+        """The dense ``(weight, multiplicity)`` terms, ascending; every dense view reads these."""
+        return _running_sums(self._jumps)
 
     def dim(self) -> int:
-        """Sum of multiplicities (the virtual dimension)."""
-        return sum(self._coeffs.values())
+        """Sum of multiplicities (the virtual dimension): -sum of k * d_k."""
+        return -sum(k * q for k, q in self._jumps.items())
 
     def is_nonneg(self) -> bool:
-        return all(q >= 0 for q in self._coeffs.values())
+        """True iff every coefficient, i.e. every prefix sum of the jumps, is >= 0."""
+        total = 0
+        for q in self._jumps.values():
+            total += q
+            if total < 0:
+                return False
+        return True
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._jumps)
 
     def __eq__(self, other: object) -> bool:
         # bool is an int subclass; leave it to NotImplemented, as _as_character does.
@@ -123,22 +179,22 @@ class Character:
             other = Character.monomial(0, other)
         if not isinstance(other, Character):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._jumps == other._jumps
 
     def __hash__(self) -> int:
-        return hash(tuple(self._coeffs.items()))
+        return hash(tuple(self._jumps.items()))
 
     def __add__(self, other: "Character | int") -> "Character":
         other = _as_character(other)
-        merged = dict(self._coeffs)
-        for k, q in other._coeffs.items():
+        merged = dict(self._jumps)
+        for k, q in other._jumps.items():
             merged[k] = merged.get(k, 0) + q
-        return Character(merged)
+        return Character._from_jumps(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Character":
-        return Character({k: -q for k, q in self._coeffs.items()})
+        return Character._from_jumps({k: -q for k, q in self._jumps.items()})
 
     def __sub__(self, other: "Character | int") -> "Character":
         return self + (-_as_character(other))
@@ -148,12 +204,14 @@ class Character:
 
     def __mul__(self, other: "Character | int") -> "Character":
         other = _as_character(other)
+        # The jumps of both factors convolve to (1 - u)^2 * ab; one prefix
+        # sum of that is (1 - u) * ab, the jumps of the product.
         prod: dict[int, int] = {}
-        for k1, q1 in self._coeffs.items():
-            for k2, q2 in other._coeffs.items():
+        for k1, q1 in self._jumps.items():
+            for k2, q2 in other._jumps.items():
                 k = k1 + k2
                 prod[k] = prod.get(k, 0) + q1 * q2
-        return Character(prod)
+        return Character._from_jumps(dict(_running_sums(_canonical(prod))))
 
     __rmul__ = __mul__
 
@@ -170,13 +228,16 @@ class Character:
 
     def to_json_obj(self) -> dict[str, int]:
         """JSON form: decimal weight strings to integer multiplicities."""
-        return {str(k): q for k, q in self._coeffs.items()}
+        return {str(k): q for k, q in self.items()}
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "Character":
         """Parse the JSON form, rejecting non-integer multiplicities.
 
-        Zero multiplicities are accepted and normalized away.
+        A weight key must be the canonical decimal string of its integer, as
+        :meth:`to_json_obj` writes it: ``"1_0"``, ``" 3"``, ``"03"``, ``"+3"``,
+        ``"-0"`` and non-ASCII digits are refused, so every accepted object
+        round-trips.  Zero multiplicities are accepted and normalized away.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"character must be a JSON object, got {obj!r}")
@@ -185,18 +246,18 @@ class Character:
             try:
                 weight = int(key)
             except (TypeError, ValueError):
-                raise ValueError(f"character weight key {key!r} is not a decimal integer") from None
+                weight = None
+            if weight is None or str(weight) != key:
+                raise ValueError(f"character weight key {key!r} is not a canonical decimal integer")
             pairs.append((weight, _check_int(value, f"multiplicity of weight {key}")))
         return cls(pairs)
 
     def __repr__(self) -> str:
-        return f"Character({self._coeffs!r})"
+        return f"Character({dict(self.items())!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
         parts: list[str] = []
-        for k, q in self._coeffs.items():
+        for k, q in self.items():
             mag = abs(q)
             if k == 0:
                 term = str(mag)
@@ -207,7 +268,7 @@ class Character:
                 parts.append(term if q > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if q > 0 else f"- {term}")
-        return " ".join(parts)
+        return " ".join(parts) if parts else "0"
 
 
 def _as_character(value: "Character | int") -> Character:

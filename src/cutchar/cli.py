@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .geometry import EquivBundleCP1, cohomology, cut, mcut_cohomology
+from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
 from .verify import ALL_CHECKS, SweepReport, equality_region, grid_bundles, sweep
 
 __all__ = ["main", "console_main", "RunConfig"]
@@ -44,18 +44,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     head, sep, tail = text.partition("..")
     if not sep:
         raise _UsageError(f"bad range {text!r}: expected A..B")
-    try:
-        lo, hi = int(head), int(tail)
-    except ValueError:
-        raise _UsageError(f"bad range {text!r}: endpoints must be integers") from None
+    # The bundle weight grammar; int() alone would also take "1_0", " +0" and "٠".
+    if not (_WEIGHT.fullmatch(head) and _WEIGHT.fullmatch(tail)):
+        raise _UsageError(f"bad range {text!r}: endpoints must match -?[0-9]+")
+    lo, hi = int(head), int(tail)
     if lo > hi:
         raise _UsageError(f"bad range {text!r}: {lo} > {hi}")
     return lo, hi
 
 
+_NO_CHECKS = "no checks selected"
+
+
 def _parse_checks(text: str) -> tuple[str, ...]:
     if text == "all":
         return ALL_CHECKS
+    if not text:
+        raise _UsageError(_NO_CHECKS)
     ids = tuple(piece.strip() for piece in text.split(","))
     for cid in ids:
         if cid not in ALL_CHECKS:
@@ -74,8 +79,8 @@ class RunConfig:
     The file holds exactly one bundle source, either
     ``{"bundles": ["rP:rQ", ...]}`` or
     ``{"grid": {"rp_range": "A..B", "rq_range": "A..B"}}``, plus optional
-    ``"checks"`` (list of ids), ``"fail_fast"`` (bool) and
-    ``"output"`` ({"path": ..., "format": ...}).
+    ``"checks"`` (a nonempty list, one check id per entry), ``"fail_fast"``
+    (bool) and ``"output"`` ({"path": ..., "format": ...}).
     """
 
     bundles: tuple[EquivBundleCP1, ...] | None = None
@@ -120,7 +125,14 @@ class RunConfig:
             ids = obj["checks"]
             if not _is_str_list(ids):
                 raise _UsageError(f"config {path}: checks must be a list of ids")
-            checks = _parse_checks(",".join(ids)) if ids else ()
+            if not ids:
+                raise _UsageError(f"config {path}: {_NO_CHECKS}")
+            # One id per entry: no "all" and no comma-separated lists here.
+            for cid in ids:
+                if cid not in ALL_CHECKS:
+                    known = ", ".join(ALL_CHECKS)
+                    raise _UsageError(f"config {path}: unknown check id {cid!r}; known: {known}")
+            checks = tuple(ids)
         fail_fast = obj.get("fail_fast")
         if fail_fast is not None and type(fail_fast) is not bool:
             raise _UsageError(f"config {path}: fail_fast must be a boolean")

@@ -1,0 +1,164 @@
+"""Every public Character operation against a plain ``{weight: mult}`` model.
+
+Character stores the jumps of (1 - u) * chi, and the closed forms and the
+oracles share that arithmetic, so a bug in it could hide from the oracle
+check.  The model here is the dense dict, with arithmetic written out
+term by term and no code shared with the package.
+"""
+
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cutchar import Character
+
+
+def clean(terms: dict) -> dict:
+    return {k: terms[k] for k in sorted(terms) if terms[k]}
+
+
+def m_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, q in b.items():
+        out[k] = out.get(k, 0) + q
+    return clean(out)
+
+
+def m_neg(a: dict) -> dict:
+    return {k: -q for k, q in a.items()}
+
+
+def m_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for k1, q1 in a.items():
+        for k2, q2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + q1 * q2
+    return clean(out)
+
+
+def m_str(a: dict) -> str:
+    parts = []
+    for k, q in a.items():
+        var = "" if k == 0 else ("u" if k == 1 else f"u^{k}")
+        mag = str(abs(q)) if abs(q) != 1 or k == 0 else ""
+        sign = ("" if q > 0 else "-") if not parts else ("+ " if q > 0 else "- ")
+        parts.append(f"{sign}{mag}{var}")
+    return " ".join(parts) or "0"
+
+
+weights = st.integers(-25, 25)
+dict_pairs = st.dictionaries(weights, st.integers(-4, 4), max_size=6).map(
+    lambda d: (Character(d), clean(d))
+)
+span_pairs = st.tuples(weights, weights).map(
+    lambda lh: (Character.span(*lh), {m: 1 for m in range(lh[0], lh[1] + 1)})
+)
+monomial_pairs = st.tuples(weights, st.integers(-3, 3)).map(
+    lambda wm: (Character.monomial(*wm), clean({wm[0]: wm[1]}))
+)
+base_pairs = dict_pairs | span_pairs | monomial_pairs
+
+
+@st.composite
+def pairs(draw):
+    """A (Character, model) pair: a signed sum of up to three base pairs."""
+    char, model = Character(), {}
+    for c, m in draw(st.lists(base_pairs, min_size=1, max_size=3)):
+        if draw(st.booleans()):
+            c, m = -c, m_neg(m)
+        char, model = char + c, m_add(model, m)
+    return char, model
+
+
+ints = st.integers(-5, 5)
+
+
+class TestAgainstDictModel:
+    @given(pairs(), pairs())
+    def test_add_sub_neg(self, a, b):
+        (ca, ma), (cb, mb) = a, b
+        assert dict((ca + cb).items()) == m_add(ma, mb)
+        assert dict((ca - cb).items()) == m_add(ma, m_neg(mb))
+        assert dict((-ca).items()) == m_neg(ma)
+
+    @given(pairs(), pairs())
+    def test_mul(self, a, b):
+        (ca, ma), (cb, mb) = a, b
+        assert dict((ca * cb).items()) == m_mul(ma, mb)
+
+    @given(pairs(), ints)
+    def test_int_operands(self, a, n):
+        ca, ma = a
+        const = clean({0: n})
+        assert dict((ca * n).items()) == dict((n * ca).items()) == m_mul(ma, const)
+        assert dict((ca + n).items()) == dict((n + ca).items()) == m_add(ma, const)
+        assert dict((ca - n).items()) == m_add(ma, m_neg(const))
+        assert dict((n - ca).items()) == m_add(const, m_neg(ma))
+        assert (ca == n) is (ma == const)
+
+    @given(pairs(), pairs())
+    def test_eq_and_hash(self, a, b):
+        (ca, ma), (cb, mb) = a, b
+        assert (ca == cb) is (ma == mb)
+        # A character rebuilt from its dense terms is the same value.
+        again = Character(ma)
+        assert again == ca and hash(again) == hash(ca)
+        if ca == cb:
+            assert hash(ca) == hash(cb)
+
+    @given(pairs(), pairs())
+    def test_order_nonneg_dim(self, a, b):
+        (ca, ma), (cb, mb) = a, b
+        assert ca.is_nonneg() is all(q >= 0 for q in ma.values())
+        assert ca.dim() == sum(ma.values())
+        diff = m_add(ma, m_neg(mb))
+        assert (ca >= cb) is all(q >= 0 for q in diff.values())
+        assert (ca <= cb) is all(q <= 0 for q in diff.values())
+        assert bool(ca) is bool(ma)
+
+    @given(pairs())
+    def test_dense_views(self, a):
+        ca, ma = a
+        assert ca.support() == tuple(ma)
+        assert list(ca.items()) == list(ma.items())
+        assert dict(ca.coeffs) == ma and list(ca.coeffs) == list(ma)
+        for k in range(-60, 61):
+            assert ca.multiplicity(k) == ma.get(k, 0)
+
+    @given(pairs())
+    def test_str_and_repr(self, a):
+        ca, ma = a
+        assert str(ca) == m_str(ma)
+        assert repr(ca) == f"Character({ma!r})"
+
+    @given(pairs())
+    def test_json_round_trip(self, a):
+        ca, ma = a
+        obj = ca.to_json_obj()
+        assert json.dumps(obj) == json.dumps({str(k): q for k, q in ma.items()})
+        assert Character.from_json_obj(json.loads(json.dumps(obj))) == ca
+
+
+CANONICAL_KEY = re.compile("0|-?[1-9][0-9]*")
+
+
+class TestJsonKeys:
+    @pytest.mark.parametrize("key", ["1_0", " 3", "03", "٣", "+3", "-0", "3 ", 3])
+    def test_non_canonical_keys_rejected(self, key):
+        # Each of these once loaded, e.g. {" 3": 1, "03": 2, "٣": 1} as 4u^3.
+        with pytest.raises(ValueError):
+            Character.from_json_obj({key: 1})
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet="0123456789-+_ ٣", max_size=4) | st.integers().map(str))
+    def test_key_accepted_iff_canonical(self, key):
+        try:
+            char = Character.from_json_obj({key: 1})
+        except ValueError:
+            assert not CANONICAL_KEY.fullmatch(key)
+        else:
+            assert CANONICAL_KEY.fullmatch(key)
+            assert char.to_json_obj() == {key: 1}

@@ -114,13 +114,16 @@ class TestSweep:
         assert swept.stdout == verified.stdout
 
     def test_empty_checks_config(self, tmp_path):
+        # An empty selection is an input error, as with sweep --checks "",
+        # not a vacuous PASS.
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"bundles": ["0:0"], "checks": []}))
         proc = run_cli("sweep", "--config", str(cfg))
-        assert proc.returncode == 0
-        obj = json.loads(proc.stdout)
-        assert obj["results"] == [[]]
-        assert obj["summary"] == {}
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        flag = run_cli("sweep", "--rp-range", "0..0", "--rq-range", "0..0", "--checks", "")
+        assert proc.stderr == f"error: config {cfg}: no checks selected\n"
+        assert flag.stderr == "error: no checks selected\n"
 
     def test_csv_format(self):
         proc = run_cli("sweep", "--rp-range", "0..0", "--rq-range", "0..0", "--format", "csv")
@@ -144,6 +147,19 @@ class TestSweep:
     def test_half_range_exits_2(self):
         proc = run_cli("sweep", "--rp-range", "0..1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "rp, rq", [("1_0..1_0", "0..0"), ("0..0", " +0..٠"), ("+1..2", "0..0"), ("0..0", "0..٣")]
+    )
+    def test_range_uses_the_weight_grammar(self, rp, rq):
+        # The endpoints follow -?[0-9]+, as bundle weights do; int() alone
+        # once ran "1_0..1_0" as 10:0.
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            status = main(["sweep", "--rp-range", rp, "--rq-range", rq, "--checks", "gluing"])
+        assert status == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: bad range ")
 
     def test_descending_range_exits_2(self):
         proc = run_cli("sweep", "--rp-range", "1..0", "--rq-range", "0..0")
@@ -222,6 +238,17 @@ class TestSweepConfig:
         cfg = self.write_config(tmp_path, {"bundles": ["0:0"], "checks": ["bogus"]})
         proc = run_cli("sweep", "--config", cfg)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("entry", ["gluing,mcut", "all", " gluing", ""])
+    def test_each_checks_entry_is_one_id(self, tmp_path, entry):
+        # No entry is split on commas, and "all" is a flag value only.
+        cfg = self.write_config(tmp_path, {"bundles": ["0:0"], "checks": [entry]})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["sweep", "--config", cfg]) == 2
+        assert out.getvalue() == ""
+        known = "gluing, mcut, morse, mv, simple, semicontinuity, oracle"
+        assert err.getvalue() == f"error: config {cfg}: unknown check id {entry!r}; known: {known}\n"
 
     def test_unreadable_config_exits_2(self, tmp_path):
         proc = run_cli("sweep", "--config", str(tmp_path / "missing.json"))

@@ -1,7 +1,10 @@
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutchar import (
     ALL_CHECKS,
@@ -12,7 +15,13 @@ from cutchar import (
     EquivBundleCP1,
     SweepReport,
     equality_region,
+    LineWeights,
+    cech_cohomology_nodal,
+    cech_cohomology_p1,
+    cohomology,
+    cut,
     grid_bundles,
+    morse_quotient,
     run_check,
     sweep,
 )
@@ -366,3 +375,85 @@ class TestPerBundlePass:
         for bun, row in zip(report.grid, report.results):
             _tables.cache_clear()
             assert row == tuple(run_check(cid, bun) for cid in ALL_CHECKS), bun.literal()
+
+
+def _no_dense_expansion():
+    """Make every dense view of a Character raise while the context is open."""
+
+    def refuse(self):
+        raise AssertionError("a closed-form path expanded a character densely")
+
+    return mock.patch.object(Character, "items", refuse)
+
+
+BIG = 10**9
+
+
+def _mcut_tight(rp: int, rq: int) -> bool:
+    # The mcut quotient is zero except on {r_P >= 1, r_Q >= 2} and {r_P <= -2, r_Q <= -1}.
+    return not ((rp >= 1 and rq >= 2) or (rp <= -2 and rq <= -1))
+
+
+def _morse_tight(rp: int, rq: int) -> bool:
+    # The morse quotient Q' is zero exactly on {r_P <= -1, r_Q >= 1}.
+    return rp <= -1 and rq >= 1
+
+
+class TestUnboundedWeights:
+    """The closed forms and the six non-oracle checks never expand a character."""
+
+    def test_six_checks_on_huge_weights(self):
+        b = bundle(f"{BIG}:{-BIG},{-BIG}:{BIG}")
+        one = CharPoly([1])
+        expected = {
+            "gluing": None,
+            "mcut": CharPoly(),
+            "morse": one,
+            "mv": one,
+            "simple": CharPoly([1, 1]),
+            "semicontinuity": CharPoly(),
+        }
+        _tables.cache_clear()
+        with _no_dense_expansion():
+            report = sweep([b], tuple(expected))
+            table = cohomology(b)
+            assert table.h0 == Character.span(-BIG, BIG)
+            assert table.h1 == Character.span(-BIG + 1, BIG - 1)
+            assert (table.h0.dim(), table.h1.dim()) == (2 * BIG + 1, 2 * BIG - 1)
+            assert table.h0.is_nonneg() and not (-table.h1).is_nonneg()
+        _tables.cache_clear()
+        assert report.passed
+        assert {r.check_id: r.witness for r in report.results[0]} == expected
+        assert all(r.residual is None for r in report.results[0])
+        assert report.equality_sets == {"mcut": (b.literal(),), "morse": (), "mv": ()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(-BIG, BIG) | st.integers(-3, 3),
+        st.integers(-BIG, BIG) | st.integers(-3, 3),
+    )
+    def test_equality_map_over_unbounded_weights(self, rp, rq):
+        b = EquivBundleCP1((LineWeights(rp, rq),))
+        with _no_dense_expansion():
+            mcut = run_check("mcut", b)
+            morse = run_check("morse", b)
+        _tables.cache_clear()
+        assert mcut.passed and morse.passed
+        assert (mcut.witness == CharPoly()) is _mcut_tight(rp, rq)
+        assert (morse.witness == CharPoly()) is _morse_tight(rp, rq)
+
+    def test_equality_map_by_the_oracles_on_the_grid(self):
+        # The same map, with every table taken from the Cech oracles in
+        # place of the closed forms.
+        for b in grid_bundles((-10, 10), (-10, 10)):
+            (s,) = b.summands
+            cutd = cut(b)
+            (plus,), (minus,) = cutd.plus.summands, cutd.minus.summands
+            tm, tp, tmin = cech_cohomology_p1(s), cech_cohomology_p1(plus), cech_cohomology_p1(minus)
+            tcut = cech_cohomology_nodal(cutd)
+            sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + 1])
+            q_mcut = morse_quotient(tcut.euler_poly(), tm.euler_poly())
+            q_morse = morse_quotient(sides, tm.euler_poly())
+            assert q_mcut.is_nonneg() and q_morse.is_nonneg()
+            assert (q_mcut == CharPoly()) is _mcut_tight(s.r_p, s.r_q), b.literal()
+            assert (q_morse == CharPoly()) is _morse_tight(s.r_p, s.r_q), b.literal()
