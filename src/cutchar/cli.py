@@ -17,6 +17,7 @@ check failed, 2 on usage or input errors.  Output is byte-stable unless
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -257,7 +258,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    Each ``parse_args`` returns a fresh namespace, so no call sees another's
+    arguments; building the parser costs more than a small command itself.
+    """
     parser = _Parser(
         prog="cutchar",
         description="Exact circle-equivariant section characters on the projective line, "

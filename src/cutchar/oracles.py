@@ -2,8 +2,9 @@
 
 Three routes that share no code with the closed forms in :mod:`.geometry`:
 
-* a two-chart Cech complex per line summand, row-reduced exactly over the
-  rationals, one weight block at a time;
+* a two-chart Cech complex per line summand, row-reduced one weight block
+  at a time by fraction-free integer elimination, which keeps the rank over
+  the rationals;
 * the same machinery on the two cut pieces glued at the node, with the
   matching condition at the node fiber imposed as an extra linear map; and
 * the fixed-point localization formula, evaluated as a single exact
@@ -23,8 +24,8 @@ has a single row with entries +1 (chart 0) and -1 (chart 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from typing import Sequence
 
 from .characters import Character
 from .geometry import CohomologyTable, CutDecomposition, LineWeights
@@ -38,48 +39,67 @@ __all__ = [
 ]
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[int, list[int]]:
-    """Reduce in place to row echelon form; return (rank, pivot columns)."""
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (unchanged when that is 0 or 1)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
+    """Reduce in place to reduced row echelon form over Z; return (rank, pivot columns).
+
+    Fraction-free: each pivot column is cleared from the other rows by
+    cross-multiplying, p * row_i - f * row_r, and every changed row is divided
+    by the gcd of its entries.  Integer row operations with nonzero
+    multipliers keep the row space over Q, hence the rank.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if r == len(rows):
+            break  # every row has its pivot
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
     return r, pivots
 
 
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the kernel of the matrix, one vector per free column."""
+def _kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Integer basis of the kernel of the matrix, one vector per free column.
+
+    Each vector is scaled by the lcm L of the pivots: it has L at its free
+    column and -L * a / p at the pivot column of each row (pivot p, entry a
+    in the free column).  When every pivot is +-1 these are the vectors that
+    elimination over Q gives.
+    """
     work = [list(row) for row in rows]
     _, pivots = _rref(work, ncols)
     pivot_set = set(pivots)
+    scale = math.lcm(*[work[r][c] for r, c in enumerate(pivots)])
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [0] * ncols
+        v[free] = scale
         for r, c in enumerate(pivots):
-            v[c] = -work[r][free]
+            v[c] = -work[r][free] * (scale // work[r][c])
         basis.append(tuple(v))
     return basis
 
 
-@dataclass(frozen=True, slots=True)
-class _WeightBlock:
-    weight: int
-    c0_basis: tuple[tuple[int, int], ...]  # (chart, exponent) per column
-    row: tuple[int, ...]  # single differential row, entries +-1
+# One weight block: the C^0 basis as (chart, exponent) per column, and the
+# single differential row, entries +-1.
+_Block = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
 
 
 class GradedCechComplex:
@@ -97,7 +117,7 @@ class GradedCechComplex:
         self.line = line
         self.lo = min(line.r_p, line.r_q) - 1
         self.hi = max(line.r_p, line.r_q) + 1
-        blocks: dict[int, _WeightBlock] = {}
+        blocks: dict[int, _Block] = {}
         for m in range(self.lo, self.hi + 1):
             cols: list[tuple[int, int]] = []
             row: list[int] = []
@@ -110,36 +130,39 @@ class GradedCechComplex:
             for chart, exp in cols:
                 img_exp = exp if chart == 0 else line.r_p - line.r_q - exp
                 assert img_exp + line.r_q == m, "column lands in the wrong weight"
-            blocks[m] = _WeightBlock(m, tuple(cols), tuple(row))
+            blocks[m] = (tuple(cols), tuple(row))
         self._blocks = blocks
 
     def c0_basis(self, m: int) -> tuple[tuple[int, int], ...]:
         block = self._blocks.get(m)
-        return block.c0_basis if block else ()
+        return block[0] if block else ()
 
-    def sections(self, m: int) -> list[tuple[Fraction, ...]]:
-        """Kernel basis in weight m, coordinates along ``c0_basis(m)``."""
+    def sections(self, m: int) -> list[tuple[int, ...]]:
+        """Integer kernel basis in weight m, coordinates along ``c0_basis(m)``."""
         block = self._blocks.get(m)
         if block is None:
             return []
-        rows = [[Fraction(x) for x in block.row]] if block.row else []
-        return _kernel_basis(rows, len(block.c0_basis))
+        cols, row = block
+        return _kernel_basis([row] if row else [], len(cols))
 
     def h1_at(self, m: int) -> int:
         block = self._blocks.get(m)
         if block is None:
             return 0
-        rank = 1 if any(block.row) else 0
+        rank = 1 if any(block[1]) else 0
         return 1 - rank
 
     def cohomology(self) -> CohomologyTable:
-        # Collect (weight, dimension) pairs and build each character once:
-        # summing characters term by term would copy the whole sum per weight.
+        # Collect the nonzero (weight, dimension) pairs and build each
+        # character once: summing characters term by term would copy the
+        # whole sum per weight.
         h0: list[tuple[int, int]] = []
         h1: list[tuple[int, int]] = []
         for m in range(self.lo, self.hi + 1):
-            h0.append((m, len(self.sections(m))))
-            h1.append((m, self.h1_at(m)))
+            if n0 := len(self.sections(m)):
+                h0.append((m, n0))
+            if n1 := self.h1_at(m):
+                h1.append((m, n1))
         return CohomologyTable(Character(h0), Character(h1))
 
 
@@ -178,7 +201,8 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
-    # (weight, dimension) pairs over all summands; the constructor sums repeats.
+    # Nonzero (weight, dimension) pairs over all summands; the constructor
+    # sums repeats.
     h0: list[tuple[int, int]] = []
     h1: list[tuple[int, int]] = []
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
@@ -187,15 +211,19 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
         for m in range(min(plus.lo, minus.lo), max(plus.hi, minus.hi) + 1):
             sec_p = plus.sections(m)
             sec_m = minus.sections(m)
-            col_p = _node_column(plus, 0, m)
-            col_m = _node_column(minus, 1, m)
-            evals = [v[col_p] if col_p is not None else Fraction(0) for v in sec_p]
-            evals += [-v[col_m] if col_m is not None else Fraction(0) for v in sec_m]
-            fiber_dim = 1 if m == 0 else 0
-            beta = [evals] if fiber_dim else []
-            rank, _ = _rref([list(r) for r in beta], len(evals))
-            h0.append((m, len(evals) - rank))
-            h1.append((m, plus.h1_at(m) + minus.h1_at(m) + fiber_dim - rank))
+            # The fiber is zero off weight 0, and so is the evaluation map.
+            fiber_dim = rank = 0
+            if m == 0:
+                fiber_dim = 1
+                col_p = _node_column(plus, 0, 0)
+                col_m = _node_column(minus, 1, 0)
+                evals = [v[col_p] if col_p is not None else 0 for v in sec_p]
+                evals += [-v[col_m] if col_m is not None else 0 for v in sec_m]
+                rank, _ = _rref([evals], len(evals))
+            if n0 := len(sec_p) + len(sec_m) - rank:
+                h0.append((m, n0))
+            if n1 := plus.h1_at(m) + minus.h1_at(m) + fiber_dim - rank:
+                h1.append((m, n1))
     return CohomologyTable(Character(h0), Character(h1))
 
 
@@ -203,11 +231,14 @@ class NonPolynomialResult(ValueError):
     """Exact division left a remainder or non-integer coefficients."""
 
 
-def _dense(ch: Character) -> tuple[int, list[Fraction]]:
+def _dense(ch: Character) -> tuple[int, list[int]]:
     """(valuation, dense coefficient list from the valuation upward)."""
-    lo = min(ch.support())
-    hi = max(ch.support())
-    return lo, [Fraction(ch.multiplicity(k)) for k in range(lo, hi + 1)]
+    terms = list(ch.items())
+    lo = terms[0][0]
+    dense = [0] * (terms[-1][0] - lo + 1)
+    for k, c in terms:
+        dense[k - lo] = c
+    return lo, dense
 
 
 def _laurent_div(num: Character, den: Character) -> Character:
@@ -220,20 +251,22 @@ def _laurent_div(num: Character, den: Character) -> Character:
     vd, d = _dense(den)
     if len(n) < len(d):
         raise NonPolynomialResult(f"({num}) / ({den}) has a remainder")
-    # Classic long division over Q, from the top degree down.
-    q = [Fraction(0)] * (len(n) - len(d) + 1)
-    rem = list(n)
+    # Long division over Z, from the top degree down.  The quotient is
+    # integral only if the leading coefficient divides every step.
+    lead = d[-1]
+    q = [0] * (len(n) - len(d) + 1)
+    rem = n
     for i in range(len(q) - 1, -1, -1):
-        c = rem[i + len(d) - 1] / d[-1]
+        c, r = divmod(rem[i + len(d) - 1], lead)
+        if r:
+            raise NonPolynomialResult(f"({num}) / ({den}) has a non-integer quotient coefficient")
         q[i] = c
         if c:
             for j, dj in enumerate(d):
                 rem[i + j] -= c * dj
     if any(rem):
         raise NonPolynomialResult(f"({num}) / ({den}) has a remainder")
-    if any(c.denominator != 1 for c in q):
-        raise NonPolynomialResult(f"({num}) / ({den}) has non-integer coefficients")
-    return Character({vn - vd + i: int(c) for i, c in enumerate(q)})
+    return Character({vn - vd + i: c for i, c in enumerate(q)})
 
 
 def localization_index(summand: LineWeights) -> Character:

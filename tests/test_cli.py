@@ -288,6 +288,46 @@ class TestUsage:
         assert "equality-region" in proc.stdout
 
 
+class TestRepeatedMain:
+    """One process may call ``main`` many times; no call sees another's arguments."""
+
+    def test_each_call_prints_what_it_prints_alone(self, tmp_path, capsys):
+        out = tmp_path / "report.md"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "bundles": ["1:-1", "2:2"],
+                    "checks": ["gluing", "mcut"],
+                    "output": {"path": str(out), "format": "md"},
+                }
+            )
+        )
+        calls = [
+            ("sweep", "--config", str(cfg)),
+            ("verify", "2:0", "--checks", "morse,oracle", "--format", "csv"),
+            ("verify", "2:0", "--checks", "morse"),
+            ("verify", "1:0", "--checks", "nonsense"),
+            ("sweep", "--config", str(cfg)),
+        ]
+
+        def written():
+            return out.read_text() if out.exists() else None
+
+        alone = []
+        for argv in calls:
+            out.unlink(missing_ok=True)
+            proc = run_cli(*argv)
+            alone.append((proc.returncode, proc.stdout, proc.stderr, written()))
+        capsys.readouterr()
+        for argv, want in zip(calls, alone):
+            out.unlink(missing_ok=True)
+            status = main(list(argv))
+            got = capsys.readouterr()
+            assert (status, got.out, got.err, written()) == want, argv
+        assert alone[0][3] and alone[2][1].startswith("{")
+
+
 # Input errors that must exit 2 with one message.  Most once escaped as a
 # traceback with exit status 1; an empty sweep --checks ran every check.
 EXIT_2_CASES = [

@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cutchar import (
     Character,
@@ -21,7 +23,7 @@ from cutchar import (
     run_check,
 )
 import cutchar.oracles
-from cutchar.oracles import _laurent_div
+from cutchar.oracles import _kernel_basis, _laurent_div, _rref
 
 u = Character.monomial(1)
 
@@ -189,3 +191,91 @@ class TestIndependence:
             elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "geometry":
                 called.add(f.attr)
         assert not called & self.CLOSED_FORMS, called & self.CLOSED_FORMS
+
+
+def _rank_over_q(rows, ncols) -> int:
+    """Rank by Gaussian elimination over Q, written out independently."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def int_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    return draw(st.lists(entries, max_size=4)), ncols
+
+
+@st.composite
+def laurent_polys(draw):
+    """A nonzero Laurent polynomial whose leading coefficient is +-1, +-2 or +-3."""
+    low = draw(st.integers(-5, 5))
+    lower = draw(st.lists(st.integers(-3, 3), max_size=4))
+    lead = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return Character(enumerate([*lower, lead], start=low))
+
+
+class TestIntegerArithmetic:
+    """The oracle routes compute over Z; these pin the integer kernels."""
+
+    @settings(max_examples=300)
+    @example(([[2, 4, 6], [3, 0, 9]], 3))
+    @example(([[0, -4, 6, 2], [0, 6, -9, -3], [5, 1, 0, 0]], 4))
+    @given(int_matrices())
+    def test_rref_and_kernel_basis(self, matrix):
+        rows, ncols = matrix
+        rank, pivots = _rref([list(row) for row in rows], ncols)
+        assert rank == len(pivots) == _rank_over_q(rows, ncols)
+        basis = _kernel_basis(rows, ncols)
+        assert len(basis) == ncols - rank
+        for v in basis:
+            assert len(v) == ncols and all(type(x) is int for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows), (rows, v)
+        assert _rank_over_q(basis, ncols) == len(basis)
+
+    @settings(max_examples=200)
+    @given(laurent_polys(), laurent_polys())
+    def test_division_undoes_multiplication(self, a, b):
+        assert _laurent_div(a * b, b) == a
+
+    @settings(max_examples=200)
+    @given(laurent_polys(), laurent_polys(), st.data())
+    def test_remainder_raises(self, a, b, data):
+        # A nonzero multiple of b spans at least as many weights as b does,
+        # so a nonzero r spanning fewer cannot be one.
+        support = b.support()
+        low, width = support[0], support[-1] - support[0]
+        assume(width > 0)
+        nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        r = Character(data.draw(st.dictionaries(st.integers(low, low + width - 1), nonzero, min_size=1)))
+        with pytest.raises(NonPolynomialResult):
+            _laurent_div(a * b + r, b)
+
+    def test_non_integral_quotient_raises(self):
+        # (u^2 - 1) / (2u + 2) = (u - 1) / 2 over Q.
+        with pytest.raises(NonPolynomialResult):
+            _laurent_div(u * u - 1, 2 * u + 2)
+
+
+class TestIntegerOnly:
+    """Every route stays in exact integer arithmetic, with no Fraction."""
+
+    def test_oracles_do_not_import_fractions(self):
+        tree = ast.parse(Path(cutchar.oracles.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.partition(".")[0])
+        assert "fractions" not in imported, imported
