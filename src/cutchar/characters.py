@@ -27,8 +27,8 @@ a nonnegativity statement about such a Q.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 __all__ = ["Character", "CharPoly", "NotDivisible", "morse_quotient"]
 
@@ -78,9 +78,10 @@ class Character:
 
     Supports +, -, * (with other characters or plain integers, an integer
     meaning that multiple of u^0) and the coefficientwise partial order via
-    ``>=`` / ``<=``.  Instances are immutable; all operations return new
-    values.  The constructor takes the dense ``{weight: multiplicity}``
-    form, which is also what every view and the repr show.
+    ``>=`` / ``<=``.  Instances are immutable, so an operation may return
+    one of its operands: ``a + 0`` is ``a``.  The constructor takes the
+    dense ``{weight: multiplicity}`` form, which is also what every view and
+    the repr show.
 
     >>> Character.from_weights([0, 1, 2])
     Character({0: 1, 1: 1, 2: 1})
@@ -186,6 +187,11 @@ class Character:
 
     def __add__(self, other: "Character | int") -> "Character":
         other = _as_character(other)
+        # Instances are immutable, so a zero operand can hand back the other one.
+        if not other._jumps:
+            return self
+        if not self._jumps:
+            return other
         merged = dict(self._jumps)
         for k, q in other._jumps.items():
             merged[k] = merged.get(k, 0) + q
@@ -197,7 +203,13 @@ class Character:
         return Character._from_jumps({k: -q for k, q in self._jumps.items()})
 
     def __sub__(self, other: "Character | int") -> "Character":
-        return self + (-_as_character(other))
+        other = _as_character(other)
+        if not other._jumps:
+            return self
+        merged = dict(self._jumps)
+        for k, q in other._jumps.items():
+            merged[k] = merged.get(k, 0) - q
+        return Character._from_jumps(merged)
 
     def __rsub__(self, other: int) -> "Character":
         return _as_character(other) - self
@@ -271,11 +283,17 @@ class Character:
         return " ".join(parts) if parts else "0"
 
 
+#: The zero character, shared: every internal zero is this one instance.
+ZERO = Character()
+
+
 def _as_character(value: "Character | int") -> Character:
-    if isinstance(value, Character):
+    if type(value) is Character:
         return value
     if type(value) is int:
         return Character.monomial(0, value)
+    if isinstance(value, Character):
+        return value
     raise TypeError(f"expected Character or int, got {type(value).__name__}")
 
 
@@ -314,7 +332,7 @@ class CharPoly:
         if power < 0:
             raise ValueError("t-powers are nonnegative")
         if power >= len(self._coeffs):
-            return Character()
+            return ZERO
         return self._coeffs[power]
 
     def is_nonneg(self) -> bool:
@@ -322,7 +340,7 @@ class CharPoly:
 
     def at_minus_one(self) -> Character:
         """Alternating sum of the coefficients (evaluation at t = -1)."""
-        total = Character()
+        total = ZERO
         for p, c in enumerate(self._coeffs):
             total = total - c if p % 2 else total + c
         return total
@@ -349,13 +367,15 @@ class CharPoly:
         return CharPoly([-c for c in self._coeffs])
 
     def __sub__(self, other: "CharPoly | Character | int") -> "CharPoly":
-        return self + (-_as_charpoly(other))
+        other = _as_charpoly(other)
+        n = max(len(self._coeffs), len(other._coeffs))
+        return CharPoly([self.coeff(p) - other.coeff(p) for p in range(n)])
 
     def __mul__(self, other: "CharPoly | Character | int") -> "CharPoly":
         other = _as_charpoly(other)
         if not self._coeffs or not other._coeffs:
             return CharPoly()
-        prod = [Character() for _ in range(len(self._coeffs) + len(other._coeffs) - 1)]
+        prod = [ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(other._coeffs):
                 prod[i + j] = prod[i + j] + a * b
@@ -402,10 +422,6 @@ def _as_charpoly(value: "CharPoly | Character | int") -> CharPoly:
     return CharPoly([_as_character(value)])
 
 
-#: The divisor 1 + t used by every Morse-type identity.
-ONE_PLUS_T = CharPoly([1, 1])
-
-
 def morse_quotient(p: CharPoly, r: CharPoly) -> CharPoly:
     """Solve ``p = r + (1+t) * q`` for q by synthetic division.
 
@@ -427,10 +443,23 @@ def morse_quotient(p: CharPoly, r: CharPoly) -> CharPoly:
     # q_m = d_m - q_{m-1}; the step at m = degree yields zero exactly because
     # diff(-1) == 0, and the constructor trims it.
     qs: list[Character] = []
-    prev = Character()
+    prev = ZERO
     for m in range(diff.degree + 1):
         prev = diff.coeff(m) - prev
         qs.append(prev)
     q = CharPoly(qs)
-    assert ONE_PLUS_T * q + r == p
+    assert _is_factorization(p, r, q)
     return q
+
+
+def _is_factorization(p: CharPoly, r: CharPoly, q: CharPoly) -> bool:
+    """True iff ``p == r + (1+t) * q``, by additions only.
+
+    The t^m coefficient of the right side is r_m + q_m + q_{m-1}; past
+    max(deg p, deg r, deg q + 1) both sides vanish, so comparing up to there
+    proves the polynomial identity exactly.
+    """
+    top = max(p.degree, r.degree, q.degree + 1)
+    return all(
+        p.coeff(m) == r.coeff(m) + q.coeff(m) + (q.coeff(m - 1) if m else ZERO) for m in range(top + 1)
+    )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .characters import Character, CharPoly
+from .characters import ZERO, Character, CharPoly
 
 __all__ = [
     "MalformedCut",
@@ -165,8 +165,8 @@ class CutDecomposition:
 
 def _line_cohomology(s: LineWeights) -> CohomologyTable:
     if s.r_q <= s.r_p:
-        return CohomologyTable(Character.span(s.r_q, s.r_p), Character())
-    return CohomologyTable(Character(), Character.span(s.r_p + 1, s.r_q - 1))
+        return CohomologyTable(Character.span(s.r_q, s.r_p), ZERO)
+    return CohomologyTable(ZERO, Character.span(s.r_p + 1, s.r_q - 1))
 
 
 def cohomology(bundle: EquivBundleCP1) -> CohomologyTable:
@@ -178,8 +178,8 @@ def cohomology(bundle: EquivBundleCP1) -> CohomologyTable:
     >>> cohomology(EquivBundleCP1.parse("-3:0")).h1
     Character({-2: 1, -1: 1})
     """
-    h0 = Character()
-    h1 = Character()
+    h0 = ZERO
+    h1 = ZERO
     for s in bundle.summands:
         table = _line_cohomology(s)
         h0 += table.h0
@@ -222,8 +222,8 @@ def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
-    h0 = Character()
-    h1 = Character()
+    h0 = ZERO
+    h1 = ZERO
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
         tp = _line_cohomology(ps)
         tm = _line_cohomology(ms)

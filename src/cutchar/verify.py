@@ -27,8 +27,9 @@ import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from io import StringIO
+from typing import NamedTuple
 
-from .characters import Character, CharPoly, NotDivisible, morse_quotient
+from .characters import ZERO, Character, CharPoly, NotDivisible, morse_quotient
 from .geometry import (
     CohomologyTable,
     CutDecomposition,
@@ -112,11 +113,21 @@ def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: Char
     return CheckResult(check_id, bundle, q.is_nonneg(), witness=q)
 
 
+class _BundlePass(NamedTuple):
+    """The closed forms of one bundle, shared by all of its checks."""
+
+    m: CohomologyTable
+    plus: CohomologyTable
+    minus: CohomologyTable
+    cut_space: CohomologyTable
+    cutd: CutDecomposition
+    #: euler(plus) + euler(minus) + t * rank * u^0, the left side of morse and mv.
+    sides: CharPoly
+
+
 @lru_cache(maxsize=1)
-def _tables(
-    bundle: EquivBundleCP1,
-) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable, CohomologyTable, CutDecomposition]:
-    """Closed forms of M, plus, minus and the cut space, and the cut itself.
+def _tables(bundle: EquivBundleCP1) -> _BundlePass:
+    """Closed forms of M, plus, minus and the cut space, the cut, and the sides.
 
     Cached for the most recent bundle only: :func:`sweep` runs all checks of
     one bundle before the next, so each bundle gets one closed-form pass,
@@ -125,20 +136,18 @@ def _tables(
     that patches one of them must call ``_tables.cache_clear()`` first.
     """
     cutd = cut(bundle)
-    return (
-        cohomology(bundle),
-        cohomology(cutd.plus),
-        cohomology(cutd.minus),
-        mcut_cohomology(cutd),
-        cutd,
-    )
+    tm = cohomology(bundle)
+    tp = cohomology(cutd.plus)
+    tmin = cohomology(cutd.minus)
+    sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + Character.monomial(0, bundle.rank)])
+    return _BundlePass(tm, tp, tmin, mcut_cohomology(cutd), cutd, sides)
 
 
 def verify_gluing(bundle: EquivBundleCP1) -> CheckResult:
     """Index additivity over the cut, correcting for the reduced point."""
-    tm, tp, tmin, _, _ = _tables(bundle)
-    lhs = tm.index()
-    rhs = tp.index() + tmin.index() - Character.monomial(0, bundle.rank)
+    t = _tables(bundle)
+    lhs = t.m.index()
+    rhs = t.plus.index() + t.minus.index() - Character.monomial(0, bundle.rank)
     if lhs == rhs:
         return CheckResult("gluing", bundle, True)
     return CheckResult("gluing", bundle, False, residual=CharPoly([lhs - rhs]))
@@ -146,41 +155,34 @@ def verify_gluing(bundle: EquivBundleCP1) -> CheckResult:
 
 def verify_cut_inequality(bundle: EquivBundleCP1) -> CheckResult:
     """euler(cut) dominates euler(M) by a nonnegative (1+t) multiple."""
-    tm, _, _, tcut, _ = _tables(bundle)
-    return _morse_check("mcut", bundle, tcut.euler_poly(), tm.euler_poly())
-
-
-def _sides_euler(tp: CohomologyTable, tmin: CohomologyTable, rank: int) -> CharPoly:
-    node_term = CharPoly([Character(), Character.monomial(0, rank)])
-    return tp.euler_poly() + tmin.euler_poly() + node_term
+    t = _tables(bundle)
+    return _morse_check("mcut", bundle, t.cut_space.euler_poly(), t.m.euler_poly())
 
 
 def verify_morse(bundle: EquivBundleCP1) -> CheckResult:
     """The two sides plus the node term dominate euler(M)."""
-    tm, tp, tmin, _, _ = _tables(bundle)
-    return _morse_check("morse", bundle, _sides_euler(tp, tmin, bundle.rank), tm.euler_poly())
+    t = _tables(bundle)
+    return _morse_check("morse", bundle, t.sides, t.m.euler_poly())
 
 
 def verify_mv_morse(bundle: EquivBundleCP1) -> CheckResult:
     """The two sides plus the node term dominate euler(cut)."""
-    _, tp, tmin, tcut, _ = _tables(bundle)
-    return _morse_check("mv", bundle, _sides_euler(tp, tmin, bundle.rank), tcut.euler_poly())
+    t = _tables(bundle)
+    return _morse_check("mv", bundle, t.sides, t.cut_space.euler_poly())
 
 
 def verify_simple(bundle: EquivBundleCP1) -> CheckResult:
     """Degreewise inequalities between the sides and M, no factoring."""
-    tm, tp, tmin, _, _ = _tables(bundle)
-    d0 = tp.h0 + tmin.h0 - tm.h0
-    d1 = tp.h1 + tmin.h1 + Character.monomial(0, bundle.rank) - tm.h1
-    slack = CharPoly([d0, d1])
+    t = _tables(bundle)
+    slack = t.sides - t.m.euler_poly()
     return CheckResult("simple", bundle, slack.is_nonneg(), witness=slack)
 
 
 def verify_semicontinuity(bundle: EquivBundleCP1) -> CheckResult:
     """Cutting can only grow each h^p, and never moves the index."""
-    tm, _, _, tcut, _ = _tables(bundle)
-    slack = CharPoly([tcut.h0 - tm.h0, tcut.h1 - tm.h1])
-    index_gap = tcut.index() - tm.index()
+    t = _tables(bundle)
+    slack = t.cut_space.euler_poly() - t.m.euler_poly()
+    index_gap = t.cut_space.index() - t.m.index()
     passed = slack.is_nonneg() and not index_gap
     residual = None if not index_gap else CharPoly([index_gap])
     return CheckResult("semicontinuity", bundle, passed, witness=slack, residual=residual)
@@ -188,22 +190,22 @@ def verify_semicontinuity(bundle: EquivBundleCP1) -> CheckResult:
 
 def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
     """Closed forms against the Cech, nodal Cech and localization routes."""
-    tm, _, _, tcut, cutd = _tables(bundle)
-    cech_h0 = Character()
-    cech_h1 = Character()
-    loc_index = Character()
+    t = _tables(bundle)
+    cech_h0 = ZERO
+    cech_h1 = ZERO
+    loc_index = ZERO
     for s in bundle.summands:
         table = cech_cohomology_p1(s)
         cech_h0 += table.h0
         cech_h1 += table.h1
         loc_index += localization_index(s)
-    nodal = cech_cohomology_nodal(cutd)
+    nodal = cech_cohomology_nodal(t.cutd)
     diffs = [
-        tm.h0 - cech_h0,
-        tm.h1 - cech_h1,
-        tcut.h0 - nodal.h0,
-        tcut.h1 - nodal.h1,
-        tm.index() - loc_index,
+        t.m.h0 - cech_h0,
+        t.m.h1 - cech_h1,
+        t.cut_space.h0 - nodal.h0,
+        t.cut_space.h1 - nodal.h1,
+        t.m.index() - loc_index,
     ]
     for diff in diffs:
         if diff:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutchar import Character
+from cutchar import Character, CharPoly
 
 
 def clean(terms: dict) -> dict:
@@ -140,6 +140,49 @@ class TestAgainstDictModel:
         obj = ca.to_json_obj()
         assert json.dumps(obj) == json.dumps({str(k): q for k, q in ma.items()})
         assert Character.from_json_obj(json.loads(json.dumps(obj))) == ca
+
+
+ZEROS = [Character(), Character({}), 0]
+
+
+class TestZeroOperands:
+    """Zero on either side of + - *, the operands the closed forms meet most."""
+
+    @pytest.mark.parametrize("zero", ZEROS, ids=["Character()", "Character({})", "0"])
+    @given(pairs(), pairs())
+    def test_zero_either_side(self, zero, a, b):
+        (ca, ma), (cb, mb) = a, b
+        assert dict((ca + zero).items()) == dict((zero + ca).items()) == ma
+        assert dict((ca - zero).items()) == ma
+        assert dict((zero - ca).items()) == m_neg(ma)
+        assert zero - ca == -ca
+        assert dict((ca * zero).items()) == dict((zero * ca).items()) == {}
+        assert dict((Character() + zero).items()) == dict((zero - Character()).items()) == {}
+        # A zero fast path hands back an operand: later arithmetic on the
+        # result must leave that operand, and the zero, as they were.
+        s = ca + zero
+        t = zero + ca
+        after = [s + cb, s - cb, s * cb, -s, t + cb, t - cb, cb - t, zero - s]
+        assert [dict(x.items()) for x in after] == [
+            m_add(ma, mb),
+            m_add(ma, m_neg(mb)),
+            m_mul(ma, mb),
+            m_neg(ma),
+            m_add(ma, mb),
+            m_add(ma, m_neg(mb)),
+            m_add(mb, m_neg(ma)),
+            m_neg(ma),
+        ]
+        assert dict(ca.items()) == dict(s.items()) == dict(t.items()) == ma
+        assert zero == 0 and not zero
+
+    def test_shared_zero_stays_zero(self):
+        for c in (CharPoly().coeff(3), CharPoly([1]).at_minus_one() - 1, CharPoly().at_minus_one()):
+            assert dict(c.items()) == {} and c == 0
+        u = Character.monomial(1)
+        total = CharPoly().coeff(0)
+        total += u
+        assert dict(CharPoly().coeff(0).items()) == {} and dict(total.items()) == {1: 1}
 
 
 CANONICAL_KEY = re.compile("0|-?[1-9][0-9]*")

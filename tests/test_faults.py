@@ -1,0 +1,138 @@
+"""Injected faults in the closed forms, and exactly which checks catch each.
+
+No test elsewhere hands a check a wrong closed form, so without this file a
+check's failure branches, and each comparison inside ``cross_validate``,
+could be deleted with every test green.  Each fault below patches one
+closed form in ``verify``'s namespace (``cohomology`` for M or one side, or
+``mcut_cohomology`` for the cut space) so that it returns a table off by
+u^k in h0, in h1, or in the index alone; nothing is added to ``src/``.
+Each case pins the set of failing checks on a named bundle.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+
+import cutchar.verify
+from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, cut, run_check
+from cutchar.verify import _tables
+
+
+@dataclass(frozen=True)
+class FaultyTable:
+    """Stands in for a CohomologyTable whose index() is h0 - h1 + skew."""
+
+    h0: Character
+    h1: Character
+    skew: Character
+
+    def index(self) -> Character:
+        return self.h0 - self.h1 + self.skew
+
+    def euler_poly(self) -> CharPoly:
+        return CharPoly([self.h0, self.h1])
+
+
+# name: (table it edits, then the multiples of u^k added to h0, to h1, and
+# to the index on top of h0 - h1).  "m" is M itself, "plus" and "minus" the
+# sides, "cut" the cut space.
+# Of the oracle's five comparisons, each of the first five faults is seen by
+# one alone (the one named in its comment), so deleting any comparison
+# fails a case.
+FAULTS = {
+    "index-alone": ("m", 0, 0, 1),  # localization
+    "cut-h1-alone": ("cut", 0, 1, 0),  # nodal h1
+    # nodal h0; the semicontinuity slack stays nonnegative, the index moves.
+    "cut-h0-alone": ("cut", 1, 0, 0),
+    "m-h0-index-kept": ("m", 1, 0, -1),  # Cech h0
+    "m-h1-index-kept": ("m", 0, 1, 1),  # Cech h1
+    # The index is kept, so gluing and localization cannot see it.
+    "m-h0-and-h1": ("m", 1, 1, 0),
+    # The oracle recomputes M and the cut space, never the sides.
+    "plus-h0": ("plus", 1, 0, 0),
+    "minus-h1-short": ("minus", 0, -1, 0),
+}
+
+RANK_ONE, RANK_THREE = "3:-2", "1:-1,2:2,-3:5"
+FAR = 40  # outside the support of every character of both bundles
+
+CASES = [
+    ("index-alone", RANK_ONE, FAR, {"gluing", "semicontinuity", "oracle"}),
+    ("index-alone", RANK_THREE, 0, {"gluing", "semicontinuity", "oracle"}),
+    ("cut-h1-alone", RANK_ONE, FAR, {"mcut", "mv", "semicontinuity", "oracle"}),
+    ("cut-h1-alone", RANK_THREE, 1, {"mcut", "mv", "semicontinuity", "oracle"}),
+    ("cut-h0-alone", RANK_ONE, FAR, {"mcut", "mv", "semicontinuity", "oracle"}),
+    ("cut-h0-alone", RANK_THREE, 0, {"mcut", "mv", "semicontinuity", "oracle"}),
+    ("m-h0-and-h1", RANK_ONE, FAR, {"mcut", "morse", "simple", "semicontinuity", "oracle"}),
+    ("m-h0-and-h1", RANK_ONE, 0, {"mcut", "semicontinuity", "oracle"}),
+    # Inside every slack of the rank-three bundle: only the oracle sees it.
+    ("m-h0-and-h1", RANK_THREE, 1, {"oracle"}),
+    ("m-h0-index-kept", RANK_ONE, FAR, {"mcut", "morse", "simple", "semicontinuity", "oracle"}),
+    ("m-h0-index-kept", RANK_THREE, 1, {"mcut", "morse", "oracle"}),
+    ("m-h1-index-kept", RANK_ONE, FAR, {"mcut", "morse", "simple", "semicontinuity", "oracle"}),
+    ("m-h1-index-kept", RANK_THREE, 1, {"mcut", "morse", "oracle"}),
+    ("plus-h0", RANK_ONE, FAR, {"gluing", "morse", "mv"}),
+    ("plus-h0", RANK_THREE, FAR, {"gluing", "morse", "mv"}),
+    ("minus-h1-short", RANK_ONE, FAR, {"gluing", "morse", "mv", "simple"}),
+    ("minus-h1-short", RANK_THREE, 0, {"gluing", "morse", "mv"}),
+]
+
+
+@pytest.fixture(autouse=True)
+def fresh_tables():
+    _tables.cache_clear()
+    yield
+    _tables.cache_clear()
+
+
+def inject(monkeypatch, name: str, b: EquivBundleCP1, k: int) -> None:
+    target, c0, c1, skew = FAULTS[name]
+    uk = Character.monomial(k)
+
+    def edit(table):
+        return FaultyTable(table.h0 + c0 * uk, table.h1 + c1 * uk, skew * uk)
+
+    if target == "cut":
+        mcut_cohomology = cutchar.verify.mcut_cohomology
+        monkeypatch.setattr(cutchar.verify, "mcut_cohomology", lambda cutd: edit(mcut_cohomology(cutd)))
+    else:
+        cutd = cut(b)
+        hit = {"m": b, "plus": cutd.plus, "minus": cutd.minus}[target]
+        cohomology = cutchar.verify.cohomology
+        monkeypatch.setattr(
+            cutchar.verify, "cohomology", lambda x: edit(cohomology(x)) if x == hit else cohomology(x)
+        )
+
+
+def results(b: EquivBundleCP1) -> dict:
+    return {cid: run_check(cid, b) for cid in ALL_CHECKS}
+
+
+class TestFaultTable:
+    def test_named_bundles_pass_unfaulted(self):
+        for lit in (RANK_ONE, RANK_THREE):
+            assert all(r.passed for r in results(EquivBundleCP1.parse(lit)).values()), lit
+
+    @pytest.mark.parametrize(
+        "name, lit, k, failing", CASES, ids=[f"{n}-{lit}-u^{k}" for n, lit, k, _ in CASES]
+    )
+    def test_exactly_these_checks_fail(self, monkeypatch, name, lit, k, failing):
+        b = EquivBundleCP1.parse(lit)
+        inject(monkeypatch, name, b, k)
+        got = results(b)
+        assert {cid for cid, r in got.items() if not r.passed} == failing
+        if "oracle" in failing:
+            # Every fault puts +u^k into the first comparison that disagrees.
+            assert got["oracle"].residual == CharPoly([Character.monomial(k)])
+
+    def test_cut_h0_fails_semicontinuity_by_its_index_alone(self, monkeypatch):
+        b = EquivBundleCP1.parse(RANK_ONE)
+        inject(monkeypatch, "cut-h0-alone", b, FAR)
+        r = run_check("semicontinuity", b)
+        assert not r.passed
+        assert r.witness.is_nonneg()
+        assert r.residual == CharPoly([Character.monomial(FAR)])
+
+    def test_every_check_fails_on_some_fault(self):
+        assert set().union(*(failing for *_, failing in CASES)) == set(ALL_CHECKS)
+        assert {name for name, *_ in CASES} == set(FAULTS)

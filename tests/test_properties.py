@@ -19,6 +19,7 @@ from cutchar import (
     run_check,
     sweep,
 )
+from cutchar.characters import _is_factorization
 
 weights = st.integers(-20, 20)
 mults = st.integers(-10, 10)
@@ -120,6 +121,29 @@ class TestCharPolyLaws:
         else:
             assert not value
             assert ONE_PLUS_T * q + r == p
+
+    @given(charpolys, charpolys, charpolys)
+    def test_is_factorization_on_random_triples(self, p, r, q):
+        assert _is_factorization(p, r, q) is (ONE_PLUS_T * q + r == p)
+
+    @given(charpolys, charpolys, st.integers(0, 3), characters, st.booleans())
+    def test_is_factorization_with_one_coefficient_off(self, q, r, m, delta, off_in_q):
+        # p = r + (1+t)q holds; then q, or p, is changed in its t^m coefficient.
+        p = ONE_PLUS_T * q + r
+        assert _is_factorization(p, r, q)
+        poly = q if off_in_q else p
+        cs = list(poly.coeffs) + [Character()] * (m + 1 - len(poly.coeffs))
+        cs[m] = cs[m] + delta
+        off = CharPoly(cs)
+        if off_in_q:
+            assert _is_factorization(p, r, off) is (ONE_PLUS_T * off + r == p) is (not delta)
+        else:
+            assert _is_factorization(off, r, q) is (ONE_PLUS_T * q + r == off) is (not delta)
+
+    def test_is_factorization_checks_the_top_coefficient(self):
+        # (1+t) * 1 = 1 + t: the t^1 term lies past deg p, deg r and deg q.
+        assert not _is_factorization(CharPoly([1]), CharPoly(), CharPoly([1]))
+        assert _is_factorization(CharPoly([1, 1]), CharPoly(), CharPoly([1]))
 
     @given(charpolys)
     def test_json_round_trip(self, p):

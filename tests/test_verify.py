@@ -376,6 +376,36 @@ class TestPerBundlePass:
             _tables.cache_clear()
             assert row == tuple(run_check(cid, bun) for cid in ALL_CHECKS), bun.literal()
 
+    # Before zero operands were handed back and the sides' Euler polynomial
+    # was shared, these bundles built 123 and 186 characters.
+    @pytest.mark.parametrize("lit, bound", [("3:-2", 26), ("1:-1,2:2,-3:5", 66)])
+    def test_characters_built_by_the_closed_form_checks(self, monkeypatch, lit, bound):
+        # Every instance comes from __init__ or _from_jumps.  Assigning
+        # Character.__new__ instead would leave the class refusing
+        # constructor arguments once the patch is undone (CPython keeps the
+        # slot it installed).
+        built = Counter()
+        init, from_jumps = Character.__init__, Character._from_jumps.__func__
+
+        def counting_init(self, *args):
+            built["__init__"] += 1
+            init(self, *args)
+
+        def counting_from_jumps(cls, jumps):
+            built["_from_jumps"] += 1
+            return from_jumps(cls, jumps)
+
+        b = bundle(lit)
+        _tables.cache_clear()
+        monkeypatch.setattr(Character, "__init__", counting_init)
+        monkeypatch.setattr(Character, "_from_jumps", classmethod(counting_from_jumps))
+        for cid in ALL_CHECKS:
+            if cid != "oracle":
+                run_check(cid, b)
+        monkeypatch.undo()
+        _tables.cache_clear()
+        assert 0 < built.total() <= bound
+
 
 def _no_dense_expansion():
     """Make every dense view of a Character raise while the context is open."""
