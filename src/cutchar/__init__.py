@@ -14,7 +14,6 @@ from .geometry import (
     mcut_cohomology,
 )
 from .oracles import (
-    GradedCechComplex,
     NonPolynomialResult,
     cech_cohomology_nodal,
     cech_cohomology_p1,
@@ -53,7 +52,6 @@ __all__ = [
     "cohomology",
     "cut",
     "mcut_cohomology",
-    "GradedCechComplex",
     "NonPolynomialResult",
     "cech_cohomology_p1",
     "cech_cohomology_nodal",

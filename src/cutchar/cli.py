@@ -98,8 +98,12 @@ class RunConfig:
                 obj = json.load(fh)
         except OSError as exc:
             raise _UsageError(f"cannot read config {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"config {path} is not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise _UsageError(f"config {path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise _UsageError(f"config {path} nests too deeply to decode") from None
         if not isinstance(obj, dict):
             raise _UsageError(f"config {path} must be a JSON object")
         known = {"bundles", "grid", "checks", "fail_fast", "output"}
@@ -180,7 +184,9 @@ def _write(text: str, out: str | None) -> None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: a path holding a NUL or a lone surrogate, as a
+            # config's output path can.
             raise _UsageError(f"cannot write {out}: {exc}") from None
 
 

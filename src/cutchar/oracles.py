@@ -2,11 +2,13 @@
 
 Three routes that share no code with the closed forms in :mod:`.geometry`:
 
-* a two-chart Cech complex per line summand, row-reduced one weight block
-  at a time by fraction-free integer elimination, which keeps the rank over
-  the rationals;
-* the same machinery on the two cut pieces glued at the node, with the
-  matching condition at the node fiber imposed as an extra linear map; and
+* a two-chart Cech complex per line summand, split by weight: each weight
+  block is built when the loop reaches it and row-reduced once, by
+  fraction-free integer elimination, which keeps the rank over the
+  rationals; no block is stored;
+* the same blocks on the two cut pieces glued at the node: each side's Cech
+  dimensions over its own window, plus one node term per summand pair from
+  the rank of the matching condition at the node fiber; and
 * the fixed-point localization formula, evaluated as a single exact
   division in the Laurent ring over the common denominator.
 
@@ -25,13 +27,12 @@ has a single row with entries +1 (chart 0) and -1 (chart 1).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .characters import Character
 from .geometry import CohomologyTable, CutDecomposition, LineWeights
 
 __all__ = [
-    "GradedCechComplex",
     "cech_cohomology_p1",
     "cech_cohomology_nodal",
     "NonPolynomialResult",
@@ -97,73 +98,48 @@ def _kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, 
     return basis
 
 
-# One weight block: the C^0 basis as (chart, exponent) per column, and the
-# single differential row, entries +-1.
-_Block = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
+def _block(line: LineWeights, m: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The weight-m block: its C^0 columns as (chart, exponent), and the differential row."""
+    cols: list[tuple[int, int]] = []
+    if m >= line.r_q:
+        cols.append((0, m - line.r_q))
+    if m <= line.r_p:
+        cols.append((1, line.r_p - m))
+    for chart, exp in cols:
+        img_exp = exp if chart == 0 else line.r_p - line.r_q - exp
+        assert img_exp + line.r_q == m, "column lands in the wrong weight"
+    return cols, [1 if chart == 0 else -1 for chart, _ in cols]
 
 
-class GradedCechComplex:
-    """Two-chart Cech complex of one line summand, split by weight.
+def _cech_dims(line: LineWeights) -> Iterator[tuple[int, int, int]]:
+    """``(m, dim H^0_m, dim H^1_m)`` for each weight m in [min(r_P, r_Q) - 1, max(r_P, r_Q) + 1].
 
-    Blocks are materialized for every weight in [min(r_P, r_Q) - 1,
-    max(r_P, r_Q) + 1]; outside that window each chart contributes exactly
-    one monomial and the differential is an isomorphism, so all cohomology
-    lives inside it.
+    Outside that window each chart contributes exactly one monomial and the
+    differential is an isomorphism, so all cohomology lives inside it.  Each
+    block is built when reached and row-reduced once; C^1_m is
+    one-dimensional, so H^0_m = columns - rank and H^1_m = 1 - rank.
     """
+    for m in range(min(line.r_p, line.r_q) - 1, max(line.r_p, line.r_q) + 2):
+        cols, row = _block(line, m)
+        rank, _ = _rref([row], len(cols))
+        yield m, len(cols) - rank, 1 - rank
 
-    __slots__ = ("line", "lo", "hi", "_blocks")
 
-    def __init__(self, line: LineWeights):
-        self.line = line
-        self.lo = min(line.r_p, line.r_q) - 1
-        self.hi = max(line.r_p, line.r_q) + 1
-        blocks: dict[int, _Block] = {}
-        for m in range(self.lo, self.hi + 1):
-            cols: list[tuple[int, int]] = []
-            row: list[int] = []
-            if m >= line.r_q:
-                cols.append((0, m - line.r_q))
-                row.append(1)
-            if m <= line.r_p:
-                cols.append((1, line.r_p - m))
-                row.append(-1)
-            for chart, exp in cols:
-                img_exp = exp if chart == 0 else line.r_p - line.r_q - exp
-                assert img_exp + line.r_q == m, "column lands in the wrong weight"
-            blocks[m] = (tuple(cols), tuple(row))
-        self._blocks = blocks
+def _nonzero_dims(lines: Iterable[LineWeights]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The nonzero ``(weight, dimension)`` pairs of H^0 and of H^1 over the lines.
 
-    def c0_basis(self, m: int) -> tuple[tuple[int, int], ...]:
-        block = self._blocks.get(m)
-        return block[0] if block else ()
-
-    def sections(self, m: int) -> list[tuple[int, ...]]:
-        """Integer kernel basis in weight m, coordinates along ``c0_basis(m)``."""
-        block = self._blocks.get(m)
-        if block is None:
-            return []
-        cols, row = block
-        return _kernel_basis([row] if row else [], len(cols))
-
-    def h1_at(self, m: int) -> int:
-        block = self._blocks.get(m)
-        if block is None:
-            return 0
-        rank = 1 if any(block[1]) else 0
-        return 1 - rank
-
-    def cohomology(self) -> CohomologyTable:
-        # Collect the nonzero (weight, dimension) pairs and build each
-        # character once: summing characters term by term would copy the
-        # whole sum per weight.
-        h0: list[tuple[int, int]] = []
-        h1: list[tuple[int, int]] = []
-        for m in range(self.lo, self.hi + 1):
-            if n0 := len(self.sections(m)):
+    Collecting pairs lets the caller build each character once: summing
+    characters term by term would copy the whole sum per weight.
+    """
+    h0: list[tuple[int, int]] = []
+    h1: list[tuple[int, int]] = []
+    for line in lines:
+        for m, n0, n1 in _cech_dims(line):
+            if n0:
                 h0.append((m, n0))
-            if n1 := self.h1_at(m):
+            if n1:
                 h1.append((m, n1))
-        return CohomologyTable(Character(h0), Character(h1))
+    return h0, h1
 
 
 def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
@@ -175,15 +151,15 @@ def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
     >>> cech_cohomology_p1(LineWeights(-3, 0)).h1
     Character({-2: 1, -1: 1})
     """
-    return GradedCechComplex(summand).cohomology()
+    h0, h1 = _nonzero_dims([summand])
+    return CohomologyTable(Character(h0), Character(h1))
 
 
-def _node_column(side: GradedCechComplex, node_chart: int, m: int) -> int | None:
-    """Index of the (node_chart, exponent 0) column in weight m, if present."""
-    for idx, col in enumerate(side.c0_basis(m)):
-        if col == (node_chart, 0):
-            return idx
-    return None
+def _node_values(line: LineWeights, node_chart: int) -> list[int]:
+    """The weight-0 kernel basis of the line, each vector read at the node column (node_chart, 0)."""
+    cols, row = _block(line, 0)
+    col = cols.index((node_chart, 0))
+    return [v[col] for v in _kernel_basis([row], len(cols))]
 
 
 def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
@@ -191,39 +167,28 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
 
     Sections of the glued curve are pairs of sections agreeing at the node;
     the node sits at chart 0 of each plus summand (its minimum) and chart 1
-    of each minus summand (its maximum), and its fiber has weight 0.  Per
-    weight the defect of the joint evaluation map feeds the gluing sequence
+    of each minus summand (its maximum), and its fiber has weight 0.  The
+    gluing sequence
 
-        0 -> H^0(glued) -> H^0(+) + H^0(-) -> fiber -> H^1(glued) -> H^1(+) + H^1(-) -> 0.
+        0 -> H^0(glued) -> H^0(+) + H^0(-) -> fiber -> H^1(glued) -> H^1(+) + H^1(-) -> 0
+
+    gives each side's Cech dimensions over its own window plus one node term
+    per summand pair: -rank in H^0 and 1 - rank in H^1 at weight 0, where
+    rank is that of the joint evaluation map.  Off weight 0 the fiber and
+    the evaluation map are zero.
 
     >>> from .geometry import cut, EquivBundleCP1
     >>> t = cech_cohomology_nodal(cut(EquivBundleCP1.parse("2:2")))
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
-    # Nonzero (weight, dimension) pairs over all summands; the constructor
-    # sums repeats.
-    h0: list[tuple[int, int]] = []
-    h1: list[tuple[int, int]] = []
+    # The constructor sums repeated weights, node terms included.
+    h0, h1 = _nonzero_dims([*cutd.plus.summands, *cutd.minus.summands])
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
-        plus = GradedCechComplex(ps)
-        minus = GradedCechComplex(ms)
-        for m in range(min(plus.lo, minus.lo), max(plus.hi, minus.hi) + 1):
-            sec_p = plus.sections(m)
-            sec_m = minus.sections(m)
-            # The fiber is zero off weight 0, and so is the evaluation map.
-            fiber_dim = rank = 0
-            if m == 0:
-                fiber_dim = 1
-                col_p = _node_column(plus, 0, 0)
-                col_m = _node_column(minus, 1, 0)
-                evals = [v[col_p] if col_p is not None else 0 for v in sec_p]
-                evals += [-v[col_m] if col_m is not None else 0 for v in sec_m]
-                rank, _ = _rref([evals], len(evals))
-            if n0 := len(sec_p) + len(sec_m) - rank:
-                h0.append((m, n0))
-            if n1 := plus.h1_at(m) + minus.h1_at(m) + fiber_dim - rank:
-                h1.append((m, n1))
+        evals = _node_values(ps, 0) + [-x for x in _node_values(ms, 1)]
+        rank, _ = _rref([evals], len(evals))
+        h0.append((0, -rank))
+        h1.append((0, 1 - rank))
     return CohomologyTable(Character(h0), Character(h1))
 
 

@@ -1,18 +1,20 @@
 import contextlib
+import csv
 import io
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutchar import CharPoly, CheckResult, EquivBundleCP1, SweepReport
 from cutchar.cli import main
-from cutchar.verify import _REGISTRY
+from cutchar.verify import ALL_CHECKS, _REGISTRY
 
 
 def run_cli(*args, **kwargs):
@@ -349,6 +351,14 @@ EXIT_2_CASES = [
         id="sweep-empty-checks",
     ),
     pytest.param(("verify", "1:0", "--checks", ""), None, id="verify-empty-checks"),
+    # Raw bytes are written as they are, not as JSON.
+    pytest.param(("sweep", "--config"), b"\xff\xfe", id="config-not-utf8"),
+    pytest.param(("sweep", "--config"), b"[" * 100000 + b"]" * 100000, id="config-nested-deep"),
+    pytest.param(
+        ("sweep", "--config"),
+        {"bundles": ["0:0"], "checks": ["gluing"], "output": {"path": "a\0b"}},
+        id="config-path-nul",
+    ),
 ]
 
 
@@ -400,7 +410,10 @@ class TestExitCodeContract:
     def test_input_errors_exit_2(self, tmp_path, argv, config):
         if config is not None:
             path = tmp_path / "run.json"
-            path.write_text(json.dumps(config))
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            else:
+                path.write_text(json.dumps(config))
             argv = (*argv, str(path))
         proc = run_cli(*argv)
         assert proc.returncode == 2
@@ -421,3 +434,128 @@ class TestExitCodeContract:
         assert status == 2, (slot, value)
         assert err.getvalue().startswith("error: config"), err.getvalue()
         assert out.getvalue() == ""
+
+
+# Argv and config fuzzing.  Weights stay within |w| <= 40 and ranges at most
+# two wide, so every run is small; "@out@" and "@config@" stand for files in
+# a fresh directory per example.
+def _mostly(valid, invalid):
+    """Three draws in four from ``valid``, so that runs get past the parser."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else invalid)
+
+
+_weight = st.integers(-40, 40).map(str)
+_literal = st.lists(st.tuples(_weight, _weight).map(":".join), min_size=1, max_size=3).map(",".join)
+_garble = st.sampled_from(["", "_", "+", ":", ",", " ", "..", "a", "\u0663", "-"])
+_malformed = st.one_of(
+    st.text(alphabet="-:,.1_+ a\u0663", max_size=4),
+    st.tuples(_garble, _literal, _garble).map("".join),
+)
+_bundle_text = _mostly(_literal, _malformed)
+_range = st.tuples(st.integers(-40, 40), st.integers(0, 1)).map(lambda t: f"{t[0]}..{t[0] + t[1]}")
+_range_text = _mostly(_range, _malformed | st.integers(-40, 40).map(lambda a: f"{a}..{a - 1}"))
+_check_list = st.lists(st.sampled_from(ALL_CHECKS), min_size=1, max_size=3)
+_check_text = _mostly(
+    st.just("all") | _check_list.map(",".join),
+    st.lists(st.sampled_from([*ALL_CHECKS, "all", "bogus", ""]), max_size=3).map(",".join),
+)
+_format = _mostly(st.sampled_from(["json", "csv", "md"]), st.just("xml"))
+
+_config_options = {
+    "checks": _check_list,
+    "fail_fast": st.booleans(),
+    "output": st.fixed_dictionaries({}, optional={"path": st.just("@out@"), "format": _format}),
+}
+_config_source = st.one_of(
+    st.fixed_dictionaries({"bundles": st.lists(_literal, min_size=1, max_size=2)}),
+    st.fixed_dictionaries({"grid": st.fixed_dictionaries({"rp_range": _range, "rq_range": _range})}),
+)
+_good_config = st.tuples(_config_source, st.fixed_dictionaries({}, optional=_config_options)).map(
+    lambda parts: {**parts[0], **parts[1]}
+)
+_bad_config = st.fixed_dictionaries(
+    {},
+    optional={
+        "bundles": st.lists(_bundle_text, max_size=2) | json_values,
+        "grid": st.fixed_dictionaries({"rp_range": _range_text, "rq_range": _range_text}) | json_values,
+        "plot": json_values,
+        **{key: value | json_values for key, value in _config_options.items()},
+    },
+)
+_good_json = _good_config.map(lambda obj: json.dumps(obj).encode())
+_config_bytes = _mostly(
+    _good_json,
+    _bad_config.map(lambda obj: json.dumps(obj).encode())
+    | _good_json.flatmap(lambda raw: st.integers(0, len(raw) - 1).map(lambda i: raw[:i]))
+    | st.binary(max_size=24),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """One argv, with the raw bytes of its config file when it names one."""
+    commands = st.sampled_from(["cohomology", "cut", "verify", "sweep", "equality-region"])
+    cmd = draw(_mostly(commands, st.just("x")))
+    argv, config = [cmd], None
+
+    def maybe(*flag_and_value):
+        if draw(st.booleans()):
+            argv.extend(flag_and_value)
+
+    if cmd in ("cohomology", "cut", "verify"):
+        argv.append(draw(_bundle_text))
+    if cmd in ("sweep", "equality-region"):
+        ranges = ["--rp-range", draw(_range_text), "--rq-range", draw(_range_text)]
+        argv += ranges[: draw(st.sampled_from([4, 4, 2, 0]))]
+    if cmd in ("verify", "sweep"):
+        maybe("--checks", draw(_check_text))
+    if cmd in ("verify", "sweep", "equality-region"):
+        maybe("--format", draw(_format))
+    if cmd == "sweep":
+        maybe("--fail-fast")
+        if draw(st.booleans()):
+            config = draw(_config_bytes)
+            argv += ["--config", "@config@"]
+    maybe("--out", "@out@")
+    return argv, config
+
+
+def _holds_failed_check(text: str) -> bool:
+    if text.startswith("{"):
+        return any(not r["passed"] for row in json.loads(text).get("results", []) for r in row)
+    if text.startswith("r_P,"):
+        return any(row["passed"] == "false" for row in csv.DictReader(io.StringIO(text)))
+    return "- Overall: FAIL" in text
+
+
+class TestFuzzMain:
+    """``main`` in-process on generated argv and config bytes keeps the exit contract."""
+
+    @settings(max_examples=200, deadline=None)
+    @example((["sweep", "--config", "@config@"], b"\xff\xfe"), None)
+    @example((["sweep", "--config", "@config@"], b"[" * 100000 + b"]" * 100000), None)
+    @given(cli_runs(), st.none() | st.sampled_from(ALL_CHECKS))
+    def test_exit_status_contract(self, run, broken):
+        argv, config = run
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out, cfg = Path(tmp) / "out", Path(tmp) / "run.json"
+            if config is not None:
+                cfg.write_bytes(config.replace(b"@out@", json.dumps(str(out))[1:-1].encode()))
+            argv = [{"@out@": str(out), "@config@": str(cfg)}.get(a, a) for a in argv]
+
+            def fails(bundle):  # the drawn check, if any, fails on every bundle
+                return CheckResult(broken, bundle, False, residual=CharPoly([1]))
+
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
+                    try:
+                        status = main(argv)
+                    except SystemExit as exc:  # argparse rejects the argv
+                        status = exc.code
+            report = out.read_text() if out.exists() else stdout.getvalue()
+        assert status in (0, 1, 2), status
+        errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+        assert (status == 2) == (len(errors) == 1), (status, stderr.getvalue())
+        assert len(errors) <= 1, stderr.getvalue()
+        assert (status == 1) == _holds_failed_check(report), (status, report)

@@ -10,7 +10,6 @@ from cutchar import (
     Character,
     CutDecomposition,
     EquivBundleCP1,
-    GradedCechComplex,
     LineWeights,
     MalformedCut,
     NonPolynomialResult,
@@ -23,31 +22,34 @@ from cutchar import (
     run_check,
 )
 import cutchar.oracles
-from cutchar.oracles import _kernel_basis, _laurent_div, _rref
+from cutchar.oracles import _block, _cech_dims, _kernel_basis, _laurent_div, _rref
 
 u = Character.monomial(1)
 
 
 class TestCechLine:
     def test_block_shapes(self):
-        cx = GradedCechComplex(LineWeights(2, 0))
-        assert cx.c0_basis(1) == ((0, 1), (1, 1))
-        assert cx.c0_basis(3) == ((0, 3),)
-        assert cx.c0_basis(-1) == ((1, 3),)
-        assert cx.c0_basis(99) == ()
+        line = LineWeights(2, 0)
+        assert _block(line, 1) == ([(0, 1), (1, 1)], [1, -1])
+        assert _block(line, 3)[0] == [(0, 3)]
+        assert _block(line, -1)[0] == [(1, 3)]
+        assert 99 not in {m for m, _, _ in _cech_dims(line)}
 
     def test_sections_span_kernel(self):
-        cx = GradedCechComplex(LineWeights(2, 0))
-        secs = cx.sections(1)
+        cols, row = _block(LineWeights(2, 0), 1)
+        secs = _kernel_basis([row], len(cols))
         assert len(secs) == 1
         assert secs[0] == (Fraction(1), Fraction(1))
-        assert cx.sections(99) == []
+        cols, row = _block(LineWeights(2, 0), 99)
+        assert _kernel_basis([row], len(cols)) == []
 
     def test_h1_block(self):
-        cx = GradedCechComplex(LineWeights(-3, 0))
-        assert cx.c0_basis(-1) == ()
-        assert cx.h1_at(-1) == 1
-        assert cx.h1_at(0) == 0
+        line = LineWeights(-3, 0)
+        assert _block(line, -1) == ([], [])
+        dims = {m: (n0, n1) for m, n0, n1 in _cech_dims(line)}
+        assert set(dims) == set(range(-4, 2))
+        assert dims[-1][1] == 1
+        assert dims[0][1] == 0
 
     def test_matches_closed_form_on_grid(self):
         for rp in range(-5, 6):
@@ -92,6 +94,68 @@ class TestCechNodal:
     def test_rejects_malformed(self):
         with pytest.raises(MalformedCut):
             CutDecomposition(EquivBundleCP1.parse("1:1"), EquivBundleCP1.parse("0:1"))
+
+
+@st.composite
+def bundles(draw):
+    """Rank 1-4, weights in [-30, 30], often with repeated summands and weight-0 ends."""
+    weight = st.just(0) | st.integers(-30, 30)
+    pool = draw(st.lists(st.builds(LineWeights, weight, weight), min_size=1, max_size=4))
+    return EquivBundleCP1(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
+
+
+class TestRoutesOnRandomBundles:
+    """Both Cech routes against the closed forms, past the rank-one [-5, 5] grid."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(EquivBundleCP1.parse("0:0,0:0,3:-2,3:-2"))
+    @example(EquivBundleCP1.parse("-30:30,30:-30,0:-1,-1:0"))
+    @given(bundles())
+    def test_routes_match_closed_forms(self, b):
+        # Several summands' node terms, some negative, meet at weight 0.
+        d = cut(b)
+        got, want = cech_cohomology_nodal(d), mcut_cohomology(d)
+        assert (got.h0, got.h1) == (want.h0, want.h1)
+        tables = [cech_cohomology_p1(s) for s in b.summands]
+        want = cohomology(b)
+        assert sum((t.h0 for t in tables), Character()) == want.h0
+        assert sum((t.h1 for t in tables), Character()) == want.h1
+
+
+def _rref_calls(monkeypatch, route, arg) -> int:
+    """Number of ``_rref`` calls while ``route(arg)`` runs."""
+    rref = cutchar.oracles._rref
+    calls = [0]
+
+    def counted(rows, ncols):
+        calls[0] += 1
+        return rref(rows, ncols)
+
+    with monkeypatch.context() as m:
+        m.setattr(cutchar.oracles, "_rref", counted)
+        route(arg)
+    return calls[0]
+
+
+class TestEveryBlockReduced:
+    """No weight block is skipped or memoized: each of a window's blocks is row-reduced.
+
+    A cache on the block dimensions would collapse the many identical
+    blocks of a window into a few reductions.
+    """
+
+    N = 30
+
+    def test_cech_reduces_each_weight(self, monkeypatch):
+        n = self.N
+        window = 2 * n + 3  # [-n - 1, n + 1]
+        assert _rref_calls(monkeypatch, cech_cohomology_p1, LineWeights(n, -n)) >= window
+
+    def test_nodal_reduces_each_weight_of_each_side(self, monkeypatch):
+        n = self.N
+        d = cut(EquivBundleCP1((LineWeights(n, -n),)))
+        windows = (n + 3) + (n + 3)  # plus (n, 0): [-1, n + 1]; minus (0, -n): [-n - 1, 1]
+        assert _rref_calls(monkeypatch, cech_cohomology_nodal, d) >= windows
 
 
 class TestLocalization:
