@@ -98,16 +98,13 @@ class Character:
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
+        # (1 - u) * c u^k puts +c at k and -c at k + 1.
+        jumps: dict[int, int] = {}
         for weight, mult in items:
             _check_int(weight, "weight")
             _check_int(mult, "multiplicity")
-            acc[weight] = acc.get(weight, 0) + mult
-        # (1 - u) * c u^k puts +c at k and -c at k + 1.
-        jumps: dict[int, int] = {}
-        for k, c in acc.items():
-            jumps[k] = jumps.get(k, 0) + c
-            jumps[k + 1] = jumps.get(k + 1, 0) - c
+            jumps[weight] = jumps.get(weight, 0) + mult
+            jumps[weight + 1] = jumps.get(weight + 1, 0) - mult
         self._jumps: dict[int, int] = _canonical(jumps)
 
     @classmethod

@@ -17,6 +17,7 @@ check failed, 2 on usage or input errors.  Output is byte-stable unless
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -104,6 +105,8 @@ class RunConfig:
             raise _UsageError(f"config {path} is not valid JSON: {exc}") from None
         except RecursionError:
             raise _UsageError(f"config {path} nests too deeply to decode") from None
+        except ValueError as exc:  # from open(): a path holding a NUL byte
+            raise _UsageError(f"cannot read config {path!r}: {exc}") from None
         if not isinstance(obj, dict):
             raise _UsageError(f"config {path} must be a JSON object")
         known = {"bundles", "grid", "checks", "fail_fast", "output"}
@@ -159,62 +162,75 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _emit_json(obj: dict, args) -> None:
+@contextlib.contextmanager
+def _destination(out: str | None):
+    """Where a command writes: stdout, or the file ``out``.
+
+    A command enters this after parsing its input and before its work, so an
+    unwritable path costs no work and a bad input leaves the file untouched.
+    """
+    if out is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError: a path holding a NUL or a lone surrogate, as a
+        # config's output path can.
+        raise _UsageError(f"cannot write {out}: {exc}") from None
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:  # the work itself does no I/O
+        raise _UsageError(f"cannot write {out}: {exc}") from None
+
+
+def _emit_json(obj: dict, args, dest) -> None:
     if args.timestamps:
         obj["generated_at"] = _timestamp()
-    _write(json.dumps(obj, indent=2) + "\n", args.out)
+    dest.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_report(report: SweepReport, fmt: str, args) -> None:
+def _emit_report(report: SweepReport, fmt: str, args, dest) -> None:
     if fmt == "json":
-        _emit_json(report.to_json_obj(), args)
+        _emit_json(report.to_json_obj(), args, dest)
     elif fmt == "csv":
-        _write(report.to_csv(), args.out)
+        dest.write(report.to_csv())
     else:
         text = report.to_markdown()
         if args.timestamps:
             text += f"\nGenerated: {_timestamp()}\n"
-        _write(text, args.out)
-
-
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except (OSError, ValueError) as exc:
-            # ValueError: a path holding a NUL or a lone surrogate, as a
-            # config's output path can.
-            raise _UsageError(f"cannot write {out}: {exc}") from None
+        dest.write(text)
 
 
 def _cmd_cohomology(args) -> int:
-    table = cohomology(_parse_bundle(args.bundle))
-    _emit_json(table.to_json_obj(), args)
+    bundle = _parse_bundle(args.bundle)
+    with _destination(args.out) as dest:
+        _emit_json(cohomology(bundle).to_json_obj(), args, dest)
     return 0
 
 
 def _cmd_cut(args) -> int:
     bundle = _parse_bundle(args.bundle)
-    cutd = cut(bundle)
-    obj = {
-        "bundle": bundle.literal(),
-        "plus": {"bundle": cutd.plus.literal(), **cohomology(cutd.plus).to_json_obj()},
-        "minus": {"bundle": cutd.minus.literal(), **cohomology(cutd.minus).to_json_obj()},
-        "red_dims": list(cutd.red_dims),
-        "mcut": mcut_cohomology(cutd).to_json_obj(),
-    }
-    _emit_json(obj, args)
+    with _destination(args.out) as dest:
+        cutd = cut(bundle)
+        obj = {
+            "bundle": bundle.literal(),
+            "plus": {"bundle": cutd.plus.literal(), **cohomology(cutd.plus).to_json_obj()},
+            "minus": {"bundle": cutd.minus.literal(), **cohomology(cutd.minus).to_json_obj()},
+            "red_dims": list(cutd.red_dims),
+            "mcut": mcut_cohomology(cutd).to_json_obj(),
+        }
+        _emit_json(obj, args, dest)
     return 0
 
 
 def _cmd_verify(args) -> int:
     bundle = _parse_bundle(args.bundle)
     checks = _parse_checks(args.checks)
-    report = sweep([bundle], checks)
-    _emit_report(report, args.format, args)
+    with _destination(args.out) as dest:
+        report = sweep([bundle], checks)
+        _emit_report(report, args.format, args, dest)
     return 0 if report.passed else 1
 
 
@@ -238,16 +254,17 @@ def _cmd_sweep(args) -> int:
         checks = config.checks if config.checks is not None else ALL_CHECKS
     fail_fast = args.fail_fast if args.fail_fast is not None else bool(config.fail_fast)
     fmt = args.format or config.fmt or "json"
-    if args.out is None and config.out is not None:
-        args.out = config.out
-    report = sweep(bundles, checks, fail_fast=fail_fast)
-    _emit_report(report, fmt, args)
+    with _destination(args.out if args.out is not None else config.out) as dest:
+        report = sweep(bundles, checks, fail_fast=fail_fast)
+        _emit_report(report, fmt, args, dest)
     return 0 if report.passed else 1
 
 
 def _cmd_equality_region(args) -> int:
-    report = equality_region(_parse_range(args.rp_range), _parse_range(args.rq_range))
-    _emit_report(report, args.format, args)
+    rp, rq = _parse_range(args.rp_range), _parse_range(args.rq_range)
+    with _destination(args.out) as dest:
+        report = equality_region(rp, rq)
+        _emit_report(report, args.format, args, dest)
     return 0 if report.passed else 1
 
 

@@ -112,7 +112,11 @@ class CohomologyTable:
 
     h0: Character
     h1: Character
-    n: int = 1
+
+    @property
+    def n(self) -> int:
+        """Top cohomological degree: 1, since H^p vanishes for p > 1 on a curve."""
+        return 1
 
     def euler_poly(self) -> CharPoly:
         """Poincare-style polynomial h0 + t*h1."""
@@ -129,10 +133,9 @@ class CohomologyTable:
     def from_json_obj(cls, obj: object) -> "CohomologyTable":
         if not isinstance(obj, dict) or set(obj) != {"h0", "h1", "n"}:
             raise ValueError(f"cohomology table must have keys h0, h1, n: got {obj!r}")
-        n = obj["n"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"top degree n must be a positive integer, got {n!r}")
-        return cls(Character.from_json_obj(obj["h0"]), Character.from_json_obj(obj["h1"]), n)
+        if type(obj["n"]) is not int or obj["n"] != 1:
+            raise ValueError(f"top degree n must be the integer 1, got {obj['n']!r}")
+        return cls(Character.from_json_obj(obj["h0"]), Character.from_json_obj(obj["h1"]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,9 +23,9 @@ Check ids:
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from io import StringIO
 from typing import NamedTuple
 
@@ -92,17 +92,30 @@ class CheckResult:
             raise ValueError(f"malformed check result: {obj!r}")
         if not isinstance(obj["check_id"], str) or obj["check_id"] not in _REGISTRY:
             raise ValueError(f"unknown check id {obj['check_id']!r}")
-        if type(obj["passed"]) is not bool:
-            raise ValueError(f"passed must be a boolean, got {obj['passed']!r}")
         if not isinstance(obj["bundle"], str):
             raise ValueError(f"bundle must be a string, got {obj['bundle']!r}")
-        return cls(
+        result = cls(
             obj["check_id"],
             EquivBundleCP1.parse(obj["bundle"]),
-            obj["passed"],
+            bool(obj["passed"]),  # a non-boolean fails the round trip below
             None if obj["witness"] is None else CharPoly.from_json_obj(obj["witness"]),
             None if obj["residual"] is None else CharPoly.from_json_obj(obj["residual"]),
         )
+        _require_round_trip(result.to_json_obj(), obj, "check result")
+        return result
+
+
+def _require_round_trip(written: dict, given: dict, what: str) -> None:
+    """Raise ValueError unless each key of ``given`` holds the JSON text ``written`` has.
+
+    Comparing text, not Python values, tells ``true`` from ``1`` and ``1``
+    from ``1.0``; the order of object keys does not matter.
+    """
+    text = functools.partial(json.dumps, sort_keys=True)
+    if text(written) != text(given):
+        keys = written.keys() | given.keys()
+        differ = [k for k in keys if k not in written or k not in given or text(written[k]) != text(given[k])]
+        raise ValueError(f"{what} would not be written back as given: {', '.join(sorted(differ))} differ")
 
 
 def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: CharPoly) -> CheckResult:
@@ -125,7 +138,7 @@ class _BundlePass(NamedTuple):
     sides: CharPoly
 
 
-@lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1)
 def _tables(bundle: EquivBundleCP1) -> _BundlePass:
     """Closed forms of M, plus, minus and the cut space, the cut, and the sides.
 
@@ -189,7 +202,14 @@ def verify_semicontinuity(bundle: EquivBundleCP1) -> CheckResult:
 
 
 def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
-    """Closed forms against the Cech, nodal Cech and localization routes."""
+    """Closed forms against the Cech, nodal Cech and localization routes.
+
+    The residual names every comparison by its power of t: closed form minus
+    oracle is the t^0 coefficient for ``cech-h0`` (h0 of M), t^1 for
+    ``cech-h1``, t^2 for ``nodal-h0`` (h0 of the cut space), t^3 for
+    ``nodal-h1`` and t^4 for ``localization`` (the index of M).  The check
+    passes iff the residual is zero.
+    """
     t = _tables(bundle)
     cech_h0 = ZERO
     cech_h1 = ZERO
@@ -200,17 +220,14 @@ def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
         cech_h1 += table.h1
         loc_index += localization_index(s)
     nodal = cech_cohomology_nodal(t.cutd)
-    diffs = [
+    residual = CharPoly([
         t.m.h0 - cech_h0,
         t.m.h1 - cech_h1,
         t.cut_space.h0 - nodal.h0,
         t.cut_space.h1 - nodal.h1,
         t.m.index() - loc_index,
-    ]
-    for diff in diffs:
-        if diff:
-            return CheckResult("oracle", bundle, False, residual=CharPoly([diff]))
-    return CheckResult("oracle", bundle, True)
+    ])
+    return CheckResult("oracle", bundle, not residual, residual=residual or None)
 
 
 _REGISTRY: dict[str, object] = {
@@ -241,21 +258,49 @@ class SweepReport:
     """All check results over a grid of bundles, plus derived views.
 
     ``results[i]`` are the results for ``grid[i]`` in registry order.
-    ``equality_sets`` lists, per Morse-type check, the bundles whose witness
-    is exactly zero.  ``claimed_region`` is set only by
-    :func:`equality_region` and carries the grid points satisfying
-    r_Q <= 0 <= r_P, for comparison against the computed sets.
+    ``morse_checks`` are the selected Morse-type check ids, in registry
+    order, whether or not a ``fail_fast`` sweep reached them.  ``region`` is
+    set only by :func:`equality_region`.  Everything else is derived.
     """
 
     grid: tuple[EquivBundleCP1, ...]
     results: tuple[tuple[CheckResult, ...], ...]
-    summary: dict[str, dict[str, int]]
-    equality_sets: dict[str, tuple[str, ...]]
-    claimed_region: tuple[str, ...] | None = None
+    morse_checks: tuple[str, ...] = ()
+    region: bool = False
 
     @property
     def passed(self) -> bool:
         return all(r.passed for row in self.results for r in row)
+
+    @property
+    def summary(self) -> dict[str, dict[str, int]]:
+        """Passed and failed counts per check id, in order of first appearance."""
+        summary: dict[str, dict[str, int]] = {}
+        for row in self.results:
+            for r in row:
+                counts = summary.setdefault(r.check_id, {"passed": 0, "failed": 0})
+                counts["passed" if r.passed else "failed"] += 1
+        return summary
+
+    @property
+    def equality_sets(self) -> dict[str, tuple[str, ...]]:
+        """Per selected Morse-type check, the bundles whose witness is exactly zero."""
+        return {
+            cid: tuple(
+                bundle.literal()
+                for bundle, row in zip(self.grid, self.results)
+                for r in row
+                if r.check_id == cid and r.passed and r.witness == CharPoly()
+            )
+            for cid in self.morse_checks
+        }
+
+    @property
+    def claimed_region(self) -> tuple[str, ...] | None:
+        """With ``region``, the grid points where r_Q <= 0 <= r_P; else None."""
+        if not self.region:
+            return None
+        return tuple(b.literal() for b in self.grid if all(s.r_q <= 0 <= s.r_p for s in b.summands))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -264,18 +309,22 @@ class SweepReport:
             "summary": self.summary,
             "equality_sets": {cid: list(lits) for cid, lits in self.equality_sets.items()},
         }
-        if self.claimed_region is not None:
+        if self.region:
             obj["claimed_region"] = list(self.claimed_region)
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "SweepReport":
-        if not isinstance(obj, dict):
-            raise ValueError(f"sweep report must be a JSON object, got {obj!r}")
-        required = {"grid", "results", "summary", "equality_sets"}
-        if not required <= set(obj) or not set(obj) <= required | {"claimed_region"}:
-            raise ValueError(f"sweep report keys must be {sorted(required)} (+ claimed_region), got {sorted(obj)}")
-        grid = tuple(EquivBundleCP1.parse(lit) for lit in _str_list(obj["grid"], "grid"))
+        """Load a report, accepting only what :meth:`to_json_obj` writes back exactly."""
+        if not isinstance(obj, dict) or not {"grid", "results"} <= set(obj):
+            raise ValueError(f"sweep report must be a JSON object with grid and results, got {obj!r}")
+        supplied = obj.get("equality_sets")
+        if not isinstance(supplied, dict):
+            raise ValueError(f"equality_sets must be a JSON object, got {supplied!r}")
+        lits = obj["grid"]
+        if not isinstance(lits, list) or not all(isinstance(lit, str) for lit in lits):
+            raise ValueError(f"grid must be a list of strings, got {lits!r}")
+        grid = tuple(EquivBundleCP1.parse(lit) for lit in lits)
         rows = obj["results"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(f"results must be a list of lists, got {rows!r}")
@@ -286,28 +335,12 @@ class SweepReport:
             for r in row:
                 if r.bundle != b:
                     raise ValueError(f"result bundle {r.bundle.literal()} under grid entry {b.literal()}")
-        summary = obj["summary"]
-        recounted = _summarize(results)
-        if summary != recounted:
-            raise ValueError(f"summary {summary} does not match results {recounted}")
-        supplied = obj["equality_sets"]
-        if not isinstance(supplied, dict):
-            raise ValueError(f"equality_sets must be a JSON object, got {supplied!r}")
-        equality_sets = {cid: _str_list(lits, f"equality set {cid!r}") for cid, lits in supplied.items()}
-        # Every selected Morse check has a set, even if fail_fast cut it from the results.
-        present = {r.check_id for row in results for r in row}.intersection(MORSE_CHECKS)
-        if not present <= set(equality_sets) <= set(MORSE_CHECKS):
-            raise ValueError(
-                f"equality_sets keys {sorted(equality_sets)} must cover {sorted(present)} "
-                f"and lie in {list(MORSE_CHECKS)}"
-            )
-        recomputed = _equality_sets(grid, results, equality_sets)
-        if equality_sets != recomputed:
-            raise ValueError(f"equality_sets {equality_sets} do not match results {recomputed}")
-        claimed = obj.get("claimed_region")
-        if claimed is not None:
-            claimed = _str_list(claimed, "claimed_region")
-        return cls(grid, results, summary, equality_sets, claimed)
+        # A selected Morse check may have a set but no result, if fail_fast cut it.
+        ran = {r.check_id for row in results for r in row}
+        morse = tuple(cid for cid in MORSE_CHECKS if cid in ran or cid in supplied)
+        report = cls(grid, results, morse, "claimed_region" in obj)
+        _require_round_trip(report.to_json_obj(), obj, "sweep report")
+        return report
 
     def to_csv(self) -> str:
         """Delimited form, one row per (bundle, check).
@@ -330,26 +363,27 @@ class SweepReport:
         return buf.getvalue()
 
     def to_markdown(self) -> str:
+        summary, equality_sets, claimed = self.summary, self.equality_sets, self.claimed_region
         lines = ["# Sweep report", ""]
         lines.append(f"- Bundles: {len(self.grid)}")
-        lines.append(f"- Checks: {', '.join(self.summary)}")
+        lines.append(f"- Checks: {', '.join(summary)}")
         lines.append(f"- Overall: {'PASS' if self.passed else 'FAIL'}")
         lines += ["", "## Summary", "", "| check | passed | failed |", "| --- | ---: | ---: |"]
-        for cid, counts in self.summary.items():
+        for cid, counts in summary.items():
             lines.append(f"| {cid} | {counts['passed']} | {counts['failed']} |")
-        if self.equality_sets:
+        if equality_sets:
             lines += ["", "## Equality sets", ""]
-            for cid, lits in self.equality_sets.items():
+            for cid, lits in equality_sets.items():
                 if lits:
                     shown = ", ".join(f"`{lit}`" for lit in lits)
                     lines.append(f"- `{cid}` ({len(lits)}): {shown}")
                 else:
                     lines.append(f"- `{cid}`: none")
-        if self.claimed_region is not None:
+        if claimed is not None:
             lines += ["", "## Claimed equality region", ""]
-            lines.append(f"- r_Q <= 0 <= r_P holds at {len(self.claimed_region)} grid points")
-            if self.claimed_region:
-                lines.append("- " + ", ".join(f"`{lit}`" for lit in self.claimed_region))
+            lines.append(f"- r_Q <= 0 <= r_P holds at {len(claimed)} grid points")
+            if claimed:
+                lines.append("- " + ", ".join(f"`{lit}`" for lit in claimed))
         failures = [r for row in self.results for r in row if not r.passed]
         if failures:
             lines += ["", "## Failures", "", "| bundle | check | witness | residual |", "| --- | --- | --- | --- |"]
@@ -364,35 +398,6 @@ class SweepReport:
                 res = "" if r.residual is None else str(r.residual)
                 lines.append(f"| {r.check_id} | {str(r.passed).lower()} | {w} | {res} |")
         return "\n".join(lines) + "\n"
-
-
-def _summarize(results: tuple[tuple[CheckResult, ...], ...]) -> dict[str, dict[str, int]]:
-    summary: dict[str, dict[str, int]] = {}
-    for row in results:
-        for r in row:
-            counts = summary.setdefault(r.check_id, {"passed": 0, "failed": 0})
-            counts["passed" if r.passed else "failed"] += 1
-    return summary
-
-
-def _equality_sets(grid, results, check_ids) -> dict[str, tuple[str, ...]]:
-    """Per selected Morse-type check, the bundles whose witness is exactly zero."""
-    return {
-        cid: tuple(
-            bundle.literal()
-            for bundle, row in zip(grid, results)
-            for r in row
-            if r.check_id == cid and r.passed and r.witness == CharPoly()
-        )
-        for cid in check_ids
-        if cid in MORSE_CHECKS
-    }
-
-
-def _str_list(value: object, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
 
 
 def _normalize_checks(check_ids) -> tuple[str, ...]:
@@ -430,10 +435,8 @@ def sweep(bundles, check_ids=None, fail_fast: bool = False) -> SweepReport:
         rows.append(tuple(row))
         if stop:
             break
-    results = tuple(rows)
-    return SweepReport(
-        grid[: len(results)], results, _summarize(results), _equality_sets(grid, results, selected)
-    )
+    morse = tuple(cid for cid in selected if cid in MORSE_CHECKS)
+    return SweepReport(grid[: len(rows)], tuple(rows), morse)
 
 
 def grid_bundles(rp_range: tuple[int, int], rq_range: tuple[int, int]) -> list[EquivBundleCP1]:
@@ -452,13 +455,9 @@ def grid_bundles(rp_range: tuple[int, int], rq_range: tuple[int, int]) -> list[E
 def equality_region(rp_range: tuple[int, int], rq_range: tuple[int, int]) -> SweepReport:
     """Map where the Morse-type inequalities are equalities on a grid.
 
-    Runs the ``mcut`` and ``morse`` checks over the rank-one grid and
-    attaches the points with r_Q <= 0 <= r_P as the claimed region, so the
-    report can be compared against the computed equality sets.
+    Runs the ``mcut`` and ``morse`` checks over the rank-one grid; the
+    report's claimed region, the points with r_Q <= 0 <= r_P, can then be
+    compared against the computed equality sets.
     """
-    grid = grid_bundles(rp_range, rq_range)
-    report = sweep(grid, ("mcut", "morse"))
-    claimed = tuple(
-        b.literal() for b in grid if b.summands[0].r_q <= 0 <= b.summands[0].r_p
-    )
-    return replace(report, claimed_region=claimed)
+    report = sweep(grid_bundles(rp_range, rq_range), ("mcut", "morse"))
+    return SweepReport(report.grid, report.results, report.morse_checks, region=True)

@@ -435,6 +435,54 @@ class TestExitCodeContract:
         assert err.getvalue().startswith("error: config"), err.getvalue()
         assert out.getvalue() == ""
 
+    def test_config_path_with_nul_exits_2(self, capsys):
+        # No OS argv can hold a NUL, so this runs in-process, unlike EXIT_2_CASES.
+        assert main(["sweep", "--config", "a\0b"]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err.startswith("error:") and len(got.err.splitlines()) == 1
+
+
+# Outputs that cannot be opened: the command exits 2 before any check runs.
+UNWRITABLE_OUTPUTS = [
+    pytest.param(["sweep", "--config", "@config@"], {"output": {"path": "a\0b"}}, id="config-path-nul"),
+    pytest.param(["sweep", "--config", "@config@", "--out", "@tmp@"], {}, id="sweep-out-is-a-directory"),
+    pytest.param(["verify", "1:-1,2:2", "--out", "@tmp@/no/x.json"], None, id="verify-out-missing-dir"),
+    pytest.param(
+        ["equality-region", "--rp-range", "0..1", "--rq-range", "0..1", "--out", "@tmp@"], None,
+        id="equality-region-out-is-a-directory",
+    ),
+]
+
+
+class TestOutputOpenedFirst:
+    @pytest.mark.parametrize("argv, config", UNWRITABLE_OUTPUTS)
+    def test_no_check_runs(self, tmp_path, capsys, argv, config):
+        calls = []
+
+        def counted(fn):
+            def run(b):
+                calls.append(b)
+                return fn(b)
+
+            return run
+
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps({"bundles": ["1:-1", "2:2"], **config}))
+        cfg = str(tmp_path / "run.json")
+        argv = [a.replace("@config@", cfg).replace("@tmp@", str(tmp_path)) for a in argv]
+        with mock.patch.dict(_REGISTRY, {cid: counted(fn) for cid, fn in _REGISTRY.items()}):
+            status = main(argv)
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert calls == []
+
+    def test_bad_input_leaves_the_output_file_alone(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("kept")
+        assert main(["verify", "1:0", "--checks", "nope", "--out", str(out)]) == 2
+        assert out.read_text() == "kept"
+
 
 # Argv and config fuzzing.  Weights stay within |w| <= 40 and ranges at most
 # two wide, so every run is small; "@out@" and "@config@" stand for files in
@@ -534,6 +582,7 @@ class TestFuzzMain:
     @settings(max_examples=200, deadline=None)
     @example((["sweep", "--config", "@config@"], b"\xff\xfe"), None)
     @example((["sweep", "--config", "@config@"], b"[" * 100000 + b"]" * 100000), None)
+    @example((["sweep", "--config", "a\0b"], None), None)
     @given(cli_runs(), st.none() | st.sampled_from(ALL_CHECKS))
     def test_exit_status_contract(self, run, broken):
         argv, config = run

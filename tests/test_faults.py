@@ -33,24 +33,26 @@ class FaultyTable:
         return CharPoly([self.h0, self.h1])
 
 
+# The oracle's comparisons, in the order of their powers of t in its residual.
+COMPARISONS = ("cech-h0", "cech-h1", "nodal-h0", "nodal-h1", "localization")
+
 # name: (table it edits, then the multiples of u^k added to h0, to h1, and
-# to the index on top of h0 - h1).  "m" is M itself, "plus" and "minus" the
-# sides, "cut" the cut space.
+# to the index on top of h0 - h1, then the oracle comparisons it moves).
+# "m" is M itself, "plus" and "minus" the sides, "cut" the cut space.
 # Of the oracle's five comparisons, each of the first five faults is seen by
-# one alone (the one named in its comment), so deleting any comparison
-# fails a case.
+# one alone, so deleting any comparison fails a case.
 FAULTS = {
-    "index-alone": ("m", 0, 0, 1),  # localization
-    "cut-h1-alone": ("cut", 0, 1, 0),  # nodal h1
-    # nodal h0; the semicontinuity slack stays nonnegative, the index moves.
-    "cut-h0-alone": ("cut", 1, 0, 0),
-    "m-h0-index-kept": ("m", 1, 0, -1),  # Cech h0
-    "m-h1-index-kept": ("m", 0, 1, 1),  # Cech h1
+    "index-alone": ("m", 0, 0, 1, {"localization"}),
+    "cut-h1-alone": ("cut", 0, 1, 0, {"nodal-h1"}),
+    # The semicontinuity slack stays nonnegative, the index moves.
+    "cut-h0-alone": ("cut", 1, 0, 0, {"nodal-h0"}),
+    "m-h0-index-kept": ("m", 1, 0, -1, {"cech-h0"}),
+    "m-h1-index-kept": ("m", 0, 1, 1, {"cech-h1"}),
     # The index is kept, so gluing and localization cannot see it.
-    "m-h0-and-h1": ("m", 1, 1, 0),
+    "m-h0-and-h1": ("m", 1, 1, 0, {"cech-h0", "cech-h1"}),
     # The oracle recomputes M and the cut space, never the sides.
-    "plus-h0": ("plus", 1, 0, 0),
-    "minus-h1-short": ("minus", 0, -1, 0),
+    "plus-h0": ("plus", 1, 0, 0, set()),
+    "minus-h1-short": ("minus", 0, -1, 0, set()),
 }
 
 RANK_ONE, RANK_THREE = "3:-2", "1:-1,2:2,-3:5"
@@ -86,7 +88,7 @@ def fresh_tables():
 
 
 def inject(monkeypatch, name: str, b: EquivBundleCP1, k: int) -> None:
-    target, c0, c1, skew = FAULTS[name]
+    target, c0, c1, skew, _ = FAULTS[name]
     uk = Character.monomial(k)
 
     def edit(table):
@@ -121,9 +123,10 @@ class TestFaultTable:
         inject(monkeypatch, name, b, k)
         got = results(b)
         assert {cid for cid, r in got.items() if not r.passed} == failing
-        if "oracle" in failing:
-            # Every fault puts +u^k into the first comparison that disagrees.
-            assert got["oracle"].residual == CharPoly([Character.monomial(k)])
+        # Every fault puts +u^k into each comparison it moves, and 0 elsewhere.
+        moves = FAULTS[name][-1]
+        want = CharPoly([Character.monomial(k) if c in moves else 0 for c in COMPARISONS])
+        assert got["oracle"].residual == (want or None)
 
     def test_cut_h0_fails_semicontinuity_by_its_index_alone(self, monkeypatch):
         b = EquivBundleCP1.parse(RANK_ONE)

@@ -98,6 +98,13 @@ class TestCohomology:
         with pytest.raises(ValueError):
             CohomologyTable.from_json_obj({"h0": {}, "h1": {}, "n": 0})
 
+    def test_table_top_degree_is_one(self):
+        # On a curve the top degree is always 1; any other n cannot be a table here.
+        assert CohomologyTable.from_json_obj({"h0": {}, "h1": {}, "n": 1}).n == 1
+        for n in (2, True, 1.0):
+            with pytest.raises(ValueError):
+                CohomologyTable.from_json_obj({"h0": {}, "h1": {}, "n": n})
+
 
 class TestCut:
     def test_splits_summands(self):

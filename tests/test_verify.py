@@ -328,6 +328,82 @@ class TestSweepReportSerialization:
         assert "1 - u" in text
 
 
+def _report_obj(lit):
+    return json.loads(json.dumps(sweep([bundle(lit)], ("gluing", "mcut")).to_json_obj()))
+
+
+def _edited(obj, path, value):
+    """``obj`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+# Report JSON that each once loaded without error and was then written back
+# differently, or kept as nonsense: (bundle, path to an entry, its new value).
+REPORT_HOLES = [
+    pytest.param("1:0", ("grid", 0), "01:0", id="grid-bundle-01:0"),
+    pytest.param("2:0", ("results", 0, 0, "bundle"), "2:-0", id="result-bundle-2:-0"),
+    pytest.param("1:0", ("summary", "gluing"), {"passed": True, "failed": False}, id="summary-booleans"),
+    pytest.param("1:0", ("summary", "gluing", "passed"), 1.0, id="summary-float-count"),
+    pytest.param("1:0", ("claimed_region",), ["garbage"], id="claimed-region-garbage"),
+    pytest.param("1:0", ("claimed_region",), None, id="claimed-region-null"),
+]
+
+RESULT_HOLES = [
+    pytest.param(("bundle",), "02:2", id="bundle-02:2"),
+    pytest.param(("witness",), [{"1": 1, "5": 0}, {}], id="witness-with-zeros"),
+]
+
+
+class TestReportLoadsOnlyWhatItWrites:
+    @pytest.mark.parametrize("lit, path, value", REPORT_HOLES)
+    def test_report_hole_rejected(self, lit, path, value):
+        with pytest.raises(ValueError):
+            SweepReport.from_json_obj(_edited(_report_obj(lit), path, value))
+
+    @pytest.mark.parametrize("path, value", RESULT_HOLES)
+    def test_result_hole_rejected(self, path, value):
+        obj = json.loads(json.dumps(run_check("mcut", bundle("2:2")).to_json_obj()))
+        with pytest.raises(ValueError):
+            CheckResult.from_json_obj(_edited(obj, path, value))
+
+    def test_equality_set_key_order_is_free(self):
+        report = sweep([bundle("0:0")], ("mcut", "morse"))
+        obj = report.to_json_obj()
+        obj["equality_sets"] = dict(reversed(obj["equality_sets"].items()))
+        assert SweepReport.from_json_obj(obj) == report
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=2),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(ALL_CHECKS), unique=True, max_size=len(ALL_CHECKS)),
+        st.booleans(),
+        st.none() | st.sampled_from(ALL_CHECKS),
+        st.booleans(),
+    )
+    def test_round_trip(self, weights, checks, fail_fast, broken, region):
+        grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
+
+        def fails(b):  # the drawn check, if any, fails on every bundle
+            return CheckResult(broken, b, False, residual=CharPoly([1]))
+
+        with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
+            report = sweep(grid, checks, fail_fast=fail_fast)
+        report = SweepReport(report.grid, report.results, report.morse_checks, region)
+        text = json.dumps(report.to_json_obj(), indent=2)
+        back = SweepReport.from_json_obj(json.loads(text))
+        assert back == report
+        assert json.dumps(back.to_json_obj(), indent=2) == text
+
+
 class TestEqualityRegion:
     def test_claimed_region(self):
         report = equality_region((-2, 2), (-2, 2))
