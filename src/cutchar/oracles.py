@@ -5,12 +5,19 @@ Three routes that share no code with the closed forms in :mod:`.geometry`:
 * a two-chart Cech complex per line summand, split by weight: each weight
   block is built when the loop reaches it and row-reduced once, by
   fraction-free integer elimination, which keeps the rank over the
-  rationals; no block is stored;
+  rationals; no block is stored, and only the weights where a dimension
+  changes are kept, as the jumps each character is built from once;
 * the same blocks on the two cut pieces glued at the node: each side's Cech
-  dimensions over its own window, plus one node term per summand pair from
-  the rank of the matching condition at the node fiber; and
+  table over its own window, plus one node term per summand pair from the
+  rank of the matching condition at the node fiber; the result carries the
+  side tables too; and
 * the fixed-point localization formula, evaluated as a single exact
-  division in the Laurent ring over the common denominator.
+  division in the Laurent ring over the common denominator, the quotient
+  kept as its jumps.
+
+So the Cech routes hold one block and O(rank) jumps at a time, whatever
+the weights; the localization route still holds the dense remainder of
+its division, as long as the window.
 
 Conventions for the line (r_P, r_Q): chart 0 is centered at the fixed point
 Q with coordinate z, and the monomial z^j there carries weight r_Q + j;
@@ -27,6 +34,7 @@ has a single row with entries +1 (chart 0) and -1 (chart 1).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .characters import Character
@@ -56,16 +64,19 @@ def _rref(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
     """
     pivots: list[int] = []
     r = 0
+    nrows = len(rows)
     for c in range(ncols):
-        if r == len(rows):
+        if r == nrows:
             break  # every row has its pivot
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
         p = prow[c]
-        for i in range(len(rows)):
+        for i in range(nrows):
             f = rows[i][c]
             if i != r and f:
                 rows[i] = _primitive([p * a - f * b for a, b in zip(rows[i], prow)])
@@ -100,15 +111,21 @@ def _kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, 
 
 def _block(line: LineWeights, m: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The weight-m block: its C^0 columns as (chart, exponent), and the differential row."""
+    r_p, r_q = line.r_p, line.r_q
     cols: list[tuple[int, int]] = []
-    if m >= line.r_q:
-        cols.append((0, m - line.r_q))
-    if m <= line.r_p:
-        cols.append((1, line.r_p - m))
-    for chart, exp in cols:
-        img_exp = exp if chart == 0 else line.r_p - line.r_q - exp
-        assert img_exp + line.r_q == m, "column lands in the wrong weight"
-    return cols, [1 if chart == 0 else -1 for chart, _ in cols]
+    row: list[int] = []
+    if m >= r_q:
+        exp = m - r_q
+        assert exp + r_q == m, "column lands in the wrong weight"
+        cols.append((0, exp))
+        row.append(1)
+    if m <= r_p:
+        exp = r_p - m
+        img_exp = r_p - r_q - exp  # w^exp on the overlap, in chart-0 terms
+        assert img_exp + r_q == m, "column lands in the wrong weight"
+        cols.append((1, exp))
+        row.append(-1)
+    return cols, row
 
 
 def _cech_dims(line: LineWeights) -> Iterator[tuple[int, int, int]]:
@@ -121,25 +138,48 @@ def _cech_dims(line: LineWeights) -> Iterator[tuple[int, int, int]]:
     """
     for m in range(min(line.r_p, line.r_q) - 1, max(line.r_p, line.r_q) + 2):
         cols, row = _block(line, m)
-        rank, _ = _rref([row], len(cols))
-        yield m, len(cols) - rank, 1 - rank
+        ncols = len(cols)
+        rank, _ = _rref([row], ncols)
+        yield m, ncols - rank, 1 - rank
 
 
-def _nonzero_dims(lines: Iterable[LineWeights]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The nonzero ``(weight, dimension)`` pairs of H^0 and of H^1 over the lines.
+def _dim_jumps(lines: Iterable[LineWeights]) -> tuple[dict[int, int], dict[int, int]]:
+    """The jumps of dim H^0_m and of dim H^1_m over the lines, summed.
 
-    Collecting pairs lets the caller build each character once: summing
-    characters term by term would copy the whole sum per weight.
+    A jump is recorded only where a line's dimension differs from the one at
+    the weight before, and each line's runs close one past its window, where
+    the dimensions are zero again.  So the result holds O(rank) entries
+    however wide the windows are, and the caller builds each character once.
     """
-    h0: list[tuple[int, int]] = []
-    h1: list[tuple[int, int]] = []
+    h0: dict[int, int] = {}
+    h1: dict[int, int] = {}
     for line in lines:
+        prev0 = prev1 = 0
         for m, n0, n1 in _cech_dims(line):
-            if n0:
-                h0.append((m, n0))
-            if n1:
-                h1.append((m, n1))
+            if n0 != prev0:
+                h0[m] = h0.get(m, 0) + n0 - prev0
+                prev0 = n0
+            if n1 != prev1:
+                h1[m] = h1.get(m, 0) + n1 - prev1
+                prev1 = n1
+        end = m + 1  # one past the window's last weight
+        if prev0:
+            h0[end] = h0.get(end, 0) - prev0
+        if prev1:
+            h1[end] = h1.get(end, 0) - prev1
     return h0, h1
+
+
+def _character(jumps: dict[int, int]) -> Character:
+    """The character of the jumps, which must sum to zero (every run closed)."""
+    assert sum(jumps.values()) == 0, "the dimension runs do not close"
+    return Character._from_jumps(jumps)
+
+
+def _table(jumps: tuple[dict[int, int], dict[int, int]]) -> CohomologyTable:
+    """The table whose h0 and h1 have the given jumps, each character built once."""
+    h0, h1 = jumps
+    return CohomologyTable(_character(h0), _character(h1))
 
 
 def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
@@ -151,8 +191,23 @@ def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
     >>> cech_cohomology_p1(LineWeights(-3, 0)).h1
     Character({-2: 1, -1: 1})
     """
-    h0, h1 = _nonzero_dims([summand])
-    return CohomologyTable(Character(h0), Character(h1))
+    return _table(_dim_jumps([summand]))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _GluedTable(CohomologyTable):
+    """The nodal table, carrying the Cech tables of the two sides it was glued from.
+
+    It compares and hashes as the plain table of its h0 and h1.
+    """
+
+    plus: CohomologyTable
+    minus: CohomologyTable
+
+    def __eq__(self, other: object) -> bool:
+        return CohomologyTable(self.h0, self.h1) == other
+
+    __hash__ = CohomologyTable.__hash__
 
 
 def _node_values(line: LineWeights, node_chart: int) -> list[int]:
@@ -175,21 +230,30 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
     gives each side's Cech dimensions over its own window plus one node term
     per summand pair: -rank in H^0 and 1 - rank in H^1 at weight 0, where
     rank is that of the joint evaluation map.  Off weight 0 the fiber and
-    the evaluation map are zero.
+    the evaluation map are zero.  The returned table also carries the two
+    sides' own Cech tables, as ``plus`` and ``minus``.
 
     >>> from .geometry import cut, EquivBundleCP1
     >>> t = cech_cohomology_nodal(cut(EquivBundleCP1.parse("2:2")))
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
+    >>> (t.plus.h0, t.minus.h1)
+    (Character({0: 1, 1: 1, 2: 1}), Character({1: 1}))
     """
-    # The constructor sums repeated weights, node terms included.
-    h0, h1 = _nonzero_dims([*cutd.plus.summands, *cutd.minus.summands])
+    plus = _table(_dim_jumps(cutd.plus.summands))
+    minus = _table(_dim_jumps(cutd.minus.summands))
+    node_h0 = node_h1 = 0
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
         evals = _node_values(ps, 0) + [-x for x in _node_values(ms, 1)]
         rank, _ = _rref([evals], len(evals))
-        h0.append((0, -rank))
-        h1.append((0, 1 - rank))
-    return CohomologyTable(Character(h0), Character(h1))
+        node_h0 -= rank
+        node_h1 += 1 - rank
+    return _GluedTable(
+        plus.h0 + minus.h0 + Character.monomial(0, node_h0),
+        plus.h1 + minus.h1 + Character.monomial(0, node_h1),
+        plus,
+        minus,
+    )
 
 
 class NonPolynomialResult(ValueError):
@@ -217,21 +281,32 @@ def _laurent_div(num: Character, den: Character) -> Character:
     if len(n) < len(d):
         raise NonPolynomialResult(f"({num}) / ({den}) has a remainder")
     # Long division over Z, from the top degree down.  The quotient is
-    # integral only if the leading coefficient divides every step.
+    # integral only if the leading coefficient divides every step.  It is
+    # kept as its jumps: q_i - q_(i-1) goes to weight vn - vd + i wherever
+    # it is nonzero, so a quotient made of long runs stays small.
     lead = d[-1]
-    q = [0] * (len(n) - len(d) + 1)
+    jumps: dict[int, int] = {}
+    above = 0  # the quotient coefficient one degree up
     rem = n
-    for i in range(len(q) - 1, -1, -1):
+    for i in range(len(n) - len(d), -1, -1):
         c, r = divmod(rem[i + len(d) - 1], lead)
         if r:
             raise NonPolynomialResult(f"({num}) / ({den}) has a non-integer quotient coefficient")
-        q[i] = c
+        if c != above:
+            jumps[vn - vd + i + 1] = above - c
+            above = c
         if c:
             for j, dj in enumerate(d):
                 rem[i + j] -= c * dj
     if any(rem):
         raise NonPolynomialResult(f"({num}) / ({den}) has a remainder")
-    return Character({vn - vd + i: c for i, c in enumerate(q)})
+    if above:
+        jumps[vn - vd] = above
+    return Character._from_jumps(jumps)
+
+
+#: The common denominator (1 - u^-1)(1 - u) = -u^-1 + 2 - u.
+_DENOMINATOR = Character({-1: -1, 0: 2, 1: -1})
 
 
 def localization_index(summand: LineWeights) -> Character:
@@ -248,7 +323,7 @@ def localization_index(summand: LineWeights) -> Character:
     >>> localization_index(LineWeights(-1, 0))
     Character({})
     """
-    u = Character.monomial(1)
-    u_inv = Character.monomial(-1)
-    num = Character.monomial(summand.r_p) * (1 - u) + Character.monomial(summand.r_q) * (1 - u_inv)
-    return _laurent_div(num, (1 - u_inv) * (1 - u))
+    r_p, r_q = summand.r_p, summand.r_q
+    # u^(r_P)(1 - u) + u^(r_Q)(1 - u^-1), as its four terms.
+    num = Character(((r_p, 1), (r_p + 1, -1), (r_q, 1), (r_q - 1, -1)))
+    return _laurent_div(num, _DENOMINATOR)

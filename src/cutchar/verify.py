@@ -17,8 +17,8 @@ Check ids:
 * ``simple``          h^0(plus) + h^0(minus) >= h^0(M) and
                       h^1(plus) + h^1(minus) + rank * u^0 >= h^1(M)
 * ``semicontinuity``  h^p(cut) >= h^p(M) for p = 0, 1, with equal index
-* ``oracle``          closed forms agree with the Cech, nodal Cech and
-                      localization recomputations
+* ``oracle``          closed forms of M, the cut space and both sides agree
+                      with the Cech, nodal Cech and localization recomputations
 """
 
 from __future__ import annotations
@@ -88,21 +88,27 @@ class CheckResult:
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "CheckResult":
+        """Load a result, accepting only what :meth:`to_json_obj` writes back exactly."""
+        result = cls._parse(obj)
+        _require_round_trip(result.to_json_obj(), obj, "check result")
+        return result
+
+    @classmethod
+    def _parse(cls, obj: object) -> "CheckResult":
+        """The result ``obj`` describes, without the round-trip comparison."""
         if not isinstance(obj, dict) or set(obj) != {"check_id", "bundle", "passed", "witness", "residual"}:
             raise ValueError(f"malformed check result: {obj!r}")
         if not isinstance(obj["check_id"], str) or obj["check_id"] not in _REGISTRY:
             raise ValueError(f"unknown check id {obj['check_id']!r}")
         if not isinstance(obj["bundle"], str):
             raise ValueError(f"bundle must be a string, got {obj['bundle']!r}")
-        result = cls(
+        return cls(
             obj["check_id"],
             EquivBundleCP1.parse(obj["bundle"]),
-            bool(obj["passed"]),  # a non-boolean fails the round trip below
+            bool(obj["passed"]),  # a non-boolean fails the caller's round trip
             None if obj["witness"] is None else CharPoly.from_json_obj(obj["witness"]),
             None if obj["residual"] is None else CharPoly.from_json_obj(obj["residual"]),
         )
-        _require_round_trip(result.to_json_obj(), obj, "check result")
-        return result
 
 
 def _require_round_trip(written: dict, given: dict, what: str) -> None:
@@ -116,6 +122,29 @@ def _require_round_trip(written: dict, given: dict, what: str) -> None:
         keys = written.keys() | given.keys()
         differ = [k for k in keys if k not in written or k not in given or text(written[k]) != text(given[k])]
         raise ValueError(f"{what} would not be written back as given: {', '.join(sorted(differ))} differ")
+
+
+def _require_sweep_rows(results: tuple[tuple[CheckResult, ...], ...]) -> None:
+    """Raise ValueError unless the rows hold check ids as :func:`sweep` writes them.
+
+    Each row lists its ids in registry order, each at most once, and every
+    row lists the same ids.  Only a ``fail_fast`` sweep writes a shorter
+    row: its last, a prefix of the others that ends in the report's one
+    failed result.
+    """
+    if not results:
+        raise ValueError("a sweep report needs at least one bundle")
+    ids = [tuple(r.check_id for r in row) for row in results]
+    for row_ids in ids:
+        if list(row_ids) != sorted(set(row_ids), key=ALL_CHECKS.index):
+            raise ValueError(f"result row {list(row_ids)} is not in registry order with each check once")
+    *full, last = ids
+    if any(row_ids != ids[0] for row_ids in full):
+        raise ValueError("result rows hold different checks")
+    if last != ids[0]:
+        failures = sum(not r.passed for row in results for r in row)
+        if not (last == ids[0][: len(last)] and last and not results[-1][-1].passed and failures == 1):
+            raise ValueError(f"last result row {list(last)} is not a fail-fast prefix of {list(ids[0])}")
 
 
 def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: CharPoly) -> CheckResult:
@@ -207,8 +236,10 @@ def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
     The residual names every comparison by its power of t: closed form minus
     oracle is the t^0 coefficient for ``cech-h0`` (h0 of M), t^1 for
     ``cech-h1``, t^2 for ``nodal-h0`` (h0 of the cut space), t^3 for
-    ``nodal-h1`` and t^4 for ``localization`` (the index of M).  The check
-    passes iff the residual is zero.
+    ``nodal-h1``, t^4 for ``localization`` (the index of M), and t^5 to t^8
+    for ``plus-h0``, ``plus-h1``, ``minus-h0`` and ``minus-h1``, the sides
+    against the Cech tables that the nodal route glued.  The check passes
+    iff the residual is zero.
     """
     t = _tables(bundle)
     cech_h0 = ZERO
@@ -226,6 +257,10 @@ def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
         t.cut_space.h0 - nodal.h0,
         t.cut_space.h1 - nodal.h1,
         t.m.index() - loc_index,
+        t.plus.h0 - nodal.plus.h0,
+        t.plus.h1 - nodal.plus.h1,
+        t.minus.h0 - nodal.minus.h0,
+        t.minus.h1 - nodal.minus.h1,
     ])
     return CheckResult("oracle", bundle, not residual, residual=residual or None)
 
@@ -328,13 +363,16 @@ class SweepReport:
         rows = obj["results"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(f"results must be a list of lists, got {rows!r}")
-        results = tuple(tuple(CheckResult.from_json_obj(r) for r in row) for row in rows)
+        # The whole-report comparison below covers every result, so each is
+        # parsed without a round trip of its own.
+        results = tuple(tuple(CheckResult._parse(r) for r in row) for row in rows)
         if len(grid) != len(results):
             raise ValueError("grid and results have different lengths")
         for b, row in zip(grid, results):
             for r in row:
                 if r.bundle != b:
                     raise ValueError(f"result bundle {r.bundle.literal()} under grid entry {b.literal()}")
+        _require_sweep_rows(results)
         # A selected Morse check may have a set but no result, if fail_fast cut it.
         ran = {r.check_id for row in results for r in row}
         morse = tuple(cid for cid in MORSE_CHECKS if cid in ran or cid in supplied)

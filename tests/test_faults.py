@@ -34,25 +34,36 @@ class FaultyTable:
 
 
 # The oracle's comparisons, in the order of their powers of t in its residual.
-COMPARISONS = ("cech-h0", "cech-h1", "nodal-h0", "nodal-h1", "localization")
+COMPARISONS = (
+    "cech-h0",
+    "cech-h1",
+    "nodal-h0",
+    "nodal-h1",
+    "localization",
+    "plus-h0",
+    "plus-h1",
+    "minus-h0",
+    "minus-h1",
+)
 
 # name: (table it edits, then the multiples of u^k added to h0, to h1, and
-# to the index on top of h0 - h1, then the oracle comparisons it moves).
-# "m" is M itself, "plus" and "minus" the sides, "cut" the cut space.
-# Of the oracle's five comparisons, each of the first five faults is seen by
-# one alone, so deleting any comparison fails a case.
+# to the index on top of h0 - h1, then the oracle comparisons it moves, each
+# with the multiple of u^k it puts there).  "m" is M itself, "plus" and
+# "minus" the sides, "cut" the cut space.  Of the oracle's nine comparisons,
+# each is the only one that some fault moves, so deleting any fails a case.
 FAULTS = {
-    "index-alone": ("m", 0, 0, 1, {"localization"}),
-    "cut-h1-alone": ("cut", 0, 1, 0, {"nodal-h1"}),
+    "index-alone": ("m", 0, 0, 1, {"localization": 1}),
+    "cut-h1-alone": ("cut", 0, 1, 0, {"nodal-h1": 1}),
     # The semicontinuity slack stays nonnegative, the index moves.
-    "cut-h0-alone": ("cut", 1, 0, 0, {"nodal-h0"}),
-    "m-h0-index-kept": ("m", 1, 0, -1, {"cech-h0"}),
-    "m-h1-index-kept": ("m", 0, 1, 1, {"cech-h1"}),
+    "cut-h0-alone": ("cut", 1, 0, 0, {"nodal-h0": 1}),
+    "m-h0-index-kept": ("m", 1, 0, -1, {"cech-h0": 1}),
+    "m-h1-index-kept": ("m", 0, 1, 1, {"cech-h1": 1}),
     # The index is kept, so gluing and localization cannot see it.
-    "m-h0-and-h1": ("m", 1, 1, 0, {"cech-h0", "cech-h1"}),
-    # The oracle recomputes M and the cut space, never the sides.
-    "plus-h0": ("plus", 1, 0, 0, set()),
-    "minus-h1-short": ("minus", 0, -1, 0, set()),
+    "m-h0-and-h1": ("m", 1, 1, 0, {"cech-h0": 1, "cech-h1": 1}),
+    "plus-h0": ("plus", 1, 0, 0, {"plus-h0": 1}),
+    "plus-h1": ("plus", 0, 1, 0, {"plus-h1": 1}),
+    "minus-h0": ("minus", 1, 0, 0, {"minus-h0": 1}),
+    "minus-h1-short": ("minus", 0, -1, 0, {"minus-h1": -1}),
 }
 
 RANK_ONE, RANK_THREE = "3:-2", "1:-1,2:2,-3:5"
@@ -73,10 +84,12 @@ CASES = [
     ("m-h0-index-kept", RANK_THREE, 1, {"mcut", "morse", "oracle"}),
     ("m-h1-index-kept", RANK_ONE, FAR, {"mcut", "morse", "simple", "semicontinuity", "oracle"}),
     ("m-h1-index-kept", RANK_THREE, 1, {"mcut", "morse", "oracle"}),
-    ("plus-h0", RANK_ONE, FAR, {"gluing", "morse", "mv"}),
-    ("plus-h0", RANK_THREE, FAR, {"gluing", "morse", "mv"}),
-    ("minus-h1-short", RANK_ONE, FAR, {"gluing", "morse", "mv", "simple"}),
-    ("minus-h1-short", RANK_THREE, 0, {"gluing", "morse", "mv"}),
+    ("plus-h0", RANK_ONE, FAR, {"gluing", "morse", "mv", "oracle"}),
+    ("plus-h0", RANK_THREE, FAR, {"gluing", "morse", "mv", "oracle"}),
+    ("plus-h1", RANK_ONE, FAR, {"gluing", "morse", "mv", "oracle"}),
+    ("minus-h0", RANK_THREE, 0, {"gluing", "morse", "mv", "oracle"}),
+    ("minus-h1-short", RANK_ONE, FAR, {"gluing", "morse", "mv", "simple", "oracle"}),
+    ("minus-h1-short", RANK_THREE, 0, {"gluing", "morse", "mv", "oracle"}),
 ]
 
 
@@ -123,9 +136,9 @@ class TestFaultTable:
         inject(monkeypatch, name, b, k)
         got = results(b)
         assert {cid for cid, r in got.items() if not r.passed} == failing
-        # Every fault puts +u^k into each comparison it moves, and 0 elsewhere.
+        # Every fault puts its multiple of u^k into each comparison it moves, and 0 elsewhere.
         moves = FAULTS[name][-1]
-        want = CharPoly([Character.monomial(k) if c in moves else 0 for c in COMPARISONS])
+        want = CharPoly([Character.monomial(k, moves.get(c, 0)) for c in COMPARISONS])
         assert got["oracle"].residual == (want or None)
 
     def test_cut_h0_fails_semicontinuity_by_its_index_alone(self, monkeypatch):

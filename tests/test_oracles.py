@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from cutchar import (
 )
 import cutchar.oracles
 from cutchar.oracles import _block, _cech_dims, _kernel_basis, _laurent_div, _rref
+from cutchar.verify import cross_validate
 
 u = Character.monomial(1)
 
@@ -91,6 +93,13 @@ class TestCechNodal:
         assert t.h0 == Character.span(0, 2)
         assert t.h1 == Character()
 
+    def test_result_compares_as_a_table_and_carries_the_sides(self):
+        d = cut(EquivBundleCP1.parse("2:-3"))
+        got, want = cech_cohomology_nodal(d), mcut_cohomology(d)
+        assert got == want and want == got and hash(got) == hash(want)
+        assert got.plus == cech_cohomology_p1(d.plus.summands[0])
+        assert got.minus == cech_cohomology_p1(d.minus.summands[0])
+
     def test_rejects_malformed(self):
         with pytest.raises(MalformedCut):
             CutDecomposition(EquivBundleCP1.parse("1:1"), EquivBundleCP1.parse("0:1"))
@@ -158,6 +167,16 @@ class TestEveryBlockReduced:
         assert _rref_calls(monkeypatch, cech_cohomology_nodal, d) >= windows
 
 
+class TestCrossValidateReducesEachBlockOnce:
+    def test_rref_calls_on_rank_three(self, monkeypatch):
+        # The Cech windows of M (5 + 3 + 11 blocks), of the plus side
+        # (4 + 5 + 6) and of the minus side (4 + 5 + 8), and three
+        # reductions per node term: 19 + 15 + 17 + 9.  Comparing the sides
+        # too reads the tables the nodal route already built.
+        b = EquivBundleCP1.parse("1:-1,2:2,-3:5")
+        assert _rref_calls(monkeypatch, cross_validate, b) == 60
+
+
 class TestLocalization:
     def test_frozen_values(self):
         assert localization_index(LineWeights(2, 0)) == Character.span(0, 2)
@@ -191,16 +210,25 @@ class TestLocalization:
 
 
 def _terms_built(monkeypatch, route, arg) -> int:
-    """Total terms of all characters constructed while ``route(arg)`` runs."""
-    init = Character.__init__
+    """Total terms of all characters constructed while ``route(arg)`` runs.
+
+    Every instance comes from ``__init__`` or ``_from_jumps``, so both are counted.
+    """
+    init, from_jumps = Character.__init__, Character._from_jumps.__func__
     built = [0]
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built[0] += len(self.coeffs)
 
+    def counted_from_jumps(cls, jumps):
+        new = from_jumps(cls, jumps)
+        built[0] += len(new.coeffs)
+        return new
+
     with monkeypatch.context() as m:
         m.setattr(Character, "__init__", counted)
+        m.setattr(Character, "_from_jumps", classmethod(counted_from_jumps))
         route(arg)
     return built[0]
 
@@ -221,6 +249,26 @@ class TestOracleCost:
         small = _terms_built(monkeypatch, route, make(n))
         large = _terms_built(monkeypatch, route, make(2 * n))
         assert large <= 2.5 * small, (small, large)
+
+    @pytest.mark.parametrize(
+        "route, arg",
+        [
+            (cech_cohomology_p1, LineWeights(10**5, -(10**5))),
+            (cech_cohomology_nodal, cut(EquivBundleCP1((LineWeights(10**5, -(10**5)),)))),
+        ],
+        ids=["cech", "nodal"],
+    )
+    def test_memory_bounded_in_weight_window(self, route, arg):
+        # Jumps are kept only where a dimension changes, so a window of
+        # 2 * 10^5 weights peaks at a few blocks' worth, where a list of
+        # (weight, dimension) pairs and its dense character took 39 MiB.
+        tracemalloc.start()
+        try:
+            route(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_cross_validate_large_rank_two(self):
         r = run_check("oracle", EquivBundleCP1.parse("1500:-1500,-1000:1000"))

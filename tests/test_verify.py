@@ -359,7 +359,51 @@ RESULT_HOLES = [
 ]
 
 
+def _rows_obj(rows):
+    """JSON of a report over 0:0, 1:0, ... whose rows run the given check ids.
+
+    A check id ending in ``!`` is made to fail.  Every such report writes
+    back unchanged, so only a check on the rows themselves can refuse it.
+    """
+    grid = tuple(bundle(f"{i}:0") for i in range(len(rows)))
+    results = tuple(
+        tuple(
+            CheckResult(cid.rstrip("!"), b, False, residual=CharPoly([1]))
+            if cid.endswith("!")
+            else run_check(cid, b)
+            for cid in row
+        )
+        for b, row in zip(grid, rows)
+    )
+    morse = tuple(cid for cid in MORSE_CHECKS if any(r.check_id == cid for row in results for r in row))
+    return json.loads(json.dumps(SweepReport(grid, results, morse).to_json_obj()))
+
+
+# Rows that no sweep writes, each of which once loaded without error.
+ROW_HOLES = [
+    pytest.param([["mcut", "gluing"]], id="out-of-registry-order"),
+    # Its equality set lists 0:0 twice.
+    pytest.param([["gluing", "mcut", "mcut"]], id="check-listed-twice"),
+    pytest.param([["gluing", "mcut"], []], id="empty-row-after-a-full-one"),
+    pytest.param([["gluing"], ["mcut"]], id="rows-with-different-checks"),
+    pytest.param([["gluing", "mcut"], ["gluing"]], id="short-last-row-without-failure"),
+    pytest.param([["gluing!"], ["gluing", "mcut"]], id="short-row-before-the-last"),
+    pytest.param([["gluing!", "mcut"], ["gluing!"]], id="short-last-row-after-a-failure"),
+    pytest.param([], id="no-rows"),
+]
+
+
 class TestReportLoadsOnlyWhatItWrites:
+    @pytest.mark.parametrize("rows", ROW_HOLES)
+    def test_row_hole_rejected(self, rows):
+        obj = _rows_obj(rows)
+        with pytest.raises(ValueError):
+            SweepReport.from_json_obj(obj)
+
+    def test_fail_fast_prefix_rows_load(self):
+        obj = _rows_obj([["gluing", "mcut"], ["gluing", "mcut"], ["gluing!"]])
+        assert SweepReport.from_json_obj(obj).to_json_obj() == obj
+
     @pytest.mark.parametrize("lit, path, value", REPORT_HOLES)
     def test_report_hole_rejected(self, lit, path, value):
         with pytest.raises(ValueError):
