@@ -193,7 +193,12 @@ def _emit_json(obj: dict, args, dest) -> None:
 
 def _emit_report(report: SweepReport, fmt: str, args, dest) -> None:
     if fmt == "json":
-        _emit_json(report.to_json_obj(), args, dest)
+        text = report.to_json_text()
+        if args.timestamps:
+            # The text ends in the report object's closing "\n}"; the stamp
+            # goes in as its last member, where _emit_json would put it.
+            text = f'{text[:-2]},\n  "generated_at": {json.dumps(_timestamp())}\n}}'
+        dest.write(text + "\n")
     elif fmt == "csv":
         dest.write(report.to_csv())
     else:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cutchar import CharPoly, CheckResult, EquivBundleCP1, SweepReport
 from cutchar.cli import main
-from cutchar.verify import ALL_CHECKS, _REGISTRY
+from cutchar.verify import ALL_CHECKS, _REGISTRY, grid_bundles, sweep
 
 
 def run_cli(*args, **kwargs):
@@ -174,6 +174,34 @@ class TestSweep:
         assert "generated_at" in obj
         plain = json.loads(run_cli("sweep", "--rp-range", "0..0", "--rq-range", "0..0").stdout)
         assert "generated_at" not in plain
+        # The stamp is the report's last member: without its line and the
+        # comma before it, the text is the unstamped run's, byte for byte.
+        for argv in (("sweep", "--rp-range", "0..0", "--rq-range", "0..0"), ("verify", "1:-1,2:2")):
+            stamped = run_cli(*argv, "--timestamps").stdout
+            assert list(json.loads(stamped))[-1] == "generated_at"
+            lines = stamped.split("\n")
+            (at,) = [i for i, line in enumerate(lines) if line.startswith('  "generated_at": ')]
+            assert lines[at - 1].endswith(",")
+            lines[at - 1] = lines[at - 1][:-1]
+            del lines[at]
+            assert "\n".join(lines) == run_cli(*argv).stdout
+
+    def test_json_report_needs_no_object_model(self):
+        # The CLI writes a report's JSON text directly; to_json_obj is only
+        # for library callers, so nothing may fall back to it.
+        argv = ["sweep", "--rp-range", "-2..2", "--rq-range", "-2..2"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        want = json.dumps(sweep(grid_bundles((-2, 2), (-2, 2))).to_json_obj(), indent=2) + "\n"
+        assert out.getvalue() == want
+
+        def refuse(self):
+            raise AssertionError("to_json_obj called")
+
+        with mock.patch.object(SweepReport, "to_json_obj", refuse):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+        assert out.getvalue() == want
 
 
 class TestSweepConfig:

@@ -9,12 +9,13 @@ u^k in h0, in h1, or in the index alone; nothing is added to ``src/``.
 Each case pins the set of failing checks on a named bundle.
 """
 
+import json
 from dataclasses import dataclass
 
 import pytest
 
 import cutchar.verify
-from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, cut, run_check
+from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, cut, run_check, sweep
 from cutchar.verify import _tables
 
 
@@ -152,3 +153,16 @@ class TestFaultTable:
     def test_every_check_fails_on_some_fault(self):
         assert set().union(*(failing for *_, failing in CASES)) == set(ALL_CHECKS)
         assert {name for name, *_ in CASES} == set(FAULTS)
+
+    @pytest.mark.parametrize(
+        "name, lit, k, failing", CASES, ids=[f"{n}-{lit}-u^{k}" for n, lit, k, _ in CASES]
+    )
+    def test_failing_report_json_text(self, monkeypatch, name, lit, k, failing):
+        # Residuals here hold zero coefficients below their top one, and
+        # negative multiplicities: the report writer must lay those out as
+        # json.dumps does.
+        b = EquivBundleCP1.parse(lit)
+        inject(monkeypatch, name, b, k)
+        report = sweep([b])
+        assert {r.check_id for r in report.results[0] if not r.passed} == failing
+        assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)

@@ -415,6 +415,21 @@ class TestReportLoadsOnlyWhatItWrites:
         with pytest.raises(ValueError):
             CheckResult.from_json_obj(_edited(obj, path, value))
 
+    def test_each_grid_bundle_parsed_once(self, monkeypatch):
+        report = sweep(grid_bundles((-1, 1), (-1, 1)), ("gluing", "mcut"))
+        obj = json.loads(json.dumps(report.to_json_obj()))
+        parse = EquivBundleCP1.parse
+        seen = []
+
+        def counted(cls, lit):
+            seen.append(lit)
+            return parse(lit)
+
+        monkeypatch.setattr(EquivBundleCP1, "parse", classmethod(counted))
+        back = SweepReport.from_json_obj(obj)
+        assert seen == obj["grid"]
+        assert all(r.bundle is b for b, row in zip(back.grid, back.results) for r in row)
+
     def test_equality_set_key_order_is_free(self):
         report = sweep([bundle("0:0")], ("mcut", "morse"))
         obj = report.to_json_obj()
@@ -446,6 +461,38 @@ class TestReportLoadsOnlyWhatItWrites:
         back = SweepReport.from_json_obj(json.loads(text))
         assert back == report
         assert json.dumps(back.to_json_obj(), indent=2) == text
+
+
+class TestJsonText:
+    """``SweepReport.to_json_text`` writes exactly what json.dumps writes of ``to_json_obj``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.sampled_from(ALL_CHECKS), unique=True, max_size=len(ALL_CHECKS)),
+        st.booleans(),
+        st.none() | st.sampled_from(ALL_CHECKS),
+        st.booleans(),
+    )
+    def test_equals_json_dumps(self, weights, checks, fail_fast, broken, region):
+        grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
+
+        def fails(b):  # the drawn check, if any, fails on every bundle
+            return CheckResult(broken, b, False, residual=CharPoly([0, -2 * u]))
+
+        with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
+            report = sweep(grid, checks, fail_fast=fail_fast)
+        report = SweepReport(report.grid, report.results, report.morse_checks, region)
+        assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
+
+    def test_equality_region_report(self):
+        report = equality_region((-3, 3), (-3, 3))
+        assert report.claimed_region
+        assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
 
 
 class TestEqualityRegion:
