@@ -314,14 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run checks on one bundle")
     p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")
-    p.add_argument("--checks", default="all", help="comma-separated check ids, or all")
+    p.add_argument(
+        "--checks", default="all", help="comma-separated check ids, spaces around each ignored, or all"
+    )
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common], help="run checks over a rank-one grid")
     p.add_argument("--rp-range", metavar="A..B", help="inclusive range of r_P")
     p.add_argument("--rq-range", metavar="A..B", help="inclusive range of r_Q")
-    p.add_argument("--checks", help="comma-separated check ids, or all")
+    p.add_argument("--checks", help="comma-separated check ids, spaces around each ignored, or all")
     p.add_argument("--format", choices=("json", "csv", "md"))
     p.add_argument("--fail-fast", action="store_true", default=None, help="stop at the first failing check")
     p.add_argument("--config", metavar="PATH", help="JSON run configuration; flags override it")

@@ -3,10 +3,9 @@
 Three routes that share no code with the closed forms in :mod:`.geometry`:
 
 * a two-chart Cech complex per line summand, split by weight: each weight
-  block is built when the loop reaches it and row-reduced once, by
-  fraction-free integer elimination, which keeps the rank over the
-  rationals; no block is stored, and only the weights where a dimension
-  changes are kept, as the jumps each character is built from once;
+  block is built when the loop reaches it and row-reduced once; no block
+  is stored, and only the weights where a dimension changes are kept, as
+  the jumps each character is built from once;
 * the same blocks on the two cut pieces glued at the node: each side's Cech
   table over its own window, plus one node term per summand pair from the
   rank of the matching condition at the node fiber; the result carries the
@@ -28,12 +27,13 @@ chart-0 terms.  All cohomology in a fixed weight m sits inside the block
     C^0_m = span of the chart monomials of weight m   -->   C^1_m = Q z^(m - r_Q)
 
 with differential (s0, s1) |-> s0 - s1 on the overlap, so each block matrix
-has a single row with entries +1 (chart 0) and -1 (chart 1).
+has a single row with entries +1 (chart 0) and -1 (chart 1), and so has the
+node's matching condition.  One row is reduced exactly without elimination:
+its rank over Q is 1 unless it is zero, and its kernel is read off the row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -48,64 +48,32 @@ __all__ = [
 ]
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (unchanged when that is 0 or 1)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _row_rank(row: Sequence[int]) -> tuple[int, int | None]:
+    """``(1, first nonzero column)`` for a nonzero one-row matrix, ``(0, None)`` for a zero one."""
+    for c, a in enumerate(row):
+        if a:
+            return 1, c
+    return 0, None
 
 
-def _rref(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
-    """Reduce in place to reduced row echelon form over Z; return (rank, pivot columns).
+def _row_kernel(row: Sequence[int]) -> list[tuple[int, ...]]:
+    """Integer basis of the kernel of the one-row matrix ``row``, one vector per free column.
 
-    Fraction-free: each pivot column is cleared from the other rows by
-    cross-multiplying, p * row_i - f * row_r, and every changed row is divided
-    by the gcd of its entries.  Integer row operations with nonzero
-    multipliers keep the row space over Q, hence the rank.
+    Free column f gives |p| e_f - sign(p) a_f e_pivot, for the pivot entry p
+    and the entry a_f at f; a zero row gives the unit vectors.
     """
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r == nrows:
-            break  # every row has its pivot
-        for pivot in range(r, nrows):
-            if rows[pivot][c]:
-                break
-        else:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = _primitive([p * a - f * b for a, b in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-    return r, pivots
-
-
-def _kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Integer basis of the kernel of the matrix, one vector per free column.
-
-    Each vector is scaled by the lcm L of the pivots: it has L at its free
-    column and -L * a / p at the pivot column of each row (pivot p, entry a
-    in the free column).  When every pivot is +-1 these are the vectors that
-    elimination over Q gives.
-    """
-    work = [list(row) for row in rows]
-    _, pivots = _rref(work, ncols)
-    pivot_set = set(pivots)
-    scale = math.lcm(*[work[r][c] for r, c in enumerate(pivots)])
+    _, pivot = _row_rank(row)
+    n = len(row)
+    if pivot is None:
+        return [tuple(int(i == f) for i in range(n)) for f in range(n)]
+    p = row[pivot]
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = scale
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][free] * (scale // work[r][c])
-        basis.append(tuple(v))
+    for f in range(n):
+        if f != pivot:
+            v = [0] * n
+            v[f] = abs(p)
+            v[pivot] = -row[f] if p > 0 else row[f]
+            basis.append(tuple(v))
     return basis
 
 
@@ -138,9 +106,8 @@ def _cech_dims(line: LineWeights) -> Iterator[tuple[int, int, int]]:
     """
     for m in range(min(line.r_p, line.r_q) - 1, max(line.r_p, line.r_q) + 2):
         cols, row = _block(line, m)
-        ncols = len(cols)
-        rank, _ = _rref([row], ncols)
-        yield m, ncols - rank, 1 - rank
+        rank, _ = _row_rank(row)
+        yield m, len(cols) - rank, 1 - rank
 
 
 def _dim_jumps(lines: Iterable[LineWeights]) -> tuple[dict[int, int], dict[int, int]]:
@@ -214,7 +181,7 @@ def _node_values(line: LineWeights, node_chart: int) -> list[int]:
     """The weight-0 kernel basis of the line, each vector read at the node column (node_chart, 0)."""
     cols, row = _block(line, 0)
     col = cols.index((node_chart, 0))
-    return [v[col] for v in _kernel_basis([row], len(cols))]
+    return [v[col] for v in _row_kernel(row)]
 
 
 def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
@@ -245,7 +212,7 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
     node_h0 = node_h1 = 0
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
         evals = _node_values(ps, 0) + [-x for x in _node_values(ms, 1)]
-        rank, _ = _rref([evals], len(evals))
+        rank, _ = _row_rank(evals)
         node_h0 -= rank
         node_h1 += 1 - rank
     return _GluedTable(

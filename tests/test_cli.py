@@ -98,6 +98,12 @@ class TestVerify:
         report = SweepReport.from_json_obj(json.loads(capsys.readouterr().out))
         assert not report.passed
 
+    def test_spaces_around_check_ids_are_ignored(self, tmp_path):
+        spaced, plain = tmp_path / "spaced.json", tmp_path / "plain.json"
+        assert main(["verify", "1:-1", "--checks", " gluing , mcut", "--out", str(spaced)]) == 0
+        assert main(["verify", "1:-1", "--checks", "gluing,mcut", "--out", str(plain)]) == 0
+        assert spaced.read_bytes() == plain.read_bytes()
+
 
 class TestSweep:
     def test_grid_flags(self):
@@ -284,6 +290,22 @@ class TestSweepConfig:
         proc = run_cli("sweep", "--config", str(tmp_path / "missing.json"))
         assert proc.returncode == 2
 
+    def test_config_fail_fast_stops_after_the_first_failure(self, tmp_path, monkeypatch, capsys):
+        def always_fails(b):
+            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+
+        monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
+        ran = {}
+        for fail_fast in (True, False):
+            cfg = self.write_config(
+                tmp_path, {"bundles": ["0:0", "2:2"], "checks": ["gluing", "mcut"], "fail_fast": fail_fast}
+            )
+            assert main(["sweep", "--config", cfg]) == 1
+            report = SweepReport.from_json_obj(json.loads(capsys.readouterr().out))
+            ran[fail_fast] = [[(r.bundle.literal(), r.check_id) for r in row] for row in report.results]
+        assert ran[True] == [[("0:0", "gluing")]]
+        assert ran[False] == [[("0:0", "gluing"), ("0:0", "mcut")], [("2:2", "gluing"), ("2:2", "mcut")]]
+
 
 class TestEqualityRegion:
     def test_default_markdown(self):
@@ -303,6 +325,14 @@ class TestEqualityRegion:
     def test_requires_ranges(self):
         proc = run_cli("equality-region")
         assert proc.returncode == 2
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        def always_fails(b):
+            return CheckResult("mcut", b, False, residual=CharPoly([1]))
+
+        monkeypatch.setitem(_REGISTRY, "mcut", always_fails)
+        assert main(["equality-region", "--rp-range", "-1..1", "--rq-range", "0..0", "--format", "json"]) == 1
+        assert not SweepReport.from_json_obj(json.loads(capsys.readouterr().out)).passed
 
 
 class TestUsage:

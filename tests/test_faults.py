@@ -1,4 +1,4 @@
-"""Injected faults in the closed forms, and exactly which checks catch each.
+"""Injected faults in the closed forms and in the oracles, and exactly what catches each.
 
 No test elsewhere hands a check a wrong closed form, so without this file a
 check's failure branches, and each comparison inside ``cross_validate``,
@@ -7,10 +7,15 @@ closed form in ``verify``'s namespace (``cohomology`` for M or one side, or
 ``mcut_cohomology`` for the cut space) so that it returns a table off by
 u^k in h0, in h1, or in the index alone; nothing is added to ``src/``.
 Each case pins the set of failing checks on a named bundle.
+
+The oracle-side table patches the three oracle routes in the same
+namespace instead, one output at a time, and pins the oracle's exact
+residual: a route computed from another route, such as the index taken
+from the Cech tables, moves more than its own comparison.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -166,3 +171,54 @@ class TestFaultTable:
         report = sweep([b])
         assert {r.check_id for r in report.results[0] if not r.passed} == failing
         assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
+
+
+def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> None:
+    """Add u^k to the one oracle output that ``comparison`` reads.
+
+    ``cech-*`` and ``localization`` edit the route's result on the first
+    summand only; ``nodal-*`` edit the glued table, and ``plus-*`` and
+    ``minus-*`` the side table it carries.
+    """
+    uk = Character.monomial(k)
+    route, _, part = comparison.partition("-")
+    first = b.summands[0]
+
+    def bump(table, field):
+        return replace(table, **{field: getattr(table, field) + uk})
+
+    if route == "cech":
+        cech = cutchar.verify.cech_cohomology_p1
+        monkeypatch.setattr(
+            cutchar.verify, "cech_cohomology_p1", lambda s: bump(cech(s), part) if s == first else cech(s)
+        )
+    elif route == "localization":
+        loc = cutchar.verify.localization_index
+        monkeypatch.setattr(cutchar.verify, "localization_index", lambda s: loc(s) + uk if s == first else loc(s))
+    else:
+        nodal = cutchar.verify.cech_cohomology_nodal
+
+        def faulty(cutd):
+            t = nodal(cutd)
+            return bump(t, part) if route == "nodal" else replace(t, **{route: bump(getattr(t, route), part)})
+
+        monkeypatch.setattr(cutchar.verify, "cech_cohomology_nodal", faulty)
+
+
+ORACLE_CASES = [(c, lit, k) for c in COMPARISONS for lit, k in ((RANK_ONE, FAR), (RANK_THREE, 0))]
+
+
+class TestOracleFaultTable:
+    """Each route is computed on its own: a fault in one oracle output moves only its comparison."""
+
+    @pytest.mark.parametrize(
+        "comparison, lit, k", ORACLE_CASES, ids=[f"{c}-{lit}-u^{k}" for c, lit, k in ORACLE_CASES]
+    )
+    def test_exact_residual(self, monkeypatch, comparison, lit, k):
+        b = EquivBundleCP1.parse(lit)
+        inject_oracle(monkeypatch, comparison, b, k)
+        got = results(b)
+        assert {cid for cid, r in got.items() if not r.passed} == {"oracle"}
+        # The residual is closed form minus oracle, so the fault shows as -u^k.
+        want = CharPoly([Character.monomial(k, -1 if c == comparison else 0) for c in COMPARISONS])
+        assert got["oracle"].residual == want

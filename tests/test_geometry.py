@@ -154,6 +154,11 @@ class TestCut:
             CutDecomposition(plus, minus)
         with pytest.raises(MalformedCut):
             CutDecomposition(EquivBundleCP1.parse("1:0"), EquivBundleCP1.parse("1:1"))
+        # Negative node weights are as wrong as positive ones.
+        with pytest.raises(MalformedCut):
+            CutDecomposition(EquivBundleCP1.parse("1:-1"), EquivBundleCP1.parse("0:-1"))
+        with pytest.raises(MalformedCut):
+            CutDecomposition(EquivBundleCP1.parse("1:0"), EquivBundleCP1.parse("-1:-2"))
 
     def test_replace_revalidates(self):
         d = cut(EquivBundleCP1.parse("1:-1,2:2"))

@@ -23,7 +23,7 @@ from cutchar import (
     run_check,
 )
 import cutchar.oracles
-from cutchar.oracles import _block, _cech_dims, _kernel_basis, _laurent_div, _rref
+from cutchar.oracles import _block, _cech_dims, _laurent_div, _row_kernel, _row_rank
 from cutchar.verify import cross_validate
 
 u = Character.monomial(1)
@@ -39,11 +39,11 @@ class TestCechLine:
 
     def test_sections_span_kernel(self):
         cols, row = _block(LineWeights(2, 0), 1)
-        secs = _kernel_basis([row], len(cols))
+        secs = _row_kernel(row)
         assert len(secs) == 1
         assert secs[0] == (Fraction(1), Fraction(1))
         cols, row = _block(LineWeights(2, 0), 99)
-        assert _kernel_basis([row], len(cols)) == []
+        assert _row_kernel(row) == []
 
     def test_h1_block(self):
         line = LineWeights(-3, 0)
@@ -131,17 +131,17 @@ class TestRoutesOnRandomBundles:
         assert sum((t.h1 for t in tables), Character()) == want.h1
 
 
-def _rref_calls(monkeypatch, route, arg) -> int:
-    """Number of ``_rref`` calls while ``route(arg)`` runs."""
-    rref = cutchar.oracles._rref
+def _row_rank_calls(monkeypatch, route, arg) -> int:
+    """Number of ``_row_rank`` calls while ``route(arg)`` runs."""
+    row_rank = cutchar.oracles._row_rank
     calls = [0]
 
-    def counted(rows, ncols):
+    def counted(row):
         calls[0] += 1
-        return rref(rows, ncols)
+        return row_rank(row)
 
     with monkeypatch.context() as m:
-        m.setattr(cutchar.oracles, "_rref", counted)
+        m.setattr(cutchar.oracles, "_row_rank", counted)
         route(arg)
     return calls[0]
 
@@ -158,13 +158,13 @@ class TestEveryBlockReduced:
     def test_cech_reduces_each_weight(self, monkeypatch):
         n = self.N
         window = 2 * n + 3  # [-n - 1, n + 1]
-        assert _rref_calls(monkeypatch, cech_cohomology_p1, LineWeights(n, -n)) >= window
+        assert _row_rank_calls(monkeypatch, cech_cohomology_p1, LineWeights(n, -n)) >= window
 
     def test_nodal_reduces_each_weight_of_each_side(self, monkeypatch):
         n = self.N
         d = cut(EquivBundleCP1((LineWeights(n, -n),)))
         windows = (n + 3) + (n + 3)  # plus (n, 0): [-1, n + 1]; minus (0, -n): [-n - 1, 1]
-        assert _rref_calls(monkeypatch, cech_cohomology_nodal, d) >= windows
+        assert _row_rank_calls(monkeypatch, cech_cohomology_nodal, d) >= windows
 
 
 class TestCrossValidateReducesEachBlockOnce:
@@ -174,7 +174,7 @@ class TestCrossValidateReducesEachBlockOnce:
         # reductions per node term: 19 + 15 + 17 + 9.  Comparing the sides
         # too reads the tables the nodal route already built.
         b = EquivBundleCP1.parse("1:-1,2:2,-3:5")
-        assert _rref_calls(monkeypatch, cross_validate, b) == 60
+        assert _row_rank_calls(monkeypatch, cross_validate, b) == 60
 
 
 class TestLocalization:
@@ -322,13 +322,6 @@ def _rank_over_q(rows, ncols) -> int:
 
 
 @st.composite
-def int_matrices(draw):
-    ncols = draw(st.integers(1, 5))
-    entries = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
-    return draw(st.lists(entries, max_size=4)), ncols
-
-
-@st.composite
 def laurent_polys(draw):
     """A nonzero Laurent polynomial whose leading coefficient is +-1, +-2 or +-3."""
     low = draw(st.integers(-5, 5))
@@ -341,19 +334,35 @@ class TestIntegerArithmetic:
     """The oracle routes compute over Z; these pin the integer kernels."""
 
     @settings(max_examples=300)
-    @example(([[2, 4, 6], [3, 0, 9]], 3))
-    @example(([[0, -4, 6, 2], [0, 6, -9, -3], [5, 1, 0, 0]], 4))
-    @given(int_matrices())
-    def test_rref_and_kernel_basis(self, matrix):
-        rows, ncols = matrix
-        rank, pivots = _rref([list(row) for row in rows], ncols)
-        assert rank == len(pivots) == _rank_over_q(rows, ncols)
-        basis = _kernel_basis(rows, ncols)
-        assert len(basis) == ncols - rank
+    @example([1, -1])
+    @example([1])
+    @example([-1])
+    @example([])
+    @example([0, 0, 0])
+    @example([0, -4, 6, 2])
+    @given(st.lists(st.integers(-6, 6), max_size=5))
+    def test_rref_and_kernel_basis(self, row):
+        # Every matrix the oracles reduce is one integer row: a block's
+        # differential, or the matching condition at the node.
+        n = len(row)
+        rank, pivot = _row_rank(row)
+        assert rank == _rank_over_q([row], n)
+        assert pivot == next((c for c, a in enumerate(row) if a), None)
+        basis = _row_kernel(row)
+        assert len(basis) == n - rank
         for v in basis:
-            assert len(v) == ncols and all(type(x) is int for x in v)
-            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows), (rows, v)
-        assert _rank_over_q(basis, ncols) == len(basis)
+            assert len(v) == n and all(type(x) is int for x in v)
+            assert sum(a * x for a, x in zip(row, v)) == 0, (row, v)
+        assert _rank_over_q(basis, n) == len(basis)
+        # Free column f gives e_f - (a_f / p) e_pivot, the vector elimination
+        # over Q gives, times |p|; so a +-1 row, as every block's is, gives
+        # exactly the vectors over Q.
+        scale = abs(row[pivot]) if rank else 1
+        for f, v in zip([f for f in range(n) if f != pivot], basis):
+            over_q = [Fraction(int(i == f)) for i in range(n)]
+            if rank:
+                over_q[pivot] = Fraction(-row[f], row[pivot])
+            assert v == tuple(scale * x for x in over_q), (row, v)
 
     @settings(max_examples=200)
     @given(laurent_polys(), laurent_polys())
