@@ -10,8 +10,10 @@ Subcommands::
 
 ``BUNDLE`` is comma-separated ``rP:rQ`` pairs, e.g. ``1:-1,2:2``.  Ranges
 are inclusive ``A..B``.  Exit status: 0 when everything passed, 1 when some
-check failed, 2 on usage or input errors.  Output is byte-stable unless
-``--timestamps`` is given.
+check failed, 2 on usage or input errors and when the output cannot be
+written.  Output is byte-stable unless ``--timestamps`` is given.  Every
+command writes its JSON through the one writer in :mod:`cutchar.verify`,
+handing it the characters and check results as they are.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
-from .verify import ALL_CHECKS, SweepReport, equality_region, grid_bundles, sweep
+from .verify import ALL_CHECKS, SweepReport, _json_text, equality_region, grid_bundles, sweep
 
 __all__ = ["main", "console_main", "RunConfig"]
 
@@ -168,37 +170,40 @@ def _destination(out: str | None):
 
     A command enters this after parsing its input and before its work, so an
     unwritable path costs no work and a bad input leaves the file untouched.
+    A failed write to either exits 2, as an input error does: exit 1 means only a failed check.
     """
     if out is None:
-        yield sys.stdout
-        return
+        dest, where = contextlib.nullcontext(sys.stdout), "stdout"
+    else:
+        try:
+            dest, where = open(out, "w", encoding="utf-8"), out
+        except (OSError, ValueError) as exc:
+            # ValueError: a path holding a NUL or a lone surrogate, as a
+            # config's output path can.
+            raise _UsageError(f"cannot write {out}: {exc}") from None
     try:
-        fh = open(out, "w", encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        # ValueError: a path holding a NUL or a lone surrogate, as a
-        # config's output path can.
-        raise _UsageError(f"cannot write {out}: {exc}") from None
-    try:
-        with fh:
+        with dest as fh:
             yield fh
+            fh.flush()
     except OSError as exc:  # the work itself does no I/O
-        raise _UsageError(f"cannot write {out}: {exc}") from None
+        raise _UsageError(f"cannot write {where}: {exc}") from None
 
 
-def _emit_json(obj: dict, args, dest) -> None:
+def _emit_json(members: dict, args, dest) -> None:
+    """Write ``members`` as one JSON object; a timestamp goes in as its last member."""
     if args.timestamps:
-        obj["generated_at"] = _timestamp()
-    dest.write(json.dumps(obj, indent=2) + "\n")
+        members["generated_at"] = _timestamp()
+    dest.write(_json_text(members) + "\n")
+
+
+def _table(table, **head) -> dict:
+    """The JSON members of a cohomology table, after those of ``head``."""
+    return {**head, "h0": table.h0, "h1": table.h1, "n": table.n}
 
 
 def _emit_report(report: SweepReport, fmt: str, args, dest) -> None:
     if fmt == "json":
-        text = report.to_json_text()
-        if args.timestamps:
-            # The text ends in the report object's closing "\n}"; the stamp
-            # goes in as its last member, where _emit_json would put it.
-            text = f'{text[:-2]},\n  "generated_at": {json.dumps(_timestamp())}\n}}'
-        dest.write(text + "\n")
+        _emit_json(report._json_members(), args, dest)
     elif fmt == "csv":
         dest.write(report.to_csv())
     else:
@@ -211,7 +216,7 @@ def _emit_report(report: SweepReport, fmt: str, args, dest) -> None:
 def _cmd_cohomology(args) -> int:
     bundle = _parse_bundle(args.bundle)
     with _destination(args.out) as dest:
-        _emit_json(cohomology(bundle).to_json_obj(), args, dest)
+        _emit_json(_table(cohomology(bundle)), args, dest)
     return 0
 
 
@@ -219,14 +224,14 @@ def _cmd_cut(args) -> int:
     bundle = _parse_bundle(args.bundle)
     with _destination(args.out) as dest:
         cutd = cut(bundle)
-        obj = {
+        members = {
             "bundle": bundle.literal(),
-            "plus": {"bundle": cutd.plus.literal(), **cohomology(cutd.plus).to_json_obj()},
-            "minus": {"bundle": cutd.minus.literal(), **cohomology(cutd.minus).to_json_obj()},
-            "red_dims": list(cutd.red_dims),
-            "mcut": mcut_cohomology(cutd).to_json_obj(),
+            "plus": _table(cohomology(cutd.plus), bundle=cutd.plus.literal()),
+            "minus": _table(cohomology(cutd.minus), bundle=cutd.minus.literal()),
+            "red_dims": cutd.red_dims,
+            "mcut": _table(mcut_cohomology(cutd)),
         }
-        _emit_json(obj, args, dest)
+        _emit_json(members, args, dest)
     return 0
 
 
@@ -302,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    common.add_argument("--timestamps", action="store_true", help="stamp the output with the generation time")
+    stamp = "stamp JSON and Markdown output with the generation time; CSV gets no stamp"
+    common.add_argument("--timestamps", action="store_true", help=stamp)
 
     p = sub.add_parser("cohomology", parents=[common], help="section characters of a bundle")
     p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")

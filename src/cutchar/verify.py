@@ -19,6 +19,10 @@ Check ids:
 * ``semicontinuity``  h^p(cut) >= h^p(M) for p = 0, 1, with equal index
 * ``oracle``          closed forms of M, the cut space and both sides agree
                       with the Cech, nodal Cech and localization recomputations
+
+Every JSON document of the command line, a report or a table, is laid out
+by one writer here, as ``json.dumps(obj, indent=2)`` lays out the matching
+``to_json_obj`` objects; only this module knows that layout.
 """
 
 from __future__ import annotations
@@ -123,46 +127,44 @@ class CheckResult:
         )
 
 
-# The JSON text of a report, as json.dumps(obj, indent=2) lays it out.  Each
-# value sits at a fixed depth: a result at 6 spaces, its members at 8, a
-# witness or residual character at 10 and that character's members at 12.
-def _character_text(ch: Character) -> str:
-    body = ',\n            "'.join([f'{k}": {q}' for k, q in ch.items()])
-    return f'{{\n            "{body}\n          }}' if body else "{}"
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, for a value on a line indented by ``pad``.
 
-
-def _poly_text(poly: CharPoly | None) -> str:
-    if poly is None:
-        return "null"
-    if not poly.coeffs:
-        return "[]"
-    return "[\n          " + ",\n          ".join(map(_character_text, poly.coeffs)) + "\n        ]"
-
-
-def _result_text(r: CheckResult, bundle: str) -> str:
-    """``r`` as one element of a result row; ``bundle`` is its quoted literal."""
-    return (
-        f'{{\n        "check_id": {_quote(r.check_id)},\n        "bundle": {bundle},\n'
-        f'        "passed": {"true" if r.passed else "false"},\n'
-        f'        "witness": {_poly_text(r.witness)},\n'
-        f'        "residual": {_poly_text(r.residual)}\n      }}'
-    )
-
-
-def _members_text(members: list[str], pad: str, brackets: str) -> str:
-    """A JSON array or object of already written ``members``, its opening bracket at indent ``pad``.
-
-    ``brackets`` is ``"[]"`` or ``"{}"``, which is also the text of the
-    container when it is empty.
+    ``value`` is built of dicts with string keys, lists, tuples, strings,
+    ints, bools and None, and may also hold a :class:`Character`, a
+    :class:`CharPoly` or a row: a tuple of one bundle's check results.  It
+    is written from these objects directly: json.dumps lays out indented
+    text in its pure-Python encoder, which costs several times this writer.
     """
+    inner = pad + "  "
+    if type(value) is Character:
+        body = f',\n{inner}"'.join([f'{k}": {q}' for k, q in value.items()])
+        return f'{{\n{inner}"{body}\n{pad}}}' if body else "{}"
+    if type(value) is CharPoly:
+        members = [_json_text(c, inner) for c in value.coeffs]
+    elif isinstance(value, str):
+        return _quote(value)
+    elif value is None or isinstance(value, int):  # bools too
+        return json.dumps(value)
+    elif isinstance(value, dict):
+        members = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    elif value and type(value[0]) is CheckResult:
+        # One f-string per result, with the row's bundle literal quoted once
+        # and no call for an absent witness or residual.
+        at, bundle = inner + "  ", _quote(value[0].bundle.literal())
+        members = [
+            f'{{\n{at}"check_id": {_quote(r.check_id)},\n{at}"bundle": {bundle},\n'
+            f'{at}"passed": {"true" if r.passed else "false"},\n'
+            f'{at}"witness": {"null" if r.witness is None else _json_text(r.witness, at)},\n'
+            f'{at}"residual": {"null" if r.residual is None else _json_text(r.residual, at)}\n{inner}}}'
+            for r in value
+        ]
+    else:
+        members = [_json_text(v, inner) for v in value]
+    brackets = "{}" if isinstance(value, dict) else "[]"
     if not members:
         return brackets
-    inner = f",\n{pad}  ".join(members)
-    return f"{brackets[0]}\n{pad}  {inner}\n{pad}{brackets[1]}"
-
-
-def _strings_text(strings, pad: str) -> str:
-    return _members_text([_quote(s) for s in strings], pad, "[]")
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}{brackets[1]}"
 
 
 #: The compact JSON of a CSV witness cell; json.dumps would build an encoder per call.
@@ -406,38 +408,21 @@ class SweepReport:
             obj["claimed_region"] = list(self.claimed_region)
         return obj
 
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2)``, written from the objects directly.
-
-        json.dumps lays out indented text in its pure-Python encoder, which
-        on a large sweep costs several times this writer; the two texts are
-        equal byte for byte.
-        """
-        rows = []
-        bundle, quoted = None, ""
-        for row in self.results:
-            texts = []
-            for r in row:
-                if r.bundle is not bundle:  # results of one bundle share its object
-                    bundle, quoted = r.bundle, _quote(r.bundle.literal())
-                texts.append(_result_text(r, quoted))
-            rows.append(_members_text(texts, "    ", "[]"))
-        summary = [
-            f'{_quote(cid)}: {{\n      "passed": {c["passed"]},\n      "failed": {c["failed"]}\n    }}'
-            for cid, c in self.summary.items()
-        ]
-        equality_sets = [
-            f"{_quote(cid)}: {_strings_text(lits, '    ')}" for cid, lits in self.equality_sets.items()
-        ]
-        members = [
-            f'"grid": {_strings_text([b.literal() for b in self.grid], "  ")}',
-            f'"results": {_members_text(rows, "  ", "[]")}',
-            f'"summary": {_members_text(summary, "  ", "{}")}',
-            f'"equality_sets": {_members_text(equality_sets, "  ", "{}")}',
-        ]
+    def _json_members(self) -> dict:
+        """The members :meth:`to_json_obj` holds, with the results and views as they are."""
+        members = {
+            "grid": [b.literal() for b in self.grid],
+            "results": self.results,
+            "summary": self.summary,
+            "equality_sets": self.equality_sets,
+        }
         if self.region:
-            members.append(f'"claimed_region": {_strings_text(self.claimed_region, "  ")}')
-        return _members_text(members, "", "{}")
+            members["claimed_region"] = self.claimed_region
+        return members
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)``, written from the objects directly."""
+        return _json_text(self._json_members())
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "SweepReport":

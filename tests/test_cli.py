@@ -12,7 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutchar import CharPoly, CheckResult, EquivBundleCP1, SweepReport
+from cutchar import (
+    Character,
+    CharPoly,
+    CheckResult,
+    CohomologyTable,
+    EquivBundleCP1,
+    SweepReport,
+    cohomology,
+    cut,
+    mcut_cohomology,
+)
 from cutchar.cli import main
 from cutchar.verify import ALL_CHECKS, _REGISTRY, grid_bundles, sweep
 
@@ -182,7 +192,12 @@ class TestSweep:
         assert "generated_at" not in plain
         # The stamp is the report's last member: without its line and the
         # comma before it, the text is the unstamped run's, byte for byte.
-        for argv in (("sweep", "--rp-range", "0..0", "--rq-range", "0..0"), ("verify", "1:-1,2:2")):
+        for argv in (
+            ("sweep", "--rp-range", "0..0", "--rq-range", "0..0"),
+            ("verify", "1:-1,2:2"),
+            ("cohomology", "1:-1,2:2"),
+            ("cut", "1:-1,2:2"),
+        ):
             stamped = run_cli(*argv, "--timestamps").stdout
             assert list(json.loads(stamped))[-1] == "generated_at"
             lines = stamped.split("\n")
@@ -208,6 +223,70 @@ class TestSweep:
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert main(argv) == 0
         assert out.getvalue() == want
+
+        # cohomology and cut go through the same writer, without the table
+        # or character object models.
+        tables = [(argv, json.dumps(_parent_json_obj(*argv), indent=2) + "\n") for argv in TABLE_RUNS]
+        with (
+            mock.patch.object(SweepReport, "to_json_obj", refuse),
+            mock.patch.object(CohomologyTable, "to_json_obj", refuse),
+            mock.patch.object(Character, "to_json_obj", refuse),
+        ):
+            for argv, want in tables:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(argv) == 0
+                assert out.getvalue() == want, argv
+
+    def test_timestamps_leave_csv_alone(self):
+        # A stamp line would break CSV readers, so CSV carries none.
+        argv = ["sweep", "--rp-range", "-1..1", "--rq-range", "-1..1", "--format", "csv"]
+        texts = []
+        for extra in ([], ["--timestamps"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv + extra) == 0
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("r_P,r_Q,check_id,passed,witness\n")
+
+
+TABLE_RUNS = [["cohomology", "1:-1,2:2"], ["cohomology", "0:0"], ["cut", "1:-1,2:2,-3:5"]]
+
+
+def _parent_json_obj(command: str, literal: str) -> dict:
+    """The dict that ``command`` once handed json.dumps, built from the object models."""
+    bundle = EquivBundleCP1.parse(literal)
+    if command == "cohomology":
+        return cohomology(bundle).to_json_obj()
+    cutd = cut(bundle)
+    return {
+        "bundle": bundle.literal(),
+        "plus": {"bundle": cutd.plus.literal(), **cohomology(cutd.plus).to_json_obj()},
+        "minus": {"bundle": cutd.minus.literal(), **cohomology(cutd.minus).to_json_obj()},
+        "red_dims": list(cutd.red_dims),
+        "mcut": mcut_cohomology(cutd).to_json_obj(),
+    }
+
+
+class TestTableJsonText:
+    """``cohomology`` and ``cut`` write exactly what json.dumps writes of their object models."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["cohomology", "cut"]),
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    def test_equals_json_dumps(self, command, weights, stamped):
+        literal = ",".join(f"{rp}:{rq}" for rp, rq in weights)
+        obj = _parent_json_obj(command, literal)
+        argv = [command, literal]
+        if stamped:
+            argv.append("--timestamps")
+            obj["generated_at"] = "2001-02-03T04:05:06Z"
+        with mock.patch("cutchar.cli._timestamp", lambda: "2001-02-03T04:05:06Z"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
 class TestSweepConfig:
@@ -499,6 +578,48 @@ class TestExitCodeContract:
         got = capsys.readouterr()
         assert got.out == ""
         assert got.err.startswith("error:") and len(got.err.splitlines()) == 1
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: ``method`` raises ENOSPC."""
+
+    def __init__(self, method: str):
+        super().__init__()
+        setattr(self, method, self.fail)
+
+    def fail(self, *args):
+        raise OSError(28, "No space left on device")
+
+
+class TestStdoutWriteFails:
+    """A failed write to stdout is an output error, exit 2, not a failed check."""
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "1:-1"],
+            ["cohomology", "0:0"],
+            ["cut", "1:-1"],
+            ["sweep", "--rp-range", "0..1", "--rq-range", "0..0", "--format", "csv"],
+            ["equality-region", "--rp-range", "0..1", "--rq-range", "0..0"],
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, argv, method):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_FullStdout(method)), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue() == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [["verify", "1:-1"], ["cohomology", "0:0"]])
+    def test_dev_full(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cutchar", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 # Outputs that cannot be opened: the command exits 2 before any check runs.

@@ -20,6 +20,7 @@ from cutchar import (
     sweep,
 )
 from cutchar.characters import _is_factorization
+from cutchar.verify import ALL_CHECKS
 
 weights = st.integers(-20, 20)
 mults = st.integers(-10, 10)
@@ -252,3 +253,58 @@ class TestChecksAlwaysPass:
         for cid, (lhs, rhs) in expected.items():
             q = run_check(cid, b).witness
             assert ONE_PLUS_T * q + rhs == lhs, cid
+
+
+# Metamorphic relations.  The closed forms cost O(rank), so the checks that
+# do not call an oracle run at weights far past any dense expansion.
+huge_bundles = st.lists(
+    st.builds(LineWeights, st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9)), min_size=1, max_size=3
+).map(lambda ls: EquivBundleCP1(tuple(ls)))
+small_bundles = st.lists(
+    st.builds(LineWeights, st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=3
+).map(lambda ls: EquivBundleCP1(tuple(ls)))
+CLOSED_FORM_CHECKS = tuple(cid for cid in ALL_CHECKS if cid != "oracle")
+
+
+def _reflect(ch: Character) -> Character:
+    """ch(u^-1), from the jumps alone: a jump q at k moves to 1 - k as -q."""
+    return Character._from_jumps({1 - k: -q for k, q in ch._jumps.items()})
+
+
+def _reflect_poly(poly: CharPoly | None) -> CharPoly | None:
+    return None if poly is None else CharPoly([_reflect(c) for c in poly.coeffs])
+
+
+def _mirror(b: EquivBundleCP1) -> EquivBundleCP1:
+    """(r_P, r_Q) -> (-r_Q, -r_P): the circle action reversed, P and Q swapped."""
+    return EquivBundleCP1(tuple(LineWeights(-s.r_q, -s.r_p) for s in b.summands))
+
+
+class TestMetamorphic:
+    @given(characters)
+    def test_reflect_matches_the_dense_reflection(self, a):
+        assert _reflect(a) == Character({-k: q for k, q in a.items()})
+
+    def _assert_mirrored(self, b, check_ids):
+        for cid in check_ids:
+            got, want = run_check(cid, _mirror(b)), run_check(cid, b)
+            assert got.passed == want.passed, cid
+            assert got.witness == _reflect_poly(want.witness), cid
+            assert got.residual == _reflect_poly(want.residual), cid
+
+    @settings(max_examples=100, deadline=None)
+    @given(huge_bundles)
+    def test_mirror_reflects_closed_form_checks(self, b):
+        self._assert_mirrored(b, CLOSED_FORM_CHECKS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_bundles)
+    def test_mirror_reflects_every_check(self, b):
+        self._assert_mirrored(b, ALL_CHECKS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(huge_bundles)
+    def test_direct_sum_adds_witnesses(self, b):
+        for cid in ("mcut", "morse", "mv", "simple", "semicontinuity"):
+            parts = [run_check(cid, EquivBundleCP1((s,))).witness for s in b.summands]
+            assert run_check(cid, b).witness == sum(parts, CharPoly()), cid

@@ -26,7 +26,7 @@ from cutchar import (
     sweep,
 )
 import cutchar.verify
-from cutchar.verify import _REGISTRY, _morse_check, _tables
+from cutchar.verify import _REGISTRY, _json_text, _morse_check, _tables
 
 u = Character.monomial(1)
 
@@ -493,6 +493,19 @@ class TestJsonText:
         report = equality_region((-3, 3), (-3, 3))
         assert report.claimed_region
         assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=8,
+        )
+    )
+    def test_plain_values_as_json_dumps_writes_them(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestEqualityRegion:

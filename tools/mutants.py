@@ -1,0 +1,195 @@
+"""Mutation check of the tier-1 tests: each mutant below must fail a test.
+
+Usage, from the root of a checkout::
+
+    python3 tools/mutants.py [NAME ...]
+
+A mutant replaces one exact piece of a file under ``src/cutchar/``, most
+often one line, by another.  For each mutant (or only those named) the
+script copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+directory, applies the mutant there and runs ``python -m pytest -x -q`` on
+the copy; the checkout itself is never edited.  A mutant is killed when
+pytest fails, and survives when it passes.
+
+Equivalent mutants change no behaviour any input can show, so no test can
+kill them; they carry the reason, are run like the others, and are
+reported as expected survivors.  An equivalent mutant that a test kills is
+reported too, because its reason no longer holds.
+
+Exit status: 0 when every mutant has the expected outcome, 1 when some
+mutant survives unexplained or an equivalent one is killed, 2 when a
+mutant's text is not found exactly once in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/cutchar
+    old: str  # must occur exactly once in the file
+    new: str
+    equivalent: str | None = None  # why no test can kill it
+
+
+MUTANTS = [
+    # The five survivors of an earlier mutation run, each now killed.
+    Mutant("plus-node-weight-sign", "geometry.py", "if s.r_q != 0:", "if s.r_q > 0:"),
+    Mutant("minus-node-weight-sign", "geometry.py", "if s.r_p != 0:", "if s.r_p > 0:"),
+    Mutant(
+        "localization-from-cech",
+        "verify.py",
+        "loc_index += localization_index(s)",
+        "loc_index += table.h0 - table.h1",
+    ),
+    Mutant(
+        "config-fail-fast-ignored",
+        "cli.py",
+        "fail_fast = args.fail_fast if args.fail_fast is not None else bool(config.fail_fast)",
+        "fail_fast = bool(args.fail_fast)",
+    ),
+    Mutant(
+        "equality-region-exits-0",
+        "cli.py",
+        "report = equality_region(rp, rq)\n        _emit_report(report, args.format, args, dest)\n"
+        "    return 0 if report.passed else 1",
+        "report = equality_region(rp, rq)\n        _emit_report(report, args.format, args, dest)\n"
+        "    return 0",
+    ),
+    Mutant(
+        "check-ids-not-stripped",
+        "cli.py",
+        'ids = tuple(piece.strip() for piece in text.split(","))',
+        'ids = tuple(text.split(","))',
+    ),
+    # The one JSON writer and the timestamp it places.
+    Mutant("writer-pad-step", "verify.py", 'inner = pad + "  "', 'inner = pad + " "'),
+    Mutant(
+        "stamp-first",
+        "cli.py",
+        'members["generated_at"] = _timestamp()',
+        'members = {"generated_at": _timestamp(), **members}',
+    ),
+    Mutant("empty-container-as-list", "verify.py", "        return brackets\n", '        return "[]"\n'),
+    Mutant(
+        "empty-character-as-list",
+        "verify.py",
+        """return f'{{\\n{inner}"{body}\\n{pad}}}' if body else "{}\"""",
+        """return f'{{\\n{inner}"{body}\\n{pad}}}' if body else "[]\"""",
+    ),
+    Mutant(
+        "passed-always-true",
+        "verify.py",
+        """f'{at}"passed": {"true" if r.passed else "false"},\\n'""",
+        """f'{at}"passed": {"true" if r.passed is not None else "false"},\\n'""",
+    ),
+    Mutant("scalars-as-python", "verify.py", "return json.dumps(value)", "return str(value)"),
+    Mutant(
+        "quoted-literal-reused-across-rows",
+        "verify.py",
+        'at, bundle = inner + "  ", _quote(value[0].bundle.literal())',
+        'at, bundle = inner + "  ", _json_text.__dict__.setdefault("q", _quote(value[0].bundle.literal()))',
+    ),
+    Mutant(
+        "character-separator",
+        "verify.py",
+        """body = f',\\n{inner}"'.join([f'{k}": {q}' for k, q in value.items()])""",
+        """body = f',\\n{inner}"'.join([f'{k}":{q}' for k, q in value.items()])""",
+    ),
+    # A failed write to stdout exits 2.
+    Mutant("output-not-flushed", "cli.py", "            fh.flush()\n", "            pass\n"),
+    Mutant(
+        "write-error-uncaught",
+        "cli.py",
+        "except OSError as exc:  # the work itself does no I/O",
+        "except ValueError as exc:  # the work itself does no I/O",
+    ),
+    # The node rank of the cut space, which the P/Q mirror also constrains.
+    Mutant(
+        "node-rank-plus-strict",
+        "geometry.py",
+        "return 1 if plus.r_p >= 0 or minus.r_q <= 0 else 0",
+        "return 1 if plus.r_p > 0 or minus.r_q <= 0 else 0",
+    ),
+    Mutant(
+        "equivalent-minus-node-sign",
+        "oracles.py",
+        "evals = _node_values(ps, 0) + [-x for x in _node_values(ms, 1)]",
+        "evals = _node_values(ps, 0) + [x for x in _node_values(ms, 1)]",
+        equivalent="the node row's rank does not depend on the signs of its entries",
+    ),
+]
+
+
+def _mutated(mutant: Mutant) -> str:
+    """The text of the mutant's file with the mutant applied."""
+    text = (ROOT / "src" / "cutchar" / mutant.path).read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise LookupError(f"{mutant.name}: text found {count} times in {mutant.path}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def _killed(mutant: Mutant) -> tuple[bool, str]:
+    """Whether the tests fail with ``mutant`` applied, and the first failing test's line."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        (work / "src" / "cutchar" / mutant.path).write_text(_mutated(mutant), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        try:
+            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    last = (proc.stdout.strip().splitlines() or proc.stderr.strip().splitlines() or [""])[-1]
+    return proc.returncode != 0, failed[0] if failed else last
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    try:  # every mutant must apply before any runs
+        for m in chosen:
+            _mutated(m)
+    except LookupError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    unexpected = []
+    for m in chosen:
+        start = time.monotonic()
+        killed, detail = _killed(m)
+        if killed:
+            outcome = "KILLED (equivalent?)" if m.equivalent else "killed"
+        else:
+            outcome = "survived (equivalent)" if m.equivalent else "SURVIVED"
+        if killed == bool(m.equivalent):
+            unexpected.append(m.name)
+        print(f"{outcome:22} {m.name:36} {time.monotonic() - start:6.1f} s  {detail}", flush=True)
+    equivalent = [m for m in chosen if m.equivalent]
+    print(f"\n{len(chosen)} mutants, {len(unexpected)} unexpected outcomes")
+    for m in equivalent:
+        print(f"equivalent: {m.name}: {m.equivalent}")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
