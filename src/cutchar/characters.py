@@ -180,7 +180,9 @@ class Character:
         return self._jumps == other._jumps
 
     def __hash__(self) -> int:
-        return hash(tuple(self._jumps.items()))
+        # A multiple c of u^0 equals the int c, so it hashes as c does.
+        c = self._jumps.get(0, 0)
+        return hash(c) if self == c else hash(tuple(self._jumps.items()))
 
     def __add__(self, other: "Character | int") -> "Character":
         other = _as_character(other)

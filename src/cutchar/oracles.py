@@ -10,13 +10,13 @@ Three routes that share no code with the closed forms in :mod:`.geometry`:
   table over its own window, plus one node term per summand pair from the
   rank of the matching condition at the node fiber; the result carries the
   side tables too; and
-* the fixed-point localization formula, evaluated as a single exact
-  division in the Laurent ring over the common denominator, the quotient
-  kept as its jumps.
+* the fixed-point localization formula: the two fixed-point terms over
+  their common denominator, which is -u^(-1) (1 - u)^2, so the index is
+  four monomials divided twice by 1 - u, each division reading the
+  dividend's coefficients as the quotient's jumps.
 
-So the Cech routes hold one block and O(rank) jumps at a time, whatever
-the weights; the localization route still holds the dense remainder of
-its division, as long as the window.
+So every route holds O(rank) jumps, and the Cech routes one block, at a
+time, whatever the weights.
 
 Conventions for the line (r_P, r_Q): chart 0 is centered at the fixed point
 Q with coordinate z, and the monomial z^j there carries weight r_Q + j;
@@ -224,56 +224,19 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
 
 
 class NonPolynomialResult(ValueError):
-    """Exact division left a remainder or non-integer coefficients."""
+    """Exact division by 1 - u left a remainder."""
 
 
-def _dense(ch: Character) -> tuple[int, list[int]]:
-    """(valuation, dense coefficient list from the valuation upward)."""
-    terms = list(ch.items())
-    lo = terms[0][0]
-    dense = [0] * (terms[-1][0] - lo + 1)
-    for k, c in terms:
-        dense[k - lo] = c
-    return lo, dense
+def _over_one_minus_u(ch: Character) -> Character:
+    """The exact quotient ch / (1 - u); raise :class:`NonPolynomialResult` if there is none.
 
-
-def _laurent_div(num: Character, den: Character) -> Character:
-    """Exact quotient num / den; raise :class:`NonPolynomialResult` if there is none."""
-    if not den:
-        raise ZeroDivisionError("character denominator is zero")
-    if not num:
-        return Character()
-    vn, n = _dense(num)
-    vd, d = _dense(den)
-    if len(n) < len(d):
-        raise NonPolynomialResult(f"({num}) / ({den}) has a remainder")
-    # Long division over Z, from the top degree down.  The quotient is
-    # integral only if the leading coefficient divides every step.  It is
-    # kept as its jumps: q_i - q_(i-1) goes to weight vn - vd + i wherever
-    # it is nonzero, so a quotient made of long runs stays small.
-    lead = d[-1]
-    jumps: dict[int, int] = {}
-    above = 0  # the quotient coefficient one degree up
-    rem = n
-    for i in range(len(n) - len(d), -1, -1):
-        c, r = divmod(rem[i + len(d) - 1], lead)
-        if r:
-            raise NonPolynomialResult(f"({num}) / ({den}) has a non-integer quotient coefficient")
-        if c != above:
-            jumps[vn - vd + i + 1] = above - c
-            above = c
-        if c:
-            for j, dj in enumerate(d):
-                rem[i + j] -= c * dj
-    if any(rem):
-        raise NonPolynomialResult(f"({num}) / ({den}) has a remainder")
-    if above:
-        jumps[vn - vd] = above
-    return Character._from_jumps(jumps)
-
-
-#: The common denominator (1 - u^-1)(1 - u) = -u^-1 + 2 - u.
-_DENOMINATOR = Character({-1: -1, 0: 2, 1: -1})
+    A character is stored by its jumps (1 - u) * chi, so the quotient's jumps
+    are the coefficients of ch, and the division is exact iff they sum to
+    zero, i.e. iff ch has dimension zero.
+    """
+    if ch.dim():
+        raise NonPolynomialResult(f"({ch}) / (1 - u) has a remainder")
+    return Character._from_jumps(dict(ch.items()))
 
 
 def localization_index(summand: LineWeights) -> Character:
@@ -281,9 +244,10 @@ def localization_index(summand: LineWeights) -> Character:
 
     The point P (moment +1, tangent weight -1) contributes
     u^(r_P) / (1 - u^(-1)); the point Q (moment -1, tangent weight +1)
-    contributes u^(r_Q) / (1 - u).  Their sum, taken over the common
-    denominator (1 - u^(-1))(1 - u), divides exactly to a genuine character
-    and equals h0 - h1.
+    contributes u^(r_Q) / (1 - u).  Over the common denominator
+    (1 - u^(-1))(1 - u) = -u^(-1) (1 - u)^2 their sum is -u N / (1 - u)^2
+    for N = u^(r_P)(1 - u) + u^(r_Q)(1 - u^(-1)); both divisions by 1 - u
+    are exact, and the quotient is a genuine character equal to h0 - h1.
 
     >>> localization_index(LineWeights(2, 0))
     Character({0: 1, 1: 1, 2: 1})
@@ -291,6 +255,6 @@ def localization_index(summand: LineWeights) -> Character:
     Character({})
     """
     r_p, r_q = summand.r_p, summand.r_q
-    # u^(r_P)(1 - u) + u^(r_Q)(1 - u^-1), as its four terms.
-    num = Character(((r_p, 1), (r_p + 1, -1), (r_q, 1), (r_q - 1, -1)))
-    return _laurent_div(num, _DENOMINATOR)
+    # -u N, as its four terms.
+    num = Character(((r_p + 1, -1), (r_p + 2, 1), (r_q + 1, -1), (r_q, 1)))
+    return _over_one_minus_u(_over_one_minus_u(num))

@@ -447,9 +447,13 @@ class SweepReport:
             tuple(CheckResult._parse(r, entry) for r in row) for entry, row in zip(zip(lits, grid), rows)
         )
         _require_sweep_rows(results)
-        # A selected Morse check may have a set but no result, if fail_fast cut it.
+        # A selected Morse check may have a set but no result only if fail_fast
+        # skipped it: the sweep stopped at the first bundle, on a failed check
+        # before it.
         ran = {r.check_id for row in results for r in row}
-        morse = tuple(cid for cid in MORSE_CHECKS if cid in ran or cid in supplied)
+        last = results[0][-1] if len(results) == 1 and results[0] else None
+        skipped = ALL_CHECKS[ALL_CHECKS.index(last.check_id) + 1 :] if last is not None and not last.passed else ()
+        morse = tuple(cid for cid in MORSE_CHECKS if cid in ran or (cid in supplied and cid in skipped))
         report = cls(grid, results, morse, "claimed_region" in obj)
         _require_round_trip(report.to_json_obj(), obj, "sweep report")
         return report

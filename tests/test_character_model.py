@@ -109,6 +109,13 @@ class TestAgainstDictModel:
         if ca == cb:
             assert hash(ca) == hash(cb)
 
+    @given(st.integers())
+    def test_u0_multiple_hashes_as_its_int(self, c):
+        # Character.monomial(0, c) == c, zero included, so they must hash alike.
+        ch = Character.monomial(0, c)
+        assert ch == c and hash(ch) == hash(c)
+        assert {c: "x"}.get(ch) == "x" and len({ch, c}) == 1
+
     @given(pairs(), pairs())
     def test_order_nonneg_dim(self, a, b):
         (ca, ma), (cb, mb) = a, b

@@ -400,6 +400,22 @@ class TestReportLoadsOnlyWhatItWrites:
         with pytest.raises(ValueError):
             SweepReport.from_json_obj(obj)
 
+    @pytest.mark.parametrize(
+        "rows, check",
+        [
+            pytest.param([["gluing"]], "mcut", id="no-failure"),
+            pytest.param([["gluing"], ["gluing!"]], "mcut", id="failure-on-a-later-bundle"),
+            pytest.param([["morse!"]], "mcut", id="check-before-the-failure"),
+        ],
+    )
+    def test_equality_set_without_result_rejected(self, rows, check):
+        # Only a fail_fast sweep that stopped at its first bundle, before the
+        # check, leaves a selected Morse check with a set but no result.
+        obj = _rows_obj(rows)
+        obj["equality_sets"][check] = []
+        with pytest.raises(ValueError):
+            SweepReport.from_json_obj(obj)
+
     def test_fail_fast_prefix_rows_load(self):
         obj = _rows_obj([["gluing", "mcut"], ["gluing", "mcut"], ["gluing!"]])
         assert SweepReport.from_json_obj(obj).to_json_obj() == obj

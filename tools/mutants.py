@@ -123,6 +123,40 @@ MUTANTS = [
         "return 1 if plus.r_p >= 0 or minus.r_q <= 0 else 0",
         "return 1 if plus.r_p > 0 or minus.r_q <= 0 else 0",
     ),
+    # Localization as -u N divided twice by 1 - u.
+    Mutant(
+        "localization-rp-shift",
+        "oracles.py",
+        "((r_p + 1, -1), (r_p + 2, 1),",
+        "((r_p, -1), (r_p + 1, 1),",
+    ),
+    Mutant("localization-rq-sign", "oracles.py", "(r_q, 1)))", "(r_q, -1)))"),
+    Mutant(
+        "localization-remainder-unchecked",
+        "oracles.py",
+        "    if ch.dim():\n",
+        "    if False:\n",
+    ),
+    # Only a fail-fast cut explains an equality set without a result.
+    Mutant(
+        "cut-set-on-any-row-count",
+        "verify.py",
+        "last = results[0][-1] if len(results) == 1 and results[0] else None",
+        "last = results[-1][-1] if results[-1] else None",
+    ),
+    Mutant(
+        "cut-set-before-the-failure",
+        "verify.py",
+        "ALL_CHECKS[ALL_CHECKS.index(last.check_id) + 1 :]",
+        "ALL_CHECKS",
+    ),
+    # A u^0 multiple hashes as the int it equals.
+    Mutant(
+        "u0-hash-as-jumps",
+        "characters.py",
+        "return hash(c) if self == c else hash(tuple(self._jumps.items()))",
+        "return hash(tuple(self._jumps.items()))",
+    ),
     Mutant(
         "equivalent-minus-node-sign",
         "oracles.py",
