@@ -24,17 +24,10 @@ from .verify import (
     MORSE_CHECKS,
     CheckResult,
     SweepReport,
-    cross_validate,
     equality_region,
     grid_bundles,
     run_check,
     sweep,
-    verify_cut_inequality,
-    verify_gluing,
-    verify_morse,
-    verify_mv_morse,
-    verify_semicontinuity,
-    verify_simple,
 )
 
 __version__ = "0.1.0"
@@ -64,12 +57,5 @@ __all__ = [
     "sweep",
     "grid_bundles",
     "equality_region",
-    "verify_gluing",
-    "verify_cut_inequality",
-    "verify_morse",
-    "verify_mv_morse",
-    "verify_simple",
-    "verify_semicontinuity",
-    "cross_validate",
     "__version__",
 ]

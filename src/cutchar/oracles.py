@@ -2,14 +2,15 @@
 
 Three routes that share no code with the closed forms in :mod:`.geometry`:
 
-* a two-chart Cech complex per line summand, split by weight: each weight
-  block is built when the loop reaches it and row-reduced once; no block
-  is stored, and only the weights where a dimension changes are kept, as
-  the jumps each character is built from once;
-* the same blocks on the two cut pieces glued at the node: each side's Cech
-  table over its own window, plus one node term per summand pair from the
-  rank of the matching condition at the node fiber; the result carries the
-  side tables too; and
+* a two-chart Cech complex per line summand, split by weight: one loop per
+  line walks its weight window, builds each block's differential row when
+  it reaches it and row-reduces it once; no block is stored, and only the
+  weights where a dimension changes are kept, as the jumps each character
+  is built from once;
+* the same loop on the two cut pieces glued at the node: each side's Cech
+  table, one loop per line over its own window, plus one node term per
+  summand pair from the rank of the matching condition at the node fiber;
+  the result carries the side tables too; and
 * the fixed-point localization formula: the two fixed-point terms over
   their common denominator, which is -u^(-1) (1 - u)^2, so the index is
   four monomials divided twice by 1 - u, each division reading the
@@ -35,7 +36,7 @@ its rank over Q is 1 unless it is zero, and its kernel is read off the row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .characters import Character
 from .geometry import CohomologyTable, CutDecomposition, LineWeights
@@ -77,52 +78,43 @@ def _row_kernel(row: Sequence[int]) -> list[tuple[int, ...]]:
     return basis
 
 
-def _block(line: LineWeights, m: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The weight-m block: its C^0 columns as (chart, exponent), and the differential row."""
+def _block(line: LineWeights, m: int) -> list[int]:
+    """The weight-m block's differential row: +1 for a chart-0 column, then -1 for a chart-1 one."""
     r_p, r_q = line.r_p, line.r_q
-    cols: list[tuple[int, int]] = []
     row: list[int] = []
     if m >= r_q:
         exp = m - r_q
         assert exp + r_q == m, "column lands in the wrong weight"
-        cols.append((0, exp))
         row.append(1)
     if m <= r_p:
         exp = r_p - m
         img_exp = r_p - r_q - exp  # w^exp on the overlap, in chart-0 terms
         assert img_exp + r_q == m, "column lands in the wrong weight"
-        cols.append((1, exp))
         row.append(-1)
-    return cols, row
+    return row
 
 
-def _cech_dims(line: LineWeights) -> Iterator[tuple[int, int, int]]:
-    """``(m, dim H^0_m, dim H^1_m)`` for each weight m in [min(r_P, r_Q) - 1, max(r_P, r_Q) + 1].
+def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
+    """The Cech table of the lines, summed, each character built once from its jumps.
 
-    Outside that window each chart contributes exactly one monomial and the
+    Each line's weights m run over [min(r_P, r_Q) - 1, max(r_P, r_Q) + 1];
+    outside that window each chart contributes exactly one monomial and the
     differential is an isomorphism, so all cohomology lives inside it.  Each
     block is built when reached and row-reduced once; C^1_m is
-    one-dimensional, so H^0_m = columns - rank and H^1_m = 1 - rank.
-    """
-    for m in range(min(line.r_p, line.r_q) - 1, max(line.r_p, line.r_q) + 2):
-        cols, row = _block(line, m)
-        rank, _ = _row_rank(row)
-        yield m, len(cols) - rank, 1 - rank
-
-
-def _dim_jumps(lines: Iterable[LineWeights]) -> tuple[dict[int, int], dict[int, int]]:
-    """The jumps of dim H^0_m and of dim H^1_m over the lines, summed.
-
-    A jump is recorded only where a line's dimension differs from the one at
-    the weight before, and each line's runs close one past its window, where
-    the dimensions are zero again.  So the result holds O(rank) entries
-    however wide the windows are, and the caller builds each character once.
+    one-dimensional, so H^0_m = columns - rank and H^1_m = 1 - rank.  A jump
+    is recorded only where a line's dimension differs from the one at the
+    weight before, and each line's runs close one past its window, where the
+    dimensions are zero again, so the jumps hold O(rank) entries however
+    wide the windows are.
     """
     h0: dict[int, int] = {}
     h1: dict[int, int] = {}
     for line in lines:
         prev0 = prev1 = 0
-        for m, n0, n1 in _cech_dims(line):
+        for m in range(min(line.r_p, line.r_q) - 1, max(line.r_p, line.r_q) + 2):
+            row = _block(line, m)
+            rank, _ = _row_rank(row)
+            n0, n1 = len(row) - rank, 1 - rank
             if n0 != prev0:
                 h0[m] = h0.get(m, 0) + n0 - prev0
                 prev0 = n0
@@ -134,19 +126,8 @@ def _dim_jumps(lines: Iterable[LineWeights]) -> tuple[dict[int, int], dict[int, 
             h0[end] = h0.get(end, 0) - prev0
         if prev1:
             h1[end] = h1.get(end, 0) - prev1
-    return h0, h1
-
-
-def _character(jumps: dict[int, int]) -> Character:
-    """The character of the jumps, which must sum to zero (every run closed)."""
-    assert sum(jumps.values()) == 0, "the dimension runs do not close"
-    return Character._from_jumps(jumps)
-
-
-def _table(jumps: tuple[dict[int, int], dict[int, int]]) -> CohomologyTable:
-    """The table whose h0 and h1 have the given jumps, each character built once."""
-    h0, h1 = jumps
-    return CohomologyTable(_character(h0), _character(h1))
+    assert sum(h0.values()) == sum(h1.values()) == 0, "the dimension runs do not close"
+    return CohomologyTable(Character._from_jumps(h0), Character._from_jumps(h1))
 
 
 def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
@@ -158,7 +139,7 @@ def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
     >>> cech_cohomology_p1(LineWeights(-3, 0)).h1
     Character({-2: 1, -1: 1})
     """
-    return _table(_dim_jumps([summand]))
+    return _table([summand])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -178,10 +159,12 @@ class _GluedTable(CohomologyTable):
 
 
 def _node_values(line: LineWeights, node_chart: int) -> list[int]:
-    """The weight-0 kernel basis of the line, each vector read at the node column (node_chart, 0)."""
-    cols, row = _block(line, 0)
-    col = cols.index((node_chart, 0))
-    return [v[col] for v in _row_kernel(row)]
+    """The weight-0 kernel basis of the line, each vector read at the node's column.
+
+    The node column is the block's first for chart 0 and its last for chart 1.
+    """
+    col = 0 if node_chart == 0 else -1
+    return [v[col] for v in _row_kernel(_block(line, 0))]
 
 
 def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
@@ -194,10 +177,10 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
 
         0 -> H^0(glued) -> H^0(+) + H^0(-) -> fiber -> H^1(glued) -> H^1(+) + H^1(-) -> 0
 
-    gives each side's Cech dimensions over its own window plus one node term
-    per summand pair: -rank in H^0 and 1 - rank in H^1 at weight 0, where
-    rank is that of the joint evaluation map.  Off weight 0 the fiber and
-    the evaluation map are zero.  The returned table also carries the two
+    gives each side's Cech table, from one loop per line over its own
+    window, plus one node term per summand pair: -rank in H^0 and 1 - rank
+    in H^1 at weight 0, where rank is that of the joint evaluation map.
+    Off weight 0 the fiber and the evaluation map are zero.  The returned table also carries the two
     sides' own Cech tables, as ``plus`` and ``minus``.
 
     >>> from .geometry import cut, EquivBundleCP1
@@ -207,8 +190,8 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
     >>> (t.plus.h0, t.minus.h1)
     (Character({0: 1, 1: 1, 2: 1}), Character({1: 1}))
     """
-    plus = _table(_dim_jumps(cutd.plus.summands))
-    minus = _table(_dim_jumps(cutd.minus.summands))
+    plus = _table(cutd.plus.summands)
+    minus = _table(cutd.minus.summands)
     node_h0 = node_h1 = 0
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
         evals = _node_values(ps, 0) + [-x for x in _node_values(ms, 1)]

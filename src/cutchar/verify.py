@@ -55,13 +55,6 @@ __all__ = [
     "sweep",
     "grid_bundles",
     "equality_region",
-    "verify_gluing",
-    "verify_cut_inequality",
-    "verify_morse",
-    "verify_mv_morse",
-    "verify_simple",
-    "verify_semicontinuity",
-    "cross_validate",
 ]
 
 
@@ -218,6 +211,7 @@ def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: Char
 class _BundlePass(NamedTuple):
     """The closed forms of one bundle, shared by all of its checks."""
 
+    bundle: EquivBundleCP1
     m: CohomologyTable
     plus: CohomologyTable
     minus: CohomologyTable
@@ -227,70 +221,60 @@ class _BundlePass(NamedTuple):
     sides: CharPoly
 
 
-@functools.lru_cache(maxsize=1)
 def _tables(bundle: EquivBundleCP1) -> _BundlePass:
     """Closed forms of M, plus, minus and the cut space, the cut, and the sides.
 
-    Cached for the most recent bundle only: :func:`sweep` runs all checks of
-    one bundle before the next, so each bundle gets one closed-form pass,
-    while a cache over many bundles would keep their large characters alive.
-    The closed forms are looked up in this module at call time, so a test
-    that patches one of them must call ``_tables.cache_clear()`` first.
+    :func:`sweep` builds this pass once per visited bundle and hands it to
+    each of the bundle's checks.
     """
     cutd = cut(bundle)
     tm = cohomology(bundle)
     tp = cohomology(cutd.plus)
     tmin = cohomology(cutd.minus)
     sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + Character.monomial(0, bundle.rank)])
-    return _BundlePass(tm, tp, tmin, mcut_cohomology(cutd), cutd, sides)
+    return _BundlePass(bundle, tm, tp, tmin, mcut_cohomology(cutd), cutd, sides)
 
 
-def verify_gluing(bundle: EquivBundleCP1) -> CheckResult:
+def verify_gluing(t: _BundlePass) -> CheckResult:
     """Index additivity over the cut, correcting for the reduced point."""
-    t = _tables(bundle)
     lhs = t.m.index()
-    rhs = t.plus.index() + t.minus.index() - Character.monomial(0, bundle.rank)
+    rhs = t.plus.index() + t.minus.index() - Character.monomial(0, t.bundle.rank)
     if lhs == rhs:
-        return CheckResult("gluing", bundle, True)
-    return CheckResult("gluing", bundle, False, residual=CharPoly([lhs - rhs]))
+        return CheckResult("gluing", t.bundle, True)
+    return CheckResult("gluing", t.bundle, False, residual=CharPoly([lhs - rhs]))
 
 
-def verify_cut_inequality(bundle: EquivBundleCP1) -> CheckResult:
+def verify_cut_inequality(t: _BundlePass) -> CheckResult:
     """euler(cut) dominates euler(M) by a nonnegative (1+t) multiple."""
-    t = _tables(bundle)
-    return _morse_check("mcut", bundle, t.cut_space.euler_poly(), t.m.euler_poly())
+    return _morse_check("mcut", t.bundle, t.cut_space.euler_poly(), t.m.euler_poly())
 
 
-def verify_morse(bundle: EquivBundleCP1) -> CheckResult:
+def verify_morse(t: _BundlePass) -> CheckResult:
     """The two sides plus the node term dominate euler(M)."""
-    t = _tables(bundle)
-    return _morse_check("morse", bundle, t.sides, t.m.euler_poly())
+    return _morse_check("morse", t.bundle, t.sides, t.m.euler_poly())
 
 
-def verify_mv_morse(bundle: EquivBundleCP1) -> CheckResult:
+def verify_mv_morse(t: _BundlePass) -> CheckResult:
     """The two sides plus the node term dominate euler(cut)."""
-    t = _tables(bundle)
-    return _morse_check("mv", bundle, t.sides, t.cut_space.euler_poly())
+    return _morse_check("mv", t.bundle, t.sides, t.cut_space.euler_poly())
 
 
-def verify_simple(bundle: EquivBundleCP1) -> CheckResult:
+def verify_simple(t: _BundlePass) -> CheckResult:
     """Degreewise inequalities between the sides and M, no factoring."""
-    t = _tables(bundle)
     slack = t.sides - t.m.euler_poly()
-    return CheckResult("simple", bundle, slack.is_nonneg(), witness=slack)
+    return CheckResult("simple", t.bundle, slack.is_nonneg(), witness=slack)
 
 
-def verify_semicontinuity(bundle: EquivBundleCP1) -> CheckResult:
+def verify_semicontinuity(t: _BundlePass) -> CheckResult:
     """Cutting can only grow each h^p, and never moves the index."""
-    t = _tables(bundle)
     slack = t.cut_space.euler_poly() - t.m.euler_poly()
     index_gap = t.cut_space.index() - t.m.index()
     passed = slack.is_nonneg() and not index_gap
     residual = None if not index_gap else CharPoly([index_gap])
-    return CheckResult("semicontinuity", bundle, passed, witness=slack, residual=residual)
+    return CheckResult("semicontinuity", t.bundle, passed, witness=slack, residual=residual)
 
 
-def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
+def cross_validate(t: _BundlePass) -> CheckResult:
     """Closed forms against the Cech, nodal Cech and localization routes.
 
     The residual names every comparison by its power of t: closed form minus
@@ -301,11 +285,10 @@ def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
     against the Cech tables that the nodal route glued.  The check passes
     iff the residual is zero.
     """
-    t = _tables(bundle)
     cech_h0 = ZERO
     cech_h1 = ZERO
     loc_index = ZERO
-    for s in bundle.summands:
+    for s in t.bundle.summands:
         table = cech_cohomology_p1(s)
         cech_h0 += table.h0
         cech_h1 += table.h1
@@ -322,7 +305,7 @@ def cross_validate(bundle: EquivBundleCP1) -> CheckResult:
         t.minus.h0 - nodal.minus.h0,
         t.minus.h1 - nodal.minus.h1,
     ])
-    return CheckResult("oracle", bundle, not residual, residual=residual or None)
+    return CheckResult("oracle", t.bundle, not residual, residual=residual or None)
 
 
 _REGISTRY: dict[str, object] = {
@@ -343,9 +326,7 @@ MORSE_CHECKS: tuple[str, ...] = ("mcut", "morse", "mv")
 
 
 def run_check(check_id: str, bundle: EquivBundleCP1) -> CheckResult:
-    if check_id not in _REGISTRY:
-        raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(ALL_CHECKS)}")
-    return _REGISTRY[check_id](bundle)
+    return sweep([bundle], (check_id,)).results[0][0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -530,9 +511,10 @@ def _normalize_checks(check_ids) -> tuple[str, ...]:
 def sweep(bundles, check_ids=None, fail_fast: bool = False) -> SweepReport:
     """Run the selected checks over the bundles, in a deterministic order.
 
-    Bundles are visited in the given order, checks in registry order.  With
-    ``fail_fast`` the sweep stops right after the first failing check and
-    the grid is trimmed to the bundles actually visited.
+    Bundles are visited in the given order, checks in registry order, and
+    each visited bundle's closed forms are computed once for all its checks.
+    With ``fail_fast`` the sweep stops right after the first failing check
+    and the grid is trimmed to the bundles actually visited.
     """
     grid = tuple(bundles)
     if not grid:
@@ -541,9 +523,10 @@ def sweep(bundles, check_ids=None, fail_fast: bool = False) -> SweepReport:
     rows: list[tuple[CheckResult, ...]] = []
     stop = False
     for bundle in grid:
+        t = _tables(bundle)
         row: list[CheckResult] = []
         for cid in selected:
-            result = _REGISTRY[cid](bundle)
+            result = _REGISTRY[cid](t)
             row.append(result)
             if fail_fast and not result.passed:
                 stop = True

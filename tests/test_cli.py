@@ -100,8 +100,8 @@ class TestVerify:
         assert "## Details" in proc.stdout
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
-        def always_fails(b):
-            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+        def always_fails(t):
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         assert main(["verify", "0:0"]) == 1
@@ -370,8 +370,8 @@ class TestSweepConfig:
         assert proc.returncode == 2
 
     def test_config_fail_fast_stops_after_the_first_failure(self, tmp_path, monkeypatch, capsys):
-        def always_fails(b):
-            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+        def always_fails(t):
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         ran = {}
@@ -406,8 +406,8 @@ class TestEqualityRegion:
         assert proc.returncode == 2
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
-        def always_fails(b):
-            return CheckResult("mcut", b, False, residual=CharPoly([1]))
+        def always_fails(t):
+            return CheckResult("mcut", t.bundle, False, residual=CharPoly([1]))
 
         monkeypatch.setitem(_REGISTRY, "mcut", always_fails)
         assert main(["equality-region", "--rp-range", "-1..1", "--rq-range", "0..0", "--format", "json"]) == 1
@@ -640,9 +640,9 @@ class TestOutputOpenedFirst:
         calls = []
 
         def counted(fn):
-            def run(b):
-                calls.append(b)
-                return fn(b)
+            def run(t):
+                calls.append(t.bundle)
+                return fn(t)
 
             return run
 
@@ -772,8 +772,8 @@ class TestFuzzMain:
                 cfg.write_bytes(config.replace(b"@out@", json.dumps(str(out))[1:-1].encode()))
             argv = [{"@out@": str(out), "@config@": str(cfg)}.get(a, a) for a in argv]
 
-            def fails(bundle):  # the drawn check, if any, fails on every bundle
-                return CheckResult(broken, bundle, False, residual=CharPoly([1]))
+            def fails(t):  # the drawn check, if any, fails on every bundle
+                return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))
 
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):

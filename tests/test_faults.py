@@ -21,7 +21,6 @@ import pytest
 
 import cutchar.verify
 from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, cut, run_check, sweep
-from cutchar.verify import _tables
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,6 @@ CASES = [
     ("minus-h1-short", RANK_ONE, FAR, {"gluing", "morse", "mv", "simple", "oracle"}),
     ("minus-h1-short", RANK_THREE, 0, {"gluing", "morse", "mv", "oracle"}),
 ]
-
-
-@pytest.fixture(autouse=True)
-def fresh_tables():
-    _tables.cache_clear()
-    yield
-    _tables.cache_clear()
 
 
 def inject(monkeypatch, name: str, b: EquivBundleCP1, k: int) -> None:

@@ -23,35 +23,48 @@ from cutchar import (
     run_check,
 )
 import cutchar.oracles
-from cutchar.oracles import _block, _cech_dims, _over_one_minus_u, _row_kernel, _row_rank
-from cutchar.verify import cross_validate
+from cutchar.oracles import _block, _over_one_minus_u, _row_kernel, _row_rank
 
 u = Character.monomial(1)
 
 
+def _blocks_built(monkeypatch, line: LineWeights) -> dict[int, list[int]]:
+    """The row of each weight block that ``cech_cohomology_p1(line)`` builds, by weight."""
+    block = cutchar.oracles._block
+    rows = {}
+
+    def recorded(line, m):
+        rows[m] = block(line, m)
+        return rows[m]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cutchar.oracles, "_block", recorded)
+        cech_cohomology_p1(line)
+    return rows
+
+
 class TestCechLine:
-    def test_block_shapes(self):
+    def test_block_shapes(self, monkeypatch):
         line = LineWeights(2, 0)
-        assert _block(line, 1) == ([(0, 1), (1, 1)], [1, -1])
-        assert _block(line, 3)[0] == [(0, 3)]
-        assert _block(line, -1)[0] == [(1, 3)]
-        assert 99 not in {m for m, _, _ in _cech_dims(line)}
+        assert _block(line, 1) == [1, -1]
+        assert _block(line, 3) == [1]
+        assert _block(line, -1) == [-1]
+        assert set(_blocks_built(monkeypatch, line)) == set(range(-1, 4))
 
     def test_sections_span_kernel(self):
-        cols, row = _block(LineWeights(2, 0), 1)
-        secs = _row_kernel(row)
+        secs = _row_kernel(_block(LineWeights(2, 0), 1))
         assert len(secs) == 1
         assert secs[0] == (Fraction(1), Fraction(1))
-        cols, row = _block(LineWeights(2, 0), 99)
-        assert _row_kernel(row) == []
+        assert _row_kernel(_block(LineWeights(2, 0), 99)) == []
 
-    def test_h1_block(self):
+    def test_h1_block(self, monkeypatch):
         line = LineWeights(-3, 0)
-        assert _block(line, -1) == ([], [])
-        dims = {m: (n0, n1) for m, n0, n1 in _cech_dims(line)}
-        assert set(dims) == set(range(-4, 2))
-        assert dims[-1][1] == 1
-        assert dims[0][1] == 0
+        assert _block(line, -1) == []
+        rows = _blocks_built(monkeypatch, line)
+        assert set(rows) == set(range(-4, 2))
+        h1_dims = {m: 1 - _row_rank(row)[0] for m, row in rows.items()}
+        assert h1_dims[-1] == 1
+        assert h1_dims[0] == 0
 
     def test_matches_closed_form_on_grid(self):
         for rp in range(-5, 6):
@@ -174,7 +187,7 @@ class TestCrossValidateReducesEachBlockOnce:
         # reductions per node term: 19 + 15 + 17 + 9.  Comparing the sides
         # too reads the tables the nodal route already built.
         b = EquivBundleCP1.parse("1:-1,2:2,-3:5")
-        assert _row_rank_calls(monkeypatch, cross_validate, b) == 60
+        assert _row_rank_calls(monkeypatch, lambda b: run_check("oracle", b), b) == 60
 
 
 class TestLocalization:

@@ -26,7 +26,7 @@ from cutchar import (
     sweep,
 )
 import cutchar.verify
-from cutchar.verify import _REGISTRY, _json_text, _morse_check, _tables
+from cutchar.verify import _REGISTRY, _json_text, _morse_check
 
 u = Character.monomial(1)
 
@@ -193,8 +193,8 @@ class TestSweep:
         assert report.equality_sets == {}
 
     def test_fail_fast_trims_grid(self, monkeypatch):
-        def always_fails(b):
-            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+        def always_fails(t):
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         grid = grid_bundles((0, 4), (0, 0))
@@ -206,8 +206,8 @@ class TestSweep:
         assert report.summary == {"gluing": {"passed": 0, "failed": 1}}
 
     def test_without_fail_fast_all_visited(self, monkeypatch):
-        def always_fails(b):
-            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+        def always_fails(t):
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         grid = grid_bundles((0, 2), (0, 0))
@@ -285,8 +285,8 @@ class TestSweepReportSerialization:
 
     def test_fail_fast_report_round_trips(self, monkeypatch):
         # mcut was selected but never ran: its set is present and empty.
-        def always_fails(b):
-            return CheckResult("gluing", b, False, residual=CharPoly([1]))
+        def always_fails(t):
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         report = sweep([bundle("0:0"), bundle("1:0")], ("gluing", "mcut"), fail_fast=True)
@@ -317,8 +317,8 @@ class TestSweepReportSerialization:
         assert "- Overall: PASS" in text
 
     def test_markdown_failures_section(self, monkeypatch):
-        def always_fails(b):
-            return CheckResult("gluing", b, False, residual=CharPoly([1 - u]))
+        def always_fails(t):
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1 - u]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         report = sweep([bundle("0:0"), bundle("1:0")], ("gluing",))
@@ -467,8 +467,8 @@ class TestReportLoadsOnlyWhatItWrites:
     def test_round_trip(self, weights, checks, fail_fast, broken, region):
         grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
 
-        def fails(b):  # the drawn check, if any, fails on every bundle
-            return CheckResult(broken, b, False, residual=CharPoly([1]))
+        def fails(t):  # the drawn check, if any, fails on every bundle
+            return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))
 
         with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
             report = sweep(grid, checks, fail_fast=fail_fast)
@@ -497,8 +497,8 @@ class TestJsonText:
     def test_equals_json_dumps(self, weights, checks, fail_fast, broken, region):
         grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
 
-        def fails(b):  # the drawn check, if any, fails on every bundle
-            return CheckResult(broken, b, False, residual=CharPoly([0, -2 * u]))
+        def fails(t):  # the drawn check, if any, fails on every bundle
+            return CheckResult(broken, t.bundle, False, residual=CharPoly([0, -2 * u]))
 
         with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
             report = sweep(grid, checks, fail_fast=fail_fast)
@@ -546,30 +546,40 @@ class TestEqualityRegion:
         assert morse_eq == {f"{a}:{b}" for a in range(-3, 0) for b in range(1, 4)}
 
 
+def _closed_form_calls(monkeypatch) -> Counter:
+    """Count the ``cohomology`` and ``mcut_cohomology`` calls ``verify`` makes from now on."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("cohomology", "mcut_cohomology"):
+        monkeypatch.setattr(cutchar.verify, name, counting(name, getattr(cutchar.verify, name)))
+    return calls
+
+
 class TestPerBundlePass:
     def test_closed_forms_once_per_bundle(self, monkeypatch):
-        calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        for name in ("cohomology", "mcut_cohomology"):
-            monkeypatch.setattr(cutchar.verify, name, counting(name, getattr(cutchar.verify, name)))
-        _tables.cache_clear()
-        for cid in ALL_CHECKS:
-            run_check(cid, bundle("1:-1,2:2"))
+        calls = _closed_form_calls(monkeypatch)
+        sweep([bundle("1:-1,2:2")])
         # M, plus and minus, and the cut space: once each for all checks.
         assert calls == {"cohomology": 3, "mcut_cohomology": 1}
+
+    def test_one_pass_per_visited_bundle(self, monkeypatch):
+        calls = _closed_form_calls(monkeypatch)
+        a, b = bundle("2:-1"), bundle("-3:2,1:1")
+        sweep([a, b, a])
+        # Revisiting a reuses nothing from its first visit.
+        assert calls == {"cohomology": 9, "mcut_cohomology": 3}
 
     def test_sweep_revisiting_a_bundle_matches_fresh_runs(self):
         a, b = bundle("2:-1"), bundle("-3:2,1:1")
         report = sweep([a, b, a])
         for bun, row in zip(report.grid, report.results):
-            _tables.cache_clear()
             assert row == tuple(run_check(cid, bun) for cid in ALL_CHECKS), bun.literal()
 
     # Before zero operands were handed back and the sides' Euler polynomial
@@ -592,14 +602,10 @@ class TestPerBundlePass:
             return from_jumps(cls, jumps)
 
         b = bundle(lit)
-        _tables.cache_clear()
         monkeypatch.setattr(Character, "__init__", counting_init)
         monkeypatch.setattr(Character, "_from_jumps", classmethod(counting_from_jumps))
-        for cid in ALL_CHECKS:
-            if cid != "oracle":
-                run_check(cid, b)
+        sweep([b], [cid for cid in ALL_CHECKS if cid != "oracle"])
         monkeypatch.undo()
-        _tables.cache_clear()
         assert 0 < built.total() <= bound
 
 
@@ -639,7 +645,6 @@ class TestUnboundedWeights:
             "simple": CharPoly([1, 1]),
             "semicontinuity": CharPoly(),
         }
-        _tables.cache_clear()
         with _no_dense_expansion():
             report = sweep([b], tuple(expected))
             table = cohomology(b)
@@ -647,7 +652,6 @@ class TestUnboundedWeights:
             assert table.h1 == Character.span(-BIG + 1, BIG - 1)
             assert (table.h0.dim(), table.h1.dim()) == (2 * BIG + 1, 2 * BIG - 1)
             assert table.h0.is_nonneg() and not (-table.h1).is_nonneg()
-        _tables.cache_clear()
         assert report.passed
         assert {r.check_id: r.witness for r in report.results[0]} == expected
         assert all(r.residual is None for r in report.results[0])
@@ -663,7 +667,6 @@ class TestUnboundedWeights:
         with _no_dense_expansion():
             mcut = run_check("mcut", b)
             morse = run_check("morse", b)
-        _tables.cache_clear()
         assert mcut.passed and morse.passed
         assert (mcut.witness == CharPoly()) is _mcut_tight(rp, rq)
         assert (morse.witness == CharPoly()) is _morse_tight(rp, rq)

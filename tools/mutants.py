@@ -157,6 +157,15 @@ MUTANTS = [
         "return hash(c) if self == c else hash(tuple(self._jumps.items()))",
         "return hash(tuple(self._jumps.items()))",
     ),
+    # Each bundle's checks read that bundle's own closed-form pass.
+    Mutant("pass-from-first-bundle", "verify.py", "t = _tables(bundle)", "t = _tables(grid[0])"),
+    Mutant(
+        "node-column-first",
+        "oracles.py",
+        "col = 0 if node_chart == 0 else -1",
+        "col = 0",
+        equivalent="a weight-0 block's row is [1, -1] or has one entry, so every kernel vector has equal entries",
+    ),
     Mutant(
         "equivalent-minus-node-sign",
         "oracles.py",
