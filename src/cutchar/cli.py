@@ -11,16 +11,19 @@ Subcommands::
 ``BUNDLE`` is comma-separated ``rP:rQ`` pairs, e.g. ``1:-1,2:2``.  Ranges
 are inclusive ``A..B``.  Exit status: 0 when everything passed, 1 when some
 check failed, 2 on usage or input errors and when the output cannot be
-written.  Output is byte-stable unless ``--timestamps`` is given.  Every
-command writes its JSON through the one writer in :mod:`cutchar.verify`,
-handing it the characters and check results as they are.
+written.  Output is byte-stable unless ``--timestamps`` is given.
+
+Each command only parses and validates its input, and hands :func:`main`
+its output path, its format and its work.  :func:`main` alone opens the
+output, runs the work, writes the result through :func:`_write` and picks
+the exit status.  JSON goes through the one writer in :mod:`cutchar.verify`,
+which takes the characters and check results as they are.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import re
 import sys
@@ -168,8 +171,9 @@ def _timestamp() -> str:
 def _destination(out: str | None):
     """Where a command writes: stdout, or the file ``out``.
 
-    A command enters this after parsing its input and before its work, so an
-    unwritable path costs no work and a bad input leaves the file untouched.
+    :func:`main` enters this after a command has parsed its input and before
+    its work, so an unwritable path costs no work and a bad input leaves the
+    file untouched.
     A failed write to either exits 2, as an input error does: exit 1 means only a failed check.
     """
     if out is None:
@@ -189,62 +193,57 @@ def _destination(out: str | None):
         raise _UsageError(f"cannot write {where}: {exc}") from None
 
 
-def _emit_json(members: dict, args, dest) -> None:
-    """Write ``members`` as one JSON object; a timestamp goes in as its last member."""
-    if args.timestamps:
-        members["generated_at"] = _timestamp()
-    dest.write(_json_text(members) + "\n")
-
-
 def _table(table, **head) -> dict:
     """The JSON members of a cohomology table, after those of ``head``."""
     return {**head, "h0": table.h0, "h1": table.h1, "n": table.n}
 
 
-def _emit_report(report: SweepReport, fmt: str, args, dest) -> None:
-    if fmt == "json":
-        _emit_json(report._json_members(), args, dest)
-    elif fmt == "csv":
-        dest.write(report.to_csv())
+def _write(result: dict | SweepReport, fmt: str, stamp: bool, dest) -> None:
+    """Write a command's result: a report as JSON, CSV or Markdown, JSON members as JSON.
+
+    With ``stamp`` the generation time goes last: JSON's last member, or
+    Markdown's last line.  CSV gets no stamp.
+    """
+    if fmt == "csv":
+        dest.write(result.to_csv())
+    elif fmt == "md":
+        text = result.to_markdown()
+        dest.write(f"{text}\nGenerated: {_timestamp()}\n" if stamp else text)
     else:
-        text = report.to_markdown()
-        if args.timestamps:
-            text += f"\nGenerated: {_timestamp()}\n"
-        dest.write(text)
+        members = result._json_members() if isinstance(result, SweepReport) else result
+        if stamp:
+            members["generated_at"] = _timestamp()
+        dest.write(_json_text(members) + "\n")
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args):
     bundle = _parse_bundle(args.bundle)
-    with _destination(args.out) as dest:
-        _emit_json(_table(cohomology(bundle)), args, dest)
-    return 0
+    return args.out, "json", lambda: _table(cohomology(bundle))
 
 
-def _cmd_cut(args) -> int:
+def _cmd_cut(args):
     bundle = _parse_bundle(args.bundle)
-    with _destination(args.out) as dest:
+
+    def work() -> dict:
         cutd = cut(bundle)
-        members = {
+        return {
             "bundle": bundle.literal(),
             "plus": _table(cohomology(cutd.plus), bundle=cutd.plus.literal()),
             "minus": _table(cohomology(cutd.minus), bundle=cutd.minus.literal()),
             "red_dims": cutd.red_dims,
             "mcut": _table(mcut_cohomology(cutd)),
         }
-        _emit_json(members, args, dest)
-    return 0
+
+    return args.out, "json", work
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     bundle = _parse_bundle(args.bundle)
     checks = _parse_checks(args.checks)
-    with _destination(args.out) as dest:
-        report = sweep([bundle], checks)
-        _emit_report(report, args.format, args, dest)
-    return 0 if report.passed else 1
+    return args.out, args.format, lambda: sweep([bundle], checks)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     config = RunConfig.load(args.config) if args.config else RunConfig()
     rp = _parse_range(args.rp_range) if args.rp_range else None
     rq = _parse_range(args.rq_range) if args.rq_range else None
@@ -264,18 +263,13 @@ def _cmd_sweep(args) -> int:
         checks = config.checks if config.checks is not None else ALL_CHECKS
     fail_fast = args.fail_fast if args.fail_fast is not None else bool(config.fail_fast)
     fmt = args.format or config.fmt or "json"
-    with _destination(args.out if args.out is not None else config.out) as dest:
-        report = sweep(bundles, checks, fail_fast=fail_fast)
-        _emit_report(report, fmt, args, dest)
-    return 0 if report.passed else 1
+    out = args.out if args.out is not None else config.out
+    return out, fmt, lambda: sweep(bundles, checks, fail_fast=fail_fast)
 
 
-def _cmd_equality_region(args) -> int:
+def _cmd_equality_region(args):
     rp, rq = _parse_range(args.rp_range), _parse_range(args.rq_range)
-    with _destination(args.out) as dest:
-        report = equality_region(rp, rq)
-        _emit_report(report, args.format, args, dest)
-    return 0 if report.passed else 1
+    return args.out, args.format, lambda: equality_region(rp, rq)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,13 +285,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it.
-
-    Each ``parse_args`` returns a fresh namespace, so no call sees another's
-    arguments; building the parser costs more than a small command itself.
-    """
     parser = _Parser(
         prog="cutchar",
         description="Exact circle-equivariant section characters on the projective line, "
@@ -347,13 +335,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out, fmt, work = args.func(args)
+        with _destination(out) as dest:
+            result = work()
+            _write(result, fmt, args.timestamps, dest)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if isinstance(result, SweepReport) and not result.passed else 0
 
 
 def console_main() -> None:

@@ -103,9 +103,10 @@ def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
     block is built when reached and row-reduced once; C^1_m is
     one-dimensional, so H^0_m = columns - rank and H^1_m = 1 - rank.  A jump
     is recorded only where a line's dimension differs from the one at the
-    weight before, and each line's runs close one past its window, where the
-    dimensions are zero again, so the jumps hold O(rank) entries however
-    wide the windows are.
+    weight before, so the jumps hold O(rank) entries however wide the windows
+    are.  The window's first weight has only a chart-1 column and its last
+    only a chart-0 one, so both dimensions are zero there and every line's
+    runs close inside its window.
     """
     h0: dict[int, int] = {}
     h1: dict[int, int] = {}
@@ -121,11 +122,6 @@ def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
             if n1 != prev1:
                 h1[m] = h1.get(m, 0) + n1 - prev1
                 prev1 = n1
-        end = m + 1  # one past the window's last weight
-        if prev0:
-            h0[end] = h0.get(end, 0) - prev0
-        if prev1:
-            h1[end] = h1.get(end, 0) - prev1
     assert sum(h0.values()) == sum(h1.values()) == 0, "the dimension runs do not close"
     return CohomologyTable(Character._from_jumps(h0), Character._from_jumps(h1))
 

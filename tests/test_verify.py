@@ -249,9 +249,9 @@ class TestSweepReportSerialization:
     def test_mismatched_grid_rejected(self):
         report = sweep([bundle("0:0")], ("gluing",))
         obj = report.to_json_obj()
-        obj["grid"] = ["1:0"]
-        with pytest.raises(ValueError):
-            SweepReport.from_json_obj(obj)
+        for grid in [["1:0"], ["0:0", "1:0"]]:
+            with pytest.raises(ValueError):
+                SweepReport.from_json_obj({**obj, "grid": grid})
 
     def test_contradicting_equality_sets_rejected(self):
         obj = sweep(grid_bundles((-1, 1), (-1, 1)), ("mcut",)).to_json_obj()
@@ -282,6 +282,9 @@ class TestSweepReportSerialization:
         ]:
             with pytest.raises(ValueError):
                 SweepReport.from_json_obj({**obj, key: value})
+        for whole in [[], {k: v for k, v in obj.items() if k != "results"}]:
+            with pytest.raises(ValueError):
+                SweepReport.from_json_obj(whole)
 
     def test_fail_fast_report_round_trips(self, monkeypatch):
         # mcut was selected but never ran: its set is present and empty.
@@ -386,6 +389,8 @@ ROW_HOLES = [
     pytest.param([["gluing", "mcut", "mcut"]], id="check-listed-twice"),
     pytest.param([["gluing", "mcut"], []], id="empty-row-after-a-full-one"),
     pytest.param([["gluing"], ["mcut"]], id="rows-with-different-checks"),
+    # Loads when only the last row is compared with the first.
+    pytest.param([["gluing"], ["mcut"], ["gluing"]], id="middle-row-with-different-checks"),
     pytest.param([["gluing", "mcut"], ["gluing"]], id="short-last-row-without-failure"),
     pytest.param([["gluing!"], ["gluing", "mcut"]], id="short-row-before-the-last"),
     pytest.param([["gluing!", "mcut"], ["gluing!"]], id="short-last-row-after-a-failure"),

@@ -60,13 +60,12 @@ MUTANTS = [
         "fail_fast = args.fail_fast if args.fail_fast is not None else bool(config.fail_fast)",
         "fail_fast = bool(args.fail_fast)",
     ),
+    # The one exit-status line, mutated so that every report exits 0.
     Mutant(
         "equality-region-exits-0",
         "cli.py",
-        "report = equality_region(rp, rq)\n        _emit_report(report, args.format, args, dest)\n"
-        "    return 0 if report.passed else 1",
-        "report = equality_region(rp, rq)\n        _emit_report(report, args.format, args, dest)\n"
-        "    return 0",
+        "return 1 if isinstance(result, SweepReport) and not result.passed else 0",
+        "return 0",
     ),
     Mutant(
         "check-ids-not-stripped",
@@ -159,6 +158,27 @@ MUTANTS = [
     ),
     # Each bundle's checks read that bundle's own closed-form pass.
     Mutant("pass-from-first-bundle", "verify.py", "t = _tables(bundle)", "t = _tables(grid[0])"),
+    # Loader rejections, each reached by one test input of its own.
+    Mutant(
+        "loader-middle-rows-unchecked",
+        "verify.py",
+        "if any(row_ids != ids[0] for row_ids in full):",
+        "if False:",
+    ),
+    Mutant("loader-grid-length-unchecked", "verify.py", "if len(grid) != len(rows):", "if False:"),
+    Mutant(
+        "loader-non-object-unchecked",
+        "verify.py",
+        'if not isinstance(obj, dict) or not {"grid", "results"} <= set(obj):',
+        "if False:",
+    ),
+    # Each line's runs close inside its window, so a short window trips the closing assert.
+    Mutant(
+        "oracle-window-one-short",
+        "oracles.py",
+        "max(line.r_p, line.r_q) + 2)",
+        "max(line.r_p, line.r_q) + 1)",
+    ),
     Mutant(
         "node-column-first",
         "oracles.py",
