@@ -28,6 +28,7 @@ a nonnegativity statement about such a Q.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import zip_longest
 from types import MappingProxyType
 
 __all__ = ["Character", "CharPoly", "NotDivisible", "morse_quotient"]
@@ -57,20 +58,26 @@ def _canonical(terms: Mapping[int, int]) -> dict[int, int]:
     return {k: terms[k] for k in sorted(terms) if terms[k] != 0}
 
 
-def _running_sums(jumps: Mapping[int, int]) -> Iterator[tuple[int, int]]:
-    """``(k, s_k)`` for every k where the prefix sum s_k of ``jumps`` is nonzero.
+def _runs(jumps: Mapping[int, int]) -> Iterator[tuple[int, int, int]]:
+    """``(lo, hi, s)`` for each run lo <= k < hi where the prefix sum of ``jumps`` is s != 0.
 
     ``jumps`` must be canonical and sum to zero.  The sums are constant
-    between consecutive jumps, so a run is emitted only where it is nonzero.
+    between consecutive jumps, so the runs come in ascending order, one per
+    jump that leaves a nonzero sum; adjacent runs hold different sums.
+    This is the one walk over the jumps: every dense view expands it.
     """
     total = 0
     prev = 0
     for k, q in jumps.items():
         if total:
-            for m in range(prev, k):
-                yield m, total
+            yield prev, k, total
         total += q
         prev = k
+
+
+def _running_sums(jumps: Mapping[int, int]) -> Iterator[tuple[int, int]]:
+    """``(k, s_k)`` for every k where the prefix sum s_k of ``jumps`` is nonzero."""
+    return ((m, s) for lo, hi, s in _runs(jumps) for m in range(lo, hi))
 
 
 class Character:
@@ -185,7 +192,8 @@ class Character:
         return hash(c) if self == c else hash(tuple(self._jumps.items()))
 
     def __add__(self, other: "Character | int") -> "Character":
-        other = _as_character(other)
+        if type(other) is not Character:
+            other = _as_character(other)
         # Instances are immutable, so a zero operand can hand back the other one.
         if not other._jumps:
             return self
@@ -194,7 +202,9 @@ class Character:
         merged = dict(self._jumps)
         for k, q in other._jumps.items():
             merged[k] = merged.get(k, 0) + q
-        return Character._from_jumps(merged)
+        new = object.__new__(Character)
+        new._jumps = _canonical(merged)
+        return new
 
     __radd__ = __add__
 
@@ -202,13 +212,16 @@ class Character:
         return Character._from_jumps({k: -q for k, q in self._jumps.items()})
 
     def __sub__(self, other: "Character | int") -> "Character":
-        other = _as_character(other)
+        if type(other) is not Character:
+            other = _as_character(other)
         if not other._jumps:
             return self
         merged = dict(self._jumps)
         for k, q in other._jumps.items():
             merged[k] = merged.get(k, 0) - q
-        return Character._from_jumps(merged)
+        new = object.__new__(Character)
+        new._jumps = _canonical(merged)
+        return new
 
     def __rsub__(self, other: int) -> "Character":
         return _as_character(other) - self
@@ -356,9 +369,8 @@ class CharPoly:
         return hash(self._coeffs)
 
     def __add__(self, other: "CharPoly | Character | int") -> "CharPoly":
-        other = _as_charpoly(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return CharPoly([self.coeff(p) + other.coeff(p) for p in range(n)])
+        pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
+        return CharPoly([a + b for a, b in pairs])
 
     __radd__ = __add__
 
@@ -366,9 +378,8 @@ class CharPoly:
         return CharPoly([-c for c in self._coeffs])
 
     def __sub__(self, other: "CharPoly | Character | int") -> "CharPoly":
-        other = _as_charpoly(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return CharPoly([self.coeff(p) - other.coeff(p) for p in range(n)])
+        pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
+        return CharPoly([a - b for a, b in pairs])
 
     def __mul__(self, other: "CharPoly | Character | int") -> "CharPoly":
         other = _as_charpoly(other)

@@ -17,7 +17,8 @@ Each command only parses and validates its input, and hands :func:`main`
 its output path, its format and its work.  :func:`main` alone opens the
 output, runs the work, writes the result through :func:`_write` and picks
 the exit status.  JSON goes through the one writer in :mod:`cutchar.verify`,
-which takes the characters and check results as they are.
+which takes the characters and check results as they are and hands the
+output its pieces as it makes them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
-from .verify import ALL_CHECKS, SweepReport, _json_text, equality_region, grid_bundles, sweep
+from .verify import ALL_CHECKS, SweepReport, _write_json, equality_region, grid_bundles, sweep
 
 __all__ = ["main", "console_main", "RunConfig"]
 
@@ -213,7 +214,8 @@ def _write(result: dict | SweepReport, fmt: str, stamp: bool, dest) -> None:
         members = result._json_members() if isinstance(result, SweepReport) else result
         if stamp:
             members["generated_at"] = _timestamp()
-        dest.write(_json_text(members) + "\n")
+        _write_json(members, dest.write)
+        dest.write("\n")
 
 
 def _cmd_cohomology(args):

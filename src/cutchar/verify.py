@@ -22,7 +22,8 @@ Check ids:
 
 Every JSON document of the command line, a report or a table, is laid out
 by one writer here, as ``json.dumps(obj, indent=2)`` lays out the matching
-``to_json_obj`` objects; only this module knows that layout.
+``to_json_obj`` objects, and handed to its destination piece by piece;
+only this module knows that layout.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .characters import ZERO, Character, CharPoly, NotDivisible, morse_quotient
+from .characters import ZERO, Character, CharPoly, NotDivisible, _runs, morse_quotient
 from .geometry import (
     CohomologyTable,
     CutDecomposition,
@@ -120,48 +121,84 @@ class CheckResult:
         )
 
 
-def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)``, for a value on a line indented by ``pad``.
+#: The most terms of one run that the JSON writer puts in one piece, so that
+#: it holds at most one piece of a dense character at a time.
+_RUN_CHUNK = 1024
+
+
+def _write_json(value, write, pad: str = "") -> None:
+    """Write ``json.dumps(value, indent=2)`` through ``write``, for a value on a line indented by ``pad``.
 
     ``value`` is built of dicts with string keys, lists, tuples, strings,
     ints, bools and None, and may also hold a :class:`Character`, a
     :class:`CharPoly` or a row: a tuple of one bundle's check results.  It
-    is written from these objects directly: json.dumps lays out indented
-    text in its pure-Python encoder, which costs several times this writer.
+    is written from these objects directly, in pieces and in order: a
+    character goes out run by run, each run in pieces of at most
+    ``_RUN_CHUNK`` terms, so no piece grows with the weights.  json.dumps
+    lays out indented text in its pure-Python encoder, which costs several
+    times this writer.
     """
     inner = pad + "  "
     if type(value) is Character:
-        body = f',\n{inner}"'.join([f'{k}": {q}' for k, q in value.items()])
-        return f'{{\n{inner}"{body}\n{pad}}}' if body else "{}"
+        opened = False
+        for lo, hi, q in _runs(value._jumps):
+            sep = f'": {q},\n{inner}"'
+            for start in range(lo, hi, _RUN_CHUNK):
+                terms = sep.join(map(str, range(start, min(start + _RUN_CHUNK, hi))))
+                write(f'{"," if opened else "{"}\n{inner}"{terms}": {q}')
+                opened = True
+        write(f"\n{pad}}}" if opened else "{}")
+        return
+    if isinstance(value, str):
+        write(_quote(value))
+        return
+    if value is None or isinstance(value, int):  # bools too
+        write(json.dumps(value))
+        return
     if type(value) is CharPoly:
-        members = [_json_text(c, inner) for c in value.coeffs]
-    elif isinstance(value, str):
-        return _quote(value)
-    elif value is None or isinstance(value, int):  # bools too
-        return json.dumps(value)
+        brackets, members = "[]", [("", c) for c in value.coeffs]
     elif isinstance(value, dict):
-        members = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets, members = "{}", [(f"{_quote(k)}: ", v) for k, v in value.items()]
     elif value and type(value[0]) is CheckResult:
-        # One f-string per result, with the row's bundle literal quoted once
-        # and no call for an absent witness or residual.
+        # Two pieces per result, each ending in the key of a polynomial that
+        # is written next, or in its null; the row's bundle literal is quoted once.
         at, bundle = inner + "  ", _quote(value[0].bundle.literal())
-        members = [
-            f'{{\n{at}"check_id": {_quote(r.check_id)},\n{at}"bundle": {bundle},\n'
-            f'{at}"passed": {"true" if r.passed else "false"},\n'
-            f'{at}"witness": {"null" if r.witness is None else _json_text(r.witness, at)},\n'
-            f'{at}"residual": {"null" if r.residual is None else _json_text(r.residual, at)}\n{inner}}}'
-            for r in value
-        ]
+        sep = "["
+        for r in value:
+            write(
+                f'{sep}\n{inner}{{\n{at}"check_id": {_quote(r.check_id)},\n{at}"bundle": {bundle},\n'
+                f'{at}"passed": {"true" if r.passed else "false"},\n'
+                f'{at}"witness": {"null" if r.witness is None else ""}'
+            )
+            if r.witness is not None:
+                _write_json(r.witness, write, at)
+            write(f',\n{at}"residual": {"null" if r.residual is None else ""}')
+            if r.residual is not None:
+                _write_json(r.residual, write, at)
+            sep = f"\n{inner}}},"
+        write(f"\n{inner}}}\n{pad}]")
+        return
     else:
-        members = [_json_text(v, inner) for v in value]
-    brackets = "{}" if isinstance(value, dict) else "[]"
+        brackets, members = "[]", [("", v) for v in value]
     if not members:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}{brackets[1]}"
+        write(brackets)
+        return
+    sep = brackets[0]
+    for key, v in members:
+        write(f"{sep}\n{inner}{key}")
+        _write_json(v, write, inner)
+        sep = ","
+    write(f"\n{pad}{brackets[1]}")
 
 
-#: The compact JSON of a CSV witness cell; json.dumps would build an encoder per call.
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+def _csv_cell(poly: CharPoly) -> str:
+    """``json.dumps(poly.to_json_obj(), separators=(",", ":"))``, written run by run."""
+    return "[" + ",".join(_compact_character(c) for c in poly.coeffs) + "]"
+
+
+def _compact_character(ch: Character) -> str:
+    runs = ('"' + f'":{q},"'.join(map(str, range(lo, hi))) + f'":{q}' for lo, hi, q in _runs(ch._jumps))
+    return "{" + ",".join(runs) + "}"
 
 
 def _require_round_trip(written: dict, given: dict, what: str) -> None:
@@ -219,6 +256,10 @@ class _BundlePass(NamedTuple):
     cutd: CutDecomposition
     #: euler(plus) + euler(minus) + t * rank * u^0, the left side of morse and mv.
     sides: CharPoly
+    #: euler(M), euler(cut) and index(M), which several checks read.
+    m_euler: CharPoly
+    cut_euler: CharPoly
+    m_index: Character
 
 
 def _tables(bundle: EquivBundleCP1) -> _BundlePass:
@@ -231,13 +272,14 @@ def _tables(bundle: EquivBundleCP1) -> _BundlePass:
     tm = cohomology(bundle)
     tp = cohomology(cutd.plus)
     tmin = cohomology(cutd.minus)
+    tcut = mcut_cohomology(cutd)
     sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + Character.monomial(0, bundle.rank)])
-    return _BundlePass(bundle, tm, tp, tmin, mcut_cohomology(cutd), cutd, sides)
+    return _BundlePass(bundle, tm, tp, tmin, tcut, cutd, sides, tm.euler_poly(), tcut.euler_poly(), tm.index())
 
 
 def verify_gluing(t: _BundlePass) -> CheckResult:
     """Index additivity over the cut, correcting for the reduced point."""
-    lhs = t.m.index()
+    lhs = t.m_index
     rhs = t.plus.index() + t.minus.index() - Character.monomial(0, t.bundle.rank)
     if lhs == rhs:
         return CheckResult("gluing", t.bundle, True)
@@ -246,29 +288,29 @@ def verify_gluing(t: _BundlePass) -> CheckResult:
 
 def verify_cut_inequality(t: _BundlePass) -> CheckResult:
     """euler(cut) dominates euler(M) by a nonnegative (1+t) multiple."""
-    return _morse_check("mcut", t.bundle, t.cut_space.euler_poly(), t.m.euler_poly())
+    return _morse_check("mcut", t.bundle, t.cut_euler, t.m_euler)
 
 
 def verify_morse(t: _BundlePass) -> CheckResult:
     """The two sides plus the node term dominate euler(M)."""
-    return _morse_check("morse", t.bundle, t.sides, t.m.euler_poly())
+    return _morse_check("morse", t.bundle, t.sides, t.m_euler)
 
 
 def verify_mv_morse(t: _BundlePass) -> CheckResult:
     """The two sides plus the node term dominate euler(cut)."""
-    return _morse_check("mv", t.bundle, t.sides, t.cut_space.euler_poly())
+    return _morse_check("mv", t.bundle, t.sides, t.cut_euler)
 
 
 def verify_simple(t: _BundlePass) -> CheckResult:
     """Degreewise inequalities between the sides and M, no factoring."""
-    slack = t.sides - t.m.euler_poly()
+    slack = t.sides - t.m_euler
     return CheckResult("simple", t.bundle, slack.is_nonneg(), witness=slack)
 
 
 def verify_semicontinuity(t: _BundlePass) -> CheckResult:
     """Cutting can only grow each h^p, and never moves the index."""
-    slack = t.cut_space.euler_poly() - t.m.euler_poly()
-    index_gap = t.cut_space.index() - t.m.index()
+    slack = t.cut_euler - t.m_euler
+    index_gap = t.cut_space.index() - t.m_index
     passed = slack.is_nonneg() and not index_gap
     residual = None if not index_gap else CharPoly([index_gap])
     return CheckResult("semicontinuity", t.bundle, passed, witness=slack, residual=residual)
@@ -299,7 +341,7 @@ def cross_validate(t: _BundlePass) -> CheckResult:
         t.m.h1 - cech_h1,
         t.cut_space.h0 - nodal.h0,
         t.cut_space.h1 - nodal.h1,
-        t.m.index() - loc_index,
+        t.m_index - loc_index,
         t.plus.h0 - nodal.plus.h0,
         t.plus.h1 - nodal.plus.h1,
         t.minus.h0 - nodal.minus.h0,
@@ -403,7 +445,9 @@ class SweepReport:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_obj(), indent=2)``, written from the objects directly."""
-        return _json_text(self._json_members())
+        buf = StringIO()
+        _write_json(self._json_members(), buf.write)
+        return buf.getvalue()
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "SweepReport":
@@ -455,7 +499,7 @@ class SweepReport:
             rq = ";".join(str(s.r_q) for s in bundle.summands)
             for r in row:
                 payload = r.witness if r.witness is not None else r.residual
-                cell = "" if payload is None else _compact(payload.to_json_obj())
+                cell = "" if payload is None else _csv_cell(payload)
                 writer.writerow([rp, rq, r.check_id, str(r.passed).lower(), cell])
         return buf.getvalue()
 

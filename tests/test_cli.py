@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -54,6 +55,23 @@ class TestCohomology:
         proc = run_cli("cohomology", "nonsense")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_output_streams_to_its_file(self, tmp_path):
+        # The writer hands its pieces to the file as it makes them, so the
+        # memory it traces stays far below the text it writes.
+        out = tmp_path / "h.json"
+        tracemalloc.start()
+        try:
+            assert main(["cohomology", "300000:0", "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 4_900_000
+        assert peak < size / 10
+        text = out.read_text(encoding="utf-8")
+        assert text.startswith('{\n  "h0": {\n    "0": 1,\n    "1": 1,\n')
+        assert text.endswith('    "300000": 1\n  },\n  "h1": {},\n  "n": 1\n}\n')
 
 
 class TestCut:

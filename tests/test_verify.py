@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 from unittest import mock
@@ -25,8 +26,9 @@ from cutchar import (
     run_check,
     sweep,
 )
+import cutchar.characters
 import cutchar.verify
-from cutchar.verify import _REGISTRY, _json_text, _morse_check
+from cutchar.verify import _REGISTRY, _RUN_CHUNK, _csv_cell, _morse_check, _write_json
 
 u = Character.monomial(1)
 
@@ -484,6 +486,30 @@ class TestReportLoadsOnlyWhatItWrites:
         assert json.dumps(back.to_json_obj(), indent=2) == text
 
 
+def _json_text(value) -> str:
+    buf = io.StringIO()
+    _write_json(value, buf.write)
+    return buf.getvalue()
+
+
+@st.composite
+def _characters(draw) -> Character:
+    """A character of consecutive runs from a weight that may be negative.
+
+    A run is one piece of the writer, longer than a piece, or short; a gap of
+    0 makes two runs adjacent, and a multiplicity of 0 leaves a hole.
+    """
+    weight = draw(st.integers(-3 * _RUN_CHUNK, 50))
+    length = st.integers(1, 3) | st.sampled_from([_RUN_CHUNK, _RUN_CHUNK + 1, 2 * _RUN_CHUNK + 3])
+    ch = Character()
+    for _ in range(draw(st.integers(0, 4))):
+        weight += draw(st.integers(0, 2))
+        n, mult = draw(length), draw(st.integers(-3, 3))
+        ch += Character.span(weight, weight + n - 1) * mult
+        weight += n
+    return ch
+
+
 class TestJsonText:
     """``SweepReport.to_json_text`` writes exactly what json.dumps writes of ``to_json_obj``."""
 
@@ -527,6 +553,18 @@ class TestJsonText:
     )
     def test_plain_values_as_json_dumps_writes_them(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_characters(), max_size=3))
+    def test_characters_as_json_dumps_writes_them(self, chars):
+        # Runs longer than a writer piece, adjacent runs, negative weights
+        # and multiplicities, and empty characters, alone and in a poly.
+        poly = CharPoly(chars)
+        obj = poly.to_json_obj()
+        value = {"poly": poly, "empty": [Character(), CharPoly()], "chars": poly.coeffs}
+        assert _json_text(value) == json.dumps({"poly": obj, "empty": [{}, []], "chars": obj}, indent=2)
+        assert _csv_cell(poly) == json.dumps(obj, separators=(",", ":"))
+        assert _csv_cell(CharPoly([Character(), 1])) == '[{},{"0":1}]'
 
 
 class TestEqualityRegion:
@@ -591,24 +629,17 @@ class TestPerBundlePass:
     # was shared, these bundles built 123 and 186 characters.
     @pytest.mark.parametrize("lit, bound", [("3:-2", 26), ("1:-1,2:2,-3:5", 66)])
     def test_characters_built_by_the_closed_form_checks(self, monkeypatch, lit, bound):
-        # Every instance comes from __init__ or _from_jumps.  Assigning
-        # Character.__new__ instead would leave the class refusing
-        # constructor arguments once the patch is undone (CPython keeps the
-        # slot it installed).
+        # Every instance takes its jumps from one _canonical call: __init__,
+        # _from_jumps, + and - all end in it.
         built = Counter()
-        init, from_jumps = Character.__init__, Character._from_jumps.__func__
+        canonical = cutchar.characters._canonical
 
-        def counting_init(self, *args):
-            built["__init__"] += 1
-            init(self, *args)
-
-        def counting_from_jumps(cls, jumps):
-            built["_from_jumps"] += 1
-            return from_jumps(cls, jumps)
+        def counting_canonical(terms):
+            built["_canonical"] += 1
+            return canonical(terms)
 
         b = bundle(lit)
-        monkeypatch.setattr(Character, "__init__", counting_init)
-        monkeypatch.setattr(Character, "_from_jumps", classmethod(counting_from_jumps))
+        monkeypatch.setattr(cutchar.characters, "_canonical", counting_canonical)
         sweep([b], [cid for cid in ALL_CHECKS if cid != "oracle"])
         monkeypatch.undo()
         assert 0 < built.total() <= bound

@@ -81,32 +81,41 @@ MUTANTS = [
         'members["generated_at"] = _timestamp()',
         'members = {"generated_at": _timestamp(), **members}',
     ),
-    Mutant("empty-container-as-list", "verify.py", "        return brackets\n", '        return "[]"\n'),
+    Mutant("empty-container-as-list", "verify.py", "        write(brackets)\n", '        write("[]")\n'),
     Mutant(
         "empty-character-as-list",
         "verify.py",
-        """return f'{{\\n{inner}"{body}\\n{pad}}}' if body else "{}\"""",
-        """return f'{{\\n{inner}"{body}\\n{pad}}}' if body else "[]\"""",
+        'write(f"\\n{pad}}}" if opened else "{}")',
+        'write(f"\\n{pad}}}" if opened else "[]")',
     ),
     Mutant(
         "passed-always-true",
         "verify.py",
-        """f'{at}"passed": {"true" if r.passed else "false"},\\n'""",
-        """f'{at}"passed": {"true" if r.passed is not None else "false"},\\n'""",
+        '{"true" if r.passed else "false"}',
+        '{"true" if r.passed is not None else "false"}',
     ),
-    Mutant("scalars-as-python", "verify.py", "return json.dumps(value)", "return str(value)"),
+    Mutant("scalars-as-python", "verify.py", "write(json.dumps(value))", "write(str(value))"),
     Mutant(
         "quoted-literal-reused-across-rows",
         "verify.py",
         'at, bundle = inner + "  ", _quote(value[0].bundle.literal())',
-        'at, bundle = inner + "  ", _json_text.__dict__.setdefault("q", _quote(value[0].bundle.literal()))',
+        'at, bundle = inner + "  ", _write_json.__dict__.setdefault("q", _quote(value[0].bundle.literal()))',
     ),
     Mutant(
         "character-separator",
         "verify.py",
-        """body = f',\\n{inner}"'.join([f'{k}": {q}' for k, q in value.items()])""",
-        """body = f',\\n{inner}"'.join([f'{k}":{q}' for k, q in value.items()])""",
+        """sep = f'": {q},\\n{inner}"'""",
+        """sep = f'":{q},\\n{inner}"'""",
     ),
+    # A run longer than one piece of the writer repeats the term at each cut.
+    Mutant(
+        "run-chunk-off-by-one",
+        "verify.py",
+        "min(start + _RUN_CHUNK, hi)",
+        "min(start + _RUN_CHUNK + 1, hi)",
+    ),
+    # The CSV witness cell is compact JSON, written run by run.
+    Mutant("csv-cell-separator", "verify.py", """f'":{q},"'""", """f'": {q},"'"""),
     # A failed write to stdout exits 2.
     Mutant("output-not-flushed", "cli.py", "            fh.flush()\n", "            pass\n"),
     Mutant(
