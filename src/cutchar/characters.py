@@ -14,9 +14,9 @@ plus u^0 corrections; so sums, differences, equality, nonnegativity (every
 prefix sum of d is >= 0) and the dimension (-sum of k * d_k) cost O(rank),
 whatever the weights.  Multiplication by 1 - u is injective, so the jumps
 with zero entries dropped are canonical and structural equality is ring
-equality.  Only the dense views (:meth:`Character.items`, ``support``,
-``coeffs``, JSON and the string forms) expand the prefix sums, at a cost
-linear in what they return.
+equality.  Only the dense views (:meth:`Character.items`, ``coeffs``, JSON
+and the string forms) expand the prefix sums, at a cost linear in what they
+return.
 
 :class:`CharPoly` is a polynomial in a formal variable ``t`` with Character
 coefficients; the t^p coefficient records cohomological degree p.  The one
@@ -46,11 +46,10 @@ class NotDivisible(ValueError):
         self.residual = residual
 
 
-def _check_int(value: object, what: str) -> int:
+def _check_int(value: object, what: str) -> None:
     # bool is an int subclass; reject it along with floats and strings.
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _canonical(terms: Mapping[int, int]) -> dict[int, int]:
@@ -75,28 +74,21 @@ def _runs(jumps: Mapping[int, int]) -> Iterator[tuple[int, int, int]]:
         prev = k
 
 
-def _running_sums(jumps: Mapping[int, int]) -> Iterator[tuple[int, int]]:
-    """``(k, s_k)`` for every k where the prefix sum s_k of ``jumps`` is nonzero."""
-    return ((m, s) for lo, hi, s in _runs(jumps) for m in range(lo, hi))
-
-
 class Character:
     """Laurent polynomial in u with integer coefficients, stored by its jumps.
 
-    Supports +, -, * (with other characters or plain integers, an integer
-    meaning that multiple of u^0) and the coefficientwise partial order via
-    ``>=`` / ``<=``.  Instances are immutable, so an operation may return
+    Supports + and - (with other characters or plain integers, an integer
+    meaning that multiple of u^0), multiples by an integer, equality and
+    :meth:`is_nonneg`.  Instances are immutable, so an operation may return
     one of its operands: ``a + 0`` is ``a``.  The constructor takes the
     dense ``{weight: multiplicity}`` form, which is also what every view and
-    the repr show.
+    the repr show, or its pairs, where repeated weights add up.
 
-    >>> Character.from_weights([0, 1, 2])
-    Character({0: 1, 1: 1, 2: 1})
+    >>> Character([(0, 1), (2, 1), (0, 1)])
+    Character({0: 2, 2: 1})
     >>> u = Character.monomial(1)
-    >>> (1 + u) * (1 + u)
-    Character({0: 1, 1: 2, 2: 1})
-    >>> Character.monomial(-1) * u
-    Character({0: 1})
+    >>> (1 + u) + (u - 2)
+    Character({0: -1, 1: 2})
     >>> u + (-u)
     Character({})
     """
@@ -120,11 +112,6 @@ class Character:
         new = cls.__new__(cls)
         new._jumps = _canonical(jumps)
         return new
-
-    @classmethod
-    def from_weights(cls, weights: Iterable[int]) -> "Character":
-        """Character of the representation with the given weight multiset."""
-        return cls((w, 1) for w in weights)
 
     @classmethod
     def monomial(cls, weight: int, mult: int = 1) -> "Character":
@@ -152,15 +139,9 @@ class Character:
     def coeffs(self) -> Mapping[int, int]:
         return MappingProxyType(dict(self.items()))
 
-    def multiplicity(self, weight: int) -> int:
-        return sum(q for k, q in self._jumps.items() if k <= weight)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.items())
-
     def items(self) -> Iterator[tuple[int, int]]:
         """The dense ``(weight, multiplicity)`` terms, ascending; every dense view reads these."""
-        return _running_sums(self._jumps)
+        return ((m, s) for lo, hi, s in _runs(self._jumps) for m in range(lo, hi))
 
     def dim(self) -> int:
         """Sum of multiplicities (the virtual dimension): -sum of k * d_k."""
@@ -226,55 +207,17 @@ class Character:
     def __rsub__(self, other: int) -> "Character":
         return _as_character(other) - self
 
-    def __mul__(self, other: "Character | int") -> "Character":
-        other = _as_character(other)
-        # The jumps of both factors convolve to (1 - u)^2 * ab; one prefix
-        # sum of that is (1 - u) * ab, the jumps of the product.
-        prod: dict[int, int] = {}
-        for k1, q1 in self._jumps.items():
-            for k2, q2 in other._jumps.items():
-                k = k1 + k2
-                prod[k] = prod.get(k, 0) + q1 * q2
-        return Character._from_jumps(dict(_running_sums(_canonical(prod))))
+    def __mul__(self, other: int) -> "Character":
+        """The multiple ``other * self`` for an integer ``other``; two characters do not multiply."""
+        if type(other) is not int:
+            return NotImplemented
+        return Character._from_jumps({k: other * q for k, q in self._jumps.items()})
 
     __rmul__ = __mul__
-
-    def __ge__(self, other: "Character | int") -> bool:
-        """Coefficientwise partial order: true iff self - other is nonnegative.
-
-        The order is partial, not total: ``a >= b`` and ``b >= a`` may both
-        be false.
-        """
-        return (self - other).is_nonneg()
-
-    def __le__(self, other: "Character | int") -> bool:
-        return (_as_character(other) - self).is_nonneg()
 
     def to_json_obj(self) -> dict[str, int]:
         """JSON form: decimal weight strings to integer multiplicities."""
         return {str(k): q for k, q in self.items()}
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "Character":
-        """Parse the JSON form, rejecting non-integer multiplicities.
-
-        A weight key must be the canonical decimal string of its integer, as
-        :meth:`to_json_obj` writes it: ``"1_0"``, ``" 3"``, ``"03"``, ``"+3"``,
-        ``"-0"`` and non-ASCII digits are refused, so every accepted object
-        round-trips.  Zero multiplicities are accepted and normalized away.
-        """
-        if not isinstance(obj, dict):
-            raise ValueError(f"character must be a JSON object, got {obj!r}")
-        pairs = []
-        for key, value in obj.items():
-            try:
-                weight = int(key)
-            except (TypeError, ValueError):
-                weight = None
-            if weight is None or str(weight) != key:
-                raise ValueError(f"character weight key {key!r} is not a canonical decimal integer")
-            pairs.append((weight, _check_int(value, f"multiplicity of weight {key}")))
-        return cls(pairs)
 
     def __repr__(self) -> str:
         return f"Character({dict(self.items())!r})"
@@ -381,33 +324,9 @@ class CharPoly:
         pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
         return CharPoly([a - b for a, b in pairs])
 
-    def __mul__(self, other: "CharPoly | Character | int") -> "CharPoly":
-        other = _as_charpoly(other)
-        if not self._coeffs or not other._coeffs:
-            return CharPoly()
-        prod = [ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        return CharPoly(prod)
-
-    __rmul__ = __mul__
-
-    def __ge__(self, other: "CharPoly | Character | int") -> bool:
-        return (self - other).is_nonneg()
-
-    def __le__(self, other: "CharPoly | Character | int") -> bool:
-        return (_as_charpoly(other) - self).is_nonneg()
-
     def to_json_obj(self) -> list[dict[str, int]]:
         """JSON form: array of characters indexed by power of t."""
         return [c.to_json_obj() for c in self._coeffs]
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "CharPoly":
-        if not isinstance(obj, list):
-            raise ValueError(f"character polynomial must be a JSON array, got {obj!r}")
-        return cls(Character.from_json_obj(entry) for entry in obj)
 
     def __repr__(self) -> str:
         return f"CharPoly({list(self._coeffs)!r})"
@@ -443,7 +362,7 @@ def morse_quotient(p: CharPoly, r: CharPoly) -> CharPoly:
 
     >>> u = Character.monomial(1)
     >>> p = CharPoly([Character.span(0, 2), 1 + u])
-    >>> morse_quotient(p, CharPoly([u * u]))
+    >>> morse_quotient(p, CharPoly([Character.monomial(2)]))
     CharPoly([Character({0: 1, 1: 1})])
     """
     diff = p - r

@@ -129,14 +129,6 @@ class CohomologyTable:
     def to_json_obj(self) -> dict:
         return {"h0": self.h0.to_json_obj(), "h1": self.h1.to_json_obj(), "n": self.n}
 
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "CohomologyTable":
-        if not isinstance(obj, dict) or set(obj) != {"h0", "h1", "n"}:
-            raise ValueError(f"cohomology table must have keys h0, h1, n: got {obj!r}")
-        if type(obj["n"]) is not int or obj["n"] != 1:
-            raise ValueError(f"top degree n must be the integer 1, got {obj['n']!r}")
-        return cls(Character.from_json_obj(obj["h0"]), Character.from_json_obj(obj["h1"]))
-
 
 @dataclass(frozen=True, slots=True)
 class CutDecomposition:

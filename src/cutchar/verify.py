@@ -23,12 +23,12 @@ Check ids:
 Every JSON document of the command line, a report or a table, is laid out
 by one writer here, as ``json.dumps(obj, indent=2)`` lays out the matching
 ``to_json_obj`` objects, and handed to its destination piece by piece;
-only this module knows that layout.
+only this module knows that layout.  Reports are only written: no command
+reads one back, so nothing here parses a report or a result.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from io import StringIO
@@ -84,41 +84,6 @@ class CheckResult:
             "witness": None if self.witness is None else self.witness.to_json_obj(),
             "residual": None if self.residual is None else self.residual.to_json_obj(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "CheckResult":
-        """Load a result, accepting only what :meth:`to_json_obj` writes back exactly."""
-        result = cls._parse(obj)
-        _require_round_trip(result.to_json_obj(), obj, "check result")
-        return result
-
-    @classmethod
-    def _parse(cls, obj: object, grid_entry: tuple[str, EquivBundleCP1] | None = None) -> "CheckResult":
-        """The result ``obj`` describes, without the round-trip comparison.
-
-        ``grid_entry`` is a report's grid literal and the bundle parsed from
-        it: the result's bundle string must be that literal, and the result
-        then shares that bundle rather than parsing its own.
-        """
-        if not isinstance(obj, dict) or set(obj) != {"check_id", "bundle", "passed", "witness", "residual"}:
-            raise ValueError(f"malformed check result: {obj!r}")
-        if not isinstance(obj["check_id"], str) or obj["check_id"] not in _REGISTRY:
-            raise ValueError(f"unknown check id {obj['check_id']!r}")
-        if not isinstance(obj["bundle"], str):
-            raise ValueError(f"bundle must be a string, got {obj['bundle']!r}")
-        if grid_entry is None:
-            bundle = EquivBundleCP1.parse(obj["bundle"])
-        elif obj["bundle"] == grid_entry[0]:
-            bundle = grid_entry[1]
-        else:
-            raise ValueError(f"result bundle {obj['bundle']!r} under grid entry {grid_entry[0]!r}")
-        return cls(
-            obj["check_id"],
-            bundle,
-            bool(obj["passed"]),  # a non-boolean fails the caller's round trip
-            None if obj["witness"] is None else CharPoly.from_json_obj(obj["witness"]),
-            None if obj["residual"] is None else CharPoly.from_json_obj(obj["residual"]),
-        )
 
 
 #: The most terms of one run that the JSON writer puts in one piece, so that
@@ -199,42 +164,6 @@ def _csv_cell(poly: CharPoly) -> str:
 def _compact_character(ch: Character) -> str:
     runs = ('"' + f'":{q},"'.join(map(str, range(lo, hi))) + f'":{q}' for lo, hi, q in _runs(ch._jumps))
     return "{" + ",".join(runs) + "}"
-
-
-def _require_round_trip(written: dict, given: dict, what: str) -> None:
-    """Raise ValueError unless each key of ``given`` holds the JSON text ``written`` has.
-
-    Comparing text, not Python values, tells ``true`` from ``1`` and ``1``
-    from ``1.0``; the order of object keys does not matter.
-    """
-    text = functools.partial(json.dumps, sort_keys=True)
-    if text(written) != text(given):
-        keys = written.keys() | given.keys()
-        differ = [k for k in keys if k not in written or k not in given or text(written[k]) != text(given[k])]
-        raise ValueError(f"{what} would not be written back as given: {', '.join(sorted(differ))} differ")
-
-
-def _require_sweep_rows(results: tuple[tuple[CheckResult, ...], ...]) -> None:
-    """Raise ValueError unless the rows hold check ids as :func:`sweep` writes them.
-
-    Each row lists its ids in registry order, each at most once, and every
-    row lists the same ids.  Only a ``fail_fast`` sweep writes a shorter
-    row: its last, a prefix of the others that ends in the report's one
-    failed result.
-    """
-    if not results:
-        raise ValueError("a sweep report needs at least one bundle")
-    ids = [tuple(r.check_id for r in row) for row in results]
-    for row_ids in ids:
-        if list(row_ids) != sorted(set(row_ids), key=ALL_CHECKS.index):
-            raise ValueError(f"result row {list(row_ids)} is not in registry order with each check once")
-    *full, last = ids
-    if any(row_ids != ids[0] for row_ids in full):
-        raise ValueError("result rows hold different checks")
-    if last != ids[0]:
-        failures = sum(not r.passed for row in results for r in row)
-        if not (last == ids[0][: len(last)] and last and not results[-1][-1].passed and failures == 1):
-            raise ValueError(f"last result row {list(last)} is not a fail-fast prefix of {list(ids[0])}")
 
 
 def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: CharPoly) -> CheckResult:
@@ -402,13 +331,16 @@ class SweepReport:
 
     @property
     def equality_sets(self) -> dict[str, tuple[str, ...]]:
-        """Per selected Morse-type check, the bundles whose witness is exactly zero."""
+        """Per selected Morse-type check, the bundles whose witness is exactly zero.
+
+        A passed Morse check always carries its witness, so a falsy one is zero.
+        """
         return {
             cid: tuple(
                 bundle.literal()
                 for bundle, row in zip(self.grid, self.results)
                 for r in row
-                if r.check_id == cid and r.passed and r.witness == CharPoly()
+                if r.check_id == cid and r.passed and not r.witness
             )
             for cid in self.morse_checks
         }
@@ -448,40 +380,6 @@ class SweepReport:
         buf = StringIO()
         _write_json(self._json_members(), buf.write)
         return buf.getvalue()
-
-    @classmethod
-    def from_json_obj(cls, obj: object) -> "SweepReport":
-        """Load a report, accepting only what :meth:`to_json_obj` writes back exactly."""
-        if not isinstance(obj, dict) or not {"grid", "results"} <= set(obj):
-            raise ValueError(f"sweep report must be a JSON object with grid and results, got {obj!r}")
-        supplied = obj.get("equality_sets")
-        if not isinstance(supplied, dict):
-            raise ValueError(f"equality_sets must be a JSON object, got {supplied!r}")
-        lits = obj["grid"]
-        if not isinstance(lits, list) or not all(isinstance(lit, str) for lit in lits):
-            raise ValueError(f"grid must be a list of strings, got {lits!r}")
-        grid = tuple(EquivBundleCP1.parse(lit) for lit in lits)
-        rows = obj["results"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError(f"results must be a list of lists, got {rows!r}")
-        if len(grid) != len(rows):
-            raise ValueError("grid and results have different lengths")
-        # The whole-report comparison below covers every result, so each is
-        # parsed without a round trip of its own, and with its grid entry's bundle.
-        results = tuple(
-            tuple(CheckResult._parse(r, entry) for r in row) for entry, row in zip(zip(lits, grid), rows)
-        )
-        _require_sweep_rows(results)
-        # A selected Morse check may have a set but no result only if fail_fast
-        # skipped it: the sweep stopped at the first bundle, on a failed check
-        # before it.
-        ran = {r.check_id for row in results for r in row}
-        last = results[0][-1] if len(results) == 1 and results[0] else None
-        skipped = ALL_CHECKS[ALL_CHECKS.index(last.check_id) + 1 :] if last is not None and not last.passed else ()
-        morse = tuple(cid for cid in MORSE_CHECKS if cid in ran or (cid in supplied and cid in skipped))
-        report = cls(grid, results, morse, "claimed_region" in obj)
-        _require_round_trip(report.to_json_obj(), obj, "sweep report")
-        return report
 
     def to_csv(self) -> str:
         """Delimited form, one row per (bundle, check).

@@ -7,10 +7,9 @@ term by term and no code shared with the package.
 """
 
 import json
-import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cutchar import Character, CharPoly
@@ -84,11 +83,6 @@ class TestAgainstDictModel:
         assert dict((ca - cb).items()) == m_add(ma, m_neg(mb))
         assert dict((-ca).items()) == m_neg(ma)
 
-    @given(pairs(), pairs())
-    def test_mul(self, a, b):
-        (ca, ma), (cb, mb) = a, b
-        assert dict((ca * cb).items()) == m_mul(ma, mb)
-
     @given(pairs(), ints)
     def test_int_operands(self, a, n):
         ca, ma = a
@@ -121,19 +115,17 @@ class TestAgainstDictModel:
         (ca, ma), (cb, mb) = a, b
         assert ca.is_nonneg() is all(q >= 0 for q in ma.values())
         assert ca.dim() == sum(ma.values())
+        # The coefficientwise order, as the checks ask it: a - b is nonnegative.
         diff = m_add(ma, m_neg(mb))
-        assert (ca >= cb) is all(q >= 0 for q in diff.values())
-        assert (ca <= cb) is all(q <= 0 for q in diff.values())
+        assert (ca - cb).is_nonneg() is all(q >= 0 for q in diff.values())
+        assert (cb - ca).is_nonneg() is all(q <= 0 for q in diff.values())
         assert bool(ca) is bool(ma)
 
     @given(pairs())
     def test_dense_views(self, a):
         ca, ma = a
-        assert ca.support() == tuple(ma)
         assert list(ca.items()) == list(ma.items())
         assert dict(ca.coeffs) == ma and list(ca.coeffs) == list(ma)
-        for k in range(-60, 61):
-            assert ca.multiplicity(k) == ma.get(k, 0)
 
     @given(pairs())
     def test_str_and_repr(self, a):
@@ -146,14 +138,14 @@ class TestAgainstDictModel:
         ca, ma = a
         obj = ca.to_json_obj()
         assert json.dumps(obj) == json.dumps({str(k): q for k, q in ma.items()})
-        assert Character.from_json_obj(json.loads(json.dumps(obj))) == ca
+        assert Character({int(k): q for k, q in json.loads(json.dumps(obj)).items()}) == ca
 
 
 ZEROS = [Character(), Character({}), 0]
 
 
 class TestZeroOperands:
-    """Zero on either side of + - *, the operands the closed forms meet most."""
+    """Zero on either side of + and -, the operands the closed forms meet most."""
 
     @pytest.mark.parametrize("zero", ZEROS, ids=["Character()", "Character({})", "0"])
     @given(pairs(), pairs())
@@ -163,17 +155,15 @@ class TestZeroOperands:
         assert dict((ca - zero).items()) == ma
         assert dict((zero - ca).items()) == m_neg(ma)
         assert zero - ca == -ca
-        assert dict((ca * zero).items()) == dict((zero * ca).items()) == {}
         assert dict((Character() + zero).items()) == dict((zero - Character()).items()) == {}
         # A zero fast path hands back an operand: later arithmetic on the
         # result must leave that operand, and the zero, as they were.
         s = ca + zero
         t = zero + ca
-        after = [s + cb, s - cb, s * cb, -s, t + cb, t - cb, cb - t, zero - s]
+        after = [s + cb, s - cb, -s, t + cb, t - cb, cb - t, zero - s]
         assert [dict(x.items()) for x in after] == [
             m_add(ma, mb),
             m_add(ma, m_neg(mb)),
-            m_mul(ma, mb),
             m_neg(ma),
             m_add(ma, mb),
             m_add(ma, m_neg(mb)),
@@ -191,24 +181,3 @@ class TestZeroOperands:
         total += u
         assert dict(CharPoly().coeff(0).items()) == {} and dict(total.items()) == {1: 1}
 
-
-CANONICAL_KEY = re.compile("0|-?[1-9][0-9]*")
-
-
-class TestJsonKeys:
-    @pytest.mark.parametrize("key", ["1_0", " 3", "03", "٣", "+3", "-0", "3 ", 3])
-    def test_non_canonical_keys_rejected(self, key):
-        # Each of these once loaded, e.g. {" 3": 1, "03": 2, "٣": 1} as 4u^3.
-        with pytest.raises(ValueError):
-            Character.from_json_obj({key: 1})
-
-    @settings(max_examples=200)
-    @given(st.text(alphabet="0123456789-+_ ٣", max_size=4) | st.integers().map(str))
-    def test_key_accepted_iff_canonical(self, key):
-        try:
-            char = Character.from_json_obj({key: 1})
-        except ValueError:
-            assert not CANONICAL_KEY.fullmatch(key)
-        else:
-            assert CANONICAL_KEY.fullmatch(key)
-            assert char.to_json_obj() == {key: 1}

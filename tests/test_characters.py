@@ -5,21 +5,21 @@ from cutchar import Character, CharPoly, NotDivisible, morse_quotient
 u = Character.monomial(1)
 
 
-class TestCharacter:
-    def test_from_weights(self):
-        assert Character.from_weights([]) == Character()
-        assert Character.from_weights([0, 1, 2]) == Character({0: 1, 1: 1, 2: 1})
-        assert Character.from_weights([0, 0, -1]) == Character({-1: 1, 0: 2})
+def times_one_plus_t(q: CharPoly) -> CharPoly:
+    """(1 + t) q, as q plus its shift by one power of t."""
+    return q + CharPoly([0, *q.coeffs])
 
+
+class TestCharacter:
     def test_canonical_form_drops_zeros(self):
         a = Character({3: 0, 1: 2, -1: 0})
-        assert a.support() == (1,)
+        assert dict(a.items()) == {1: 2}
         assert a == Character({1: 2})
         assert not Character({5: 0})
 
     def test_support_sorted_ascending(self):
         a = Character({4: 1, -2: 3, 0: 5})
-        assert a.support() == (-2, 0, 4)
+        assert [k for k, _ in a.items()] == [-2, 0, 4]
         assert list(a.coeffs) == [-2, 0, 4]
 
     def test_constructor_rejects_non_ints(self):
@@ -43,32 +43,19 @@ class TestCharacter:
         assert a + 1 == Character({0: 1, 1: 1})
         assert 1 + a == a + 1
         assert 2 - a == Character({0: 2, 1: -1})
-        assert 3 * a == Character({1: 3})
-
-    def test_mul(self):
-        one_plus_u = 1 + u
-        assert one_plus_u * one_plus_u == Character({0: 1, 1: 2, 2: 1})
-        assert Character.monomial(-1) * u == Character({0: 1})
-        assert Character() * one_plus_u == Character()
+        assert 3 * a == a * 3 == Character({1: 3})
+        # Only integers scale a character; two characters do not multiply.
+        with pytest.raises(TypeError):
+            a * a
 
     def test_dim(self):
         assert Character({0: 2, 3: 1, -1: -1}).dim() == 2
         assert Character().dim() == 0
 
     def test_span(self):
-        assert Character.span(0, 2) == Character.from_weights([0, 1, 2])
+        assert Character.span(0, 2) == Character({0: 1, 1: 1, 2: 1})
         assert Character.span(2, 1) == Character()
         assert Character.span(-1, -1) == Character.monomial(-1)
-
-    def test_partial_order(self):
-        assert Character({0: 2, 1: 1}) >= Character({0: 1})
-        assert Character({0: 1}) <= Character({0: 2, 1: 1})
-        # incomparable pair: neither dominates
-        a = 1 + u
-        b = Character.monomial(0, 2)
-        assert not (a >= b)
-        assert not (b >= a)
-        assert not a.__le__(b)
 
     def test_is_nonneg(self):
         assert Character({0: 1, 5: 2}).is_nonneg()
@@ -93,18 +80,7 @@ class TestCharacter:
         obj = a.to_json_obj()
         assert obj == {"-1": 1, "0": 2}
         assert list(obj) == ["-1", "0"]
-        assert Character.from_json_obj(obj) == a
-
-    def test_json_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            Character.from_json_obj({"0": 1.0})
-        with pytest.raises(ValueError):
-            Character.from_json_obj({"0": True})
-        with pytest.raises(ValueError):
-            Character.from_json_obj({"x": 1})
-        with pytest.raises(ValueError):
-            Character.from_json_obj([1, 2])
-        assert Character.from_json_obj({"3": 0}) == Character()
+        assert Character({int(k): q for k, q in obj.items()}) == a
 
     def test_str(self):
         assert str(Character()) == "0"
@@ -134,54 +110,37 @@ class TestCharPoly:
         assert (p + q) - q == p
         assert p - p == CharPoly()
 
-    def test_mul(self):
-        p = CharPoly([1, 1])
-        assert p * p == CharPoly([1, 2, 1])
-        q = CharPoly([u])
-        assert p * q == CharPoly([u, u])
-        assert p * CharPoly() == CharPoly()
-        assert 2 * p == CharPoly([2, 2])
-
     def test_at_minus_one(self):
         p = CharPoly([Character.span(0, 2), 1 + u])
         assert p.at_minus_one() == Character.monomial(2)
         assert CharPoly().at_minus_one() == Character()
         assert CharPoly([1, 1]).at_minus_one() == Character()
 
-    def test_partial_order(self):
-        assert CharPoly([1 + u, u]) >= CharPoly([u])
-        assert not CharPoly([1]) >= CharPoly([1, u])
-        assert CharPoly([u]) <= CharPoly([1 + u, u])
-
     def test_json_round_trip(self):
         p = CharPoly([Character({-1: 1}), Character({0: 2})])
         obj = p.to_json_obj()
         assert obj == [{"-1": 1}, {"0": 2}]
-        assert CharPoly.from_json_obj(obj) == p
-        with pytest.raises(ValueError):
-            CharPoly.from_json_obj({"0": 1})
+        assert CharPoly(Character({int(k): q for k, q in c.items()}) for c in obj) == p
 
 
 class TestMorseQuotient:
     def test_quotient_constant_in_t(self):
         p = CharPoly([Character.span(0, 2), 1 + u])
-        q = morse_quotient(p, CharPoly([u * u]))
+        q = morse_quotient(p, CharPoly([Character.monomial(2)]))
         assert q == CharPoly([1 + u])
 
     def test_reconstruction(self):
-        one_plus_t = CharPoly([1, 1])
         q = CharPoly([u, 1 + u, Character({-2: 3})])
         r = CharPoly([Character({5: 1})])
-        assert morse_quotient(one_plus_t * q + r, r) == q
+        assert morse_quotient(times_one_plus_t(q) + r, r) == q
 
     def test_zero_quotient(self):
         r = CharPoly([1 + u])
         assert morse_quotient(r, r) == CharPoly()
 
     def test_negative_quotient_returned(self):
-        one_plus_t = CharPoly([1, 1])
         q = CharPoly([-1 * u])
-        got = morse_quotient(one_plus_t * q, CharPoly())
+        got = morse_quotient(times_one_plus_t(q), CharPoly())
         assert got == q
         assert not got.is_nonneg()
 

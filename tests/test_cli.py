@@ -25,7 +25,12 @@ from cutchar import (
     mcut_cohomology,
 )
 from cutchar.cli import main
-from cutchar.verify import ALL_CHECKS, _REGISTRY, grid_bundles, sweep
+from cutchar.verify import ALL_CHECKS, _REGISTRY, equality_region, grid_bundles, sweep
+
+
+def json_text(report: SweepReport) -> str:
+    """The bytes the command line writes for ``report`` as JSON, without a stamp."""
+    return report.to_json_text() + "\n"
 
 
 def run_cli(*args, **kwargs):
@@ -91,14 +96,16 @@ class TestVerify:
     def test_all_checks_pass(self):
         proc = run_cli("verify", "2:2")
         assert proc.returncode == 0
-        report = SweepReport.from_json_obj(json.loads(proc.stdout))
+        report = sweep([EquivBundleCP1.parse("2:2")])
+        assert proc.stdout == json_text(report)
         assert report.passed
         assert [r.check_id for r in report.results[0]] == list(_REGISTRY)
 
     def test_check_subset(self):
         proc = run_cli("verify", "0:0", "--checks", "gluing,oracle")
         assert proc.returncode == 0
-        report = SweepReport.from_json_obj(json.loads(proc.stdout))
+        report = sweep([EquivBundleCP1.parse("0:0")], ("gluing", "oracle"))
+        assert proc.stdout == json_text(report)
         assert [r.check_id for r in report.results[0]] == ["gluing", "oracle"]
 
     def test_underscored_weight_exits_2(self):
@@ -123,7 +130,8 @@ class TestVerify:
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         assert main(["verify", "0:0"]) == 1
-        report = SweepReport.from_json_obj(json.loads(capsys.readouterr().out))
+        report = sweep([EquivBundleCP1.parse("0:0")])
+        assert capsys.readouterr().out == json_text(report)
         assert not report.passed
 
     def test_spaces_around_check_ids_are_ignored(self, tmp_path):
@@ -137,7 +145,8 @@ class TestSweep:
     def test_grid_flags(self):
         proc = run_cli("sweep", "--rp-range", "-1..1", "--rq-range", "0..0", "--checks", "gluing")
         assert proc.returncode == 0
-        report = SweepReport.from_json_obj(json.loads(proc.stdout))
+        report = sweep(grid_bundles((-1, 1), (0, 0)), ("gluing",))
+        assert proc.stdout == json_text(report)
         assert [b.literal() for b in report.grid] == ["-1:0", "0:0", "1:0"]
 
     def test_byte_stable(self):
@@ -173,7 +182,7 @@ class TestSweep:
         proc = run_cli("sweep", "--rp-range", "0..0", "--rq-range", "0..0", "--out", str(out))
         assert proc.returncode == 0
         assert proc.stdout == ""
-        SweepReport.from_json_obj(json.loads(out.read_text()))
+        assert out.read_text() == json_text(sweep([EquivBundleCP1.parse("0:0")]))
 
     def test_missing_source_exits_2(self):
         proc = run_cli("sweep")
@@ -319,7 +328,8 @@ class TestSweepConfig:
         )
         proc = run_cli("sweep", "--config", cfg)
         assert proc.returncode == 0
-        report = SweepReport.from_json_obj(json.loads(proc.stdout))
+        report = sweep([EquivBundleCP1.parse("0:0"), EquivBundleCP1.parse("2:2")], ("gluing", "mcut"))
+        assert proc.stdout == json_text(report)
         assert [b.literal() for b in report.grid] == ["0:0", "2:2"]
         assert set(report.summary) == {"gluing", "mcut"}
 
@@ -350,7 +360,8 @@ class TestSweepConfig:
             "sweep", "--config", cfg, "--rp-range", "0..0", "--rq-range", "0..0",
             "--checks", "gluing",
         )
-        report = SweepReport.from_json_obj(json.loads(proc.stdout))
+        report = sweep([EquivBundleCP1.parse("0:0")], ("gluing",))
+        assert proc.stdout == json_text(report)
         assert [b.literal() for b in report.grid] == ["0:0"]
 
     def test_both_sources_rejected(self, tmp_path):
@@ -398,7 +409,9 @@ class TestSweepConfig:
                 tmp_path, {"bundles": ["0:0", "2:2"], "checks": ["gluing", "mcut"], "fail_fast": fail_fast}
             )
             assert main(["sweep", "--config", cfg]) == 1
-            report = SweepReport.from_json_obj(json.loads(capsys.readouterr().out))
+            bundles = [EquivBundleCP1.parse("0:0"), EquivBundleCP1.parse("2:2")]
+            report = sweep(bundles, ("gluing", "mcut"), fail_fast=fail_fast)
+            assert capsys.readouterr().out == json_text(report)
             ran[fail_fast] = [[(r.bundle.literal(), r.check_id) for r in row] for row in report.results]
         assert ran[True] == [[("0:0", "gluing")]]
         assert ran[False] == [[("0:0", "gluing"), ("0:0", "mcut")], [("2:2", "gluing"), ("2:2", "mcut")]]
@@ -415,8 +428,9 @@ class TestEqualityRegion:
             "equality-region", "--rp-range", "-1..1", "--rq-range", "-1..1",
             "--format", "json",
         )
-        report = SweepReport.from_json_obj(json.loads(proc.stdout))
-        assert report.claimed_region is not None
+        report = equality_region((-1, 1), (-1, 1))
+        assert proc.stdout == json_text(report)
+        assert report.claimed_region is not None and "claimed_region" in json.loads(proc.stdout)
         assert set(report.summary) == {"mcut", "morse"}
 
     def test_requires_ranges(self):
@@ -429,7 +443,9 @@ class TestEqualityRegion:
 
         monkeypatch.setitem(_REGISTRY, "mcut", always_fails)
         assert main(["equality-region", "--rp-range", "-1..1", "--rq-range", "0..0", "--format", "json"]) == 1
-        assert not SweepReport.from_json_obj(json.loads(capsys.readouterr().out)).passed
+        report = equality_region((-1, 1), (0, 0))
+        assert capsys.readouterr().out == json_text(report)
+        assert not report.passed
 
 
 class TestUsage:

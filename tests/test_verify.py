@@ -123,9 +123,8 @@ class TestFailurePaths:
 
     def test_morse_check_negative_quotient(self):
         b = bundle("0:0")
-        one_plus_t = CharPoly([1, 1])
-        q = CharPoly([-1 * u])
-        r = _morse_check("mcut", b, one_plus_t * q, CharPoly())
+        q = CharPoly([-u])
+        r = _morse_check("mcut", b, CharPoly([-u, -u]), CharPoly())  # (1 + t) q
         assert not r.passed
         assert r.witness == q
         assert r.residual is None
@@ -134,29 +133,12 @@ class TestFailurePaths:
 class TestCheckResultJson:
     def test_round_trip_with_witness(self):
         r = run_check("mcut", bundle("2:2"))
-        obj = r.to_json_obj()
+        obj = json.loads(json.dumps(r.to_json_obj()))
         assert obj["bundle"] == "2:2"
         assert obj["witness"] == [{"1": 1}]
         assert obj["residual"] is None
-        assert CheckResult.from_json_obj(obj) == r
-
-    def test_round_trip_without_witness(self):
-        r = run_check("gluing", bundle("1:-1,2:2"))
-        obj = json.loads(json.dumps(r.to_json_obj()))
-        assert CheckResult.from_json_obj(obj) == r
-
-    def test_rejects_malformed(self):
-        good = run_check("gluing", bundle("0:0")).to_json_obj()
-        with pytest.raises(ValueError):
-            CheckResult.from_json_obj({**good, "check_id": "bogus"})
-        with pytest.raises(ValueError):
-            CheckResult.from_json_obj({**good, "passed": 1})
-        with pytest.raises(ValueError):
-            CheckResult.from_json_obj({**good, "extra": 0})
-        bad = dict(good)
-        del bad["witness"]
-        with pytest.raises(ValueError):
-            CheckResult.from_json_obj(bad)
+        witness = CharPoly(Character({int(k): q for k, q in c.items()}) for c in obj["witness"])
+        assert CheckResult(obj["check_id"], bundle(obj["bundle"]), obj["passed"], witness) == r
 
 
 class TestSweep:
@@ -229,65 +211,6 @@ class TestGrid:
 
 
 class TestSweepReportSerialization:
-    def test_json_round_trip(self):
-        report = sweep(grid_bundles((-1, 1), (-1, 1)), ("gluing", "mcut", "morse"))
-        obj = json.loads(json.dumps(report.to_json_obj()))
-        back = SweepReport.from_json_obj(obj)
-        assert back == report
-
-    def test_json_round_trip_with_claimed_region(self):
-        report = equality_region((-1, 1), (-1, 1))
-        back = SweepReport.from_json_obj(json.loads(json.dumps(report.to_json_obj())))
-        assert back == report
-        assert back.claimed_region == report.claimed_region
-
-    def test_tampered_summary_rejected(self):
-        report = sweep([bundle("0:0")], ("gluing",))
-        obj = report.to_json_obj()
-        obj["summary"] = {"gluing": {"passed": 0, "failed": 1}}
-        with pytest.raises(ValueError):
-            SweepReport.from_json_obj(obj)
-
-    def test_mismatched_grid_rejected(self):
-        report = sweep([bundle("0:0")], ("gluing",))
-        obj = report.to_json_obj()
-        for grid in [["1:0"], ["0:0", "1:0"]]:
-            with pytest.raises(ValueError):
-                SweepReport.from_json_obj({**obj, "grid": grid})
-
-    def test_contradicting_equality_sets_rejected(self):
-        obj = sweep(grid_bundles((-1, 1), (-1, 1)), ("mcut",)).to_json_obj()
-        for sets in [
-            {"mcut": ["9:9"], "bogus": []},
-            {"mcut": ["9:9"]},
-            {"mcut": obj["equality_sets"]["mcut"][1:]},
-            {"mcut": obj["equality_sets"]["mcut"], "morse": ["0:0"]},
-            {},
-        ]:
-            with pytest.raises(ValueError):
-                SweepReport.from_json_obj({**obj, "equality_sets": sets})
-
-    def test_wrong_types_rejected(self):
-        obj = sweep([bundle("0:0")], ("mcut",)).to_json_obj()
-        row = obj["results"][0]
-        for key, value in [
-            ("equality_sets", 5),
-            ("equality_sets", {"mcut": 5}),
-            ("equality_sets", {"mcut": [5]}),
-            ("grid", 5),
-            ("grid", [5]),
-            ("results", 5),
-            ("results", [5]),
-            ("results", [[{**row[0], "bundle": 5}]]),
-            ("results", [[{**row[0], "check_id": []}]]),
-            ("claimed_region", 5),
-        ]:
-            with pytest.raises(ValueError):
-                SweepReport.from_json_obj({**obj, key: value})
-        for whole in [[], {k: v for k, v in obj.items() if k != "results"}]:
-            with pytest.raises(ValueError):
-                SweepReport.from_json_obj(whole)
-
     def test_fail_fast_report_round_trips(self, monkeypatch):
         # mcut was selected but never ran: its set is present and empty.
         def always_fails(t):
@@ -296,7 +219,7 @@ class TestSweepReportSerialization:
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         report = sweep([bundle("0:0"), bundle("1:0")], ("gluing", "mcut"), fail_fast=True)
         assert report.equality_sets == {"mcut": ()}
-        assert SweepReport.from_json_obj(json.loads(json.dumps(report.to_json_obj()))) == report
+        assert json.loads(report.to_json_text())["equality_sets"] == {"mcut": []}
 
     def test_csv_golden(self):
         report = sweep([bundle("0:0")], ("gluing", "mcut"))
@@ -331,159 +254,6 @@ class TestSweepReportSerialization:
         assert "- Overall: FAIL" in text
         assert "## Failures" in text
         assert "1 - u" in text
-
-
-def _report_obj(lit):
-    return json.loads(json.dumps(sweep([bundle(lit)], ("gluing", "mcut")).to_json_obj()))
-
-
-def _edited(obj, path, value):
-    """``obj`` with the entry at ``path`` (keys and indices) set to ``value``."""
-    *head, last = path
-    target = obj
-    for key in head:
-        target = target[key]
-    target[last] = value
-    return obj
-
-
-# Report JSON that each once loaded without error and was then written back
-# differently, or kept as nonsense: (bundle, path to an entry, its new value).
-REPORT_HOLES = [
-    pytest.param("1:0", ("grid", 0), "01:0", id="grid-bundle-01:0"),
-    pytest.param("2:0", ("results", 0, 0, "bundle"), "2:-0", id="result-bundle-2:-0"),
-    pytest.param("1:0", ("summary", "gluing"), {"passed": True, "failed": False}, id="summary-booleans"),
-    pytest.param("1:0", ("summary", "gluing", "passed"), 1.0, id="summary-float-count"),
-    pytest.param("1:0", ("claimed_region",), ["garbage"], id="claimed-region-garbage"),
-    pytest.param("1:0", ("claimed_region",), None, id="claimed-region-null"),
-]
-
-RESULT_HOLES = [
-    pytest.param(("bundle",), "02:2", id="bundle-02:2"),
-    pytest.param(("witness",), [{"1": 1, "5": 0}, {}], id="witness-with-zeros"),
-]
-
-
-def _rows_obj(rows):
-    """JSON of a report over 0:0, 1:0, ... whose rows run the given check ids.
-
-    A check id ending in ``!`` is made to fail.  Every such report writes
-    back unchanged, so only a check on the rows themselves can refuse it.
-    """
-    grid = tuple(bundle(f"{i}:0") for i in range(len(rows)))
-    results = tuple(
-        tuple(
-            CheckResult(cid.rstrip("!"), b, False, residual=CharPoly([1]))
-            if cid.endswith("!")
-            else run_check(cid, b)
-            for cid in row
-        )
-        for b, row in zip(grid, rows)
-    )
-    morse = tuple(cid for cid in MORSE_CHECKS if any(r.check_id == cid for row in results for r in row))
-    return json.loads(json.dumps(SweepReport(grid, results, morse).to_json_obj()))
-
-
-# Rows that no sweep writes, each of which once loaded without error.
-ROW_HOLES = [
-    pytest.param([["mcut", "gluing"]], id="out-of-registry-order"),
-    # Its equality set lists 0:0 twice.
-    pytest.param([["gluing", "mcut", "mcut"]], id="check-listed-twice"),
-    pytest.param([["gluing", "mcut"], []], id="empty-row-after-a-full-one"),
-    pytest.param([["gluing"], ["mcut"]], id="rows-with-different-checks"),
-    # Loads when only the last row is compared with the first.
-    pytest.param([["gluing"], ["mcut"], ["gluing"]], id="middle-row-with-different-checks"),
-    pytest.param([["gluing", "mcut"], ["gluing"]], id="short-last-row-without-failure"),
-    pytest.param([["gluing!"], ["gluing", "mcut"]], id="short-row-before-the-last"),
-    pytest.param([["gluing!", "mcut"], ["gluing!"]], id="short-last-row-after-a-failure"),
-    pytest.param([], id="no-rows"),
-]
-
-
-class TestReportLoadsOnlyWhatItWrites:
-    @pytest.mark.parametrize("rows", ROW_HOLES)
-    def test_row_hole_rejected(self, rows):
-        obj = _rows_obj(rows)
-        with pytest.raises(ValueError):
-            SweepReport.from_json_obj(obj)
-
-    @pytest.mark.parametrize(
-        "rows, check",
-        [
-            pytest.param([["gluing"]], "mcut", id="no-failure"),
-            pytest.param([["gluing"], ["gluing!"]], "mcut", id="failure-on-a-later-bundle"),
-            pytest.param([["morse!"]], "mcut", id="check-before-the-failure"),
-        ],
-    )
-    def test_equality_set_without_result_rejected(self, rows, check):
-        # Only a fail_fast sweep that stopped at its first bundle, before the
-        # check, leaves a selected Morse check with a set but no result.
-        obj = _rows_obj(rows)
-        obj["equality_sets"][check] = []
-        with pytest.raises(ValueError):
-            SweepReport.from_json_obj(obj)
-
-    def test_fail_fast_prefix_rows_load(self):
-        obj = _rows_obj([["gluing", "mcut"], ["gluing", "mcut"], ["gluing!"]])
-        assert SweepReport.from_json_obj(obj).to_json_obj() == obj
-
-    @pytest.mark.parametrize("lit, path, value", REPORT_HOLES)
-    def test_report_hole_rejected(self, lit, path, value):
-        with pytest.raises(ValueError):
-            SweepReport.from_json_obj(_edited(_report_obj(lit), path, value))
-
-    @pytest.mark.parametrize("path, value", RESULT_HOLES)
-    def test_result_hole_rejected(self, path, value):
-        obj = json.loads(json.dumps(run_check("mcut", bundle("2:2")).to_json_obj()))
-        with pytest.raises(ValueError):
-            CheckResult.from_json_obj(_edited(obj, path, value))
-
-    def test_each_grid_bundle_parsed_once(self, monkeypatch):
-        report = sweep(grid_bundles((-1, 1), (-1, 1)), ("gluing", "mcut"))
-        obj = json.loads(json.dumps(report.to_json_obj()))
-        parse = EquivBundleCP1.parse
-        seen = []
-
-        def counted(cls, lit):
-            seen.append(lit)
-            return parse(lit)
-
-        monkeypatch.setattr(EquivBundleCP1, "parse", classmethod(counted))
-        back = SweepReport.from_json_obj(obj)
-        assert seen == obj["grid"]
-        assert all(r.bundle is b for b, row in zip(back.grid, back.results) for r in row)
-
-    def test_equality_set_key_order_is_free(self):
-        report = sweep([bundle("0:0")], ("mcut", "morse"))
-        obj = report.to_json_obj()
-        obj["equality_sets"] = dict(reversed(obj["equality_sets"].items()))
-        assert SweepReport.from_json_obj(obj) == report
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=2),
-            min_size=1,
-            max_size=4,
-        ),
-        st.lists(st.sampled_from(ALL_CHECKS), unique=True, max_size=len(ALL_CHECKS)),
-        st.booleans(),
-        st.none() | st.sampled_from(ALL_CHECKS),
-        st.booleans(),
-    )
-    def test_round_trip(self, weights, checks, fail_fast, broken, region):
-        grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
-
-        def fails(t):  # the drawn check, if any, fails on every bundle
-            return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))
-
-        with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
-            report = sweep(grid, checks, fail_fast=fail_fast)
-        report = SweepReport(report.grid, report.results, report.morse_checks, region)
-        text = json.dumps(report.to_json_obj(), indent=2)
-        back = SweepReport.from_json_obj(json.loads(text))
-        assert back == report
-        assert json.dumps(back.to_json_obj(), indent=2) == text
 
 
 def _json_text(value) -> str:

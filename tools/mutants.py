@@ -73,7 +73,9 @@ MUTANTS = [
         'ids = tuple(piece.strip() for piece in text.split(","))',
         'ids = tuple(text.split(","))',
     ),
-    # The one JSON writer and the timestamp it places.
+    # The one JSON writer and the timestamp it places.  No mutant targets
+    # reading a report: no command reads one back, so the package has no
+    # loader, and tests/test_golden.py pins the writer's exact bytes.
     Mutant("writer-pad-step", "verify.py", 'inner = pad + "  "', 'inner = pad + " "'),
     Mutant(
         "stamp-first",
@@ -145,19 +147,6 @@ MUTANTS = [
         "    if ch.dim():\n",
         "    if False:\n",
     ),
-    # Only a fail-fast cut explains an equality set without a result.
-    Mutant(
-        "cut-set-on-any-row-count",
-        "verify.py",
-        "last = results[0][-1] if len(results) == 1 and results[0] else None",
-        "last = results[-1][-1] if results[-1] else None",
-    ),
-    Mutant(
-        "cut-set-before-the-failure",
-        "verify.py",
-        "ALL_CHECKS[ALL_CHECKS.index(last.check_id) + 1 :]",
-        "ALL_CHECKS",
-    ),
     # A u^0 multiple hashes as the int it equals.
     Mutant(
         "u0-hash-as-jumps",
@@ -167,20 +156,6 @@ MUTANTS = [
     ),
     # Each bundle's checks read that bundle's own closed-form pass.
     Mutant("pass-from-first-bundle", "verify.py", "t = _tables(bundle)", "t = _tables(grid[0])"),
-    # Loader rejections, each reached by one test input of its own.
-    Mutant(
-        "loader-middle-rows-unchecked",
-        "verify.py",
-        "if any(row_ids != ids[0] for row_ids in full):",
-        "if False:",
-    ),
-    Mutant("loader-grid-length-unchecked", "verify.py", "if len(grid) != len(rows):", "if False:"),
-    Mutant(
-        "loader-non-object-unchecked",
-        "verify.py",
-        'if not isinstance(obj, dict) or not {"grid", "results"} <= set(obj):',
-        "if False:",
-    ),
     # Each line's runs close inside its window, so a short window trips the closing assert.
     Mutant(
         "oracle-window-one-short",
