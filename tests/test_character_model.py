@@ -7,9 +7,10 @@ term by term and no code shared with the package.
 """
 
 import json
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutchar import Character, CharPoly
@@ -82,6 +83,14 @@ class TestAgainstDictModel:
         assert dict((ca + cb).items()) == m_add(ma, mb)
         assert dict((ca - cb).items()) == m_add(ma, m_neg(mb))
         assert dict((-ca).items()) == m_neg(ma)
+
+    @given(pairs(), pairs(), ints, ints)
+    def test_mul(self, a, b, m, n):
+        # Integer multiples, alone and in a sum; two characters do not multiply.
+        (ca, ma), (cb, mb) = a, b
+        assert dict((ca * n + m * cb).items()) == m_add(m_mul(ma, clean({0: n})), m_mul(mb, clean({0: m})))
+        with pytest.raises(TypeError):
+            ca * cb
 
     @given(pairs(), ints)
     def test_int_operands(self, a, n):
@@ -181,3 +190,23 @@ class TestZeroOperands:
         total += u
         assert dict(CharPoly().coeff(0).items()) == {} and dict(total.items()) == {1: 1}
 
+
+CANONICAL_KEY = re.compile("0|-?[1-9][0-9]*")
+
+
+class TestJsonKeys:
+    """The JSON writer spells each weight one way, its canonical decimal form."""
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet="0123456789-+_ ٣", max_size=4) | st.integers().map(str))
+    def test_key_accepted_iff_canonical(self, key):
+        # int() reads "03", " 3", "+3", "1_0" and "٣" too; the writer writes
+        # back a key it reads iff that key is canonical.
+        try:
+            weight = int(key)
+        except ValueError:
+            assert not CANONICAL_KEY.fullmatch(key)
+        else:
+            written = Character.monomial(weight).to_json_obj()
+            assert (written == {key: 1}) is bool(CANONICAL_KEY.fullmatch(key))
+            assert CANONICAL_KEY.fullmatch(next(iter(written)))

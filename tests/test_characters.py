@@ -11,6 +11,12 @@ def times_one_plus_t(q: CharPoly) -> CharPoly:
 
 
 class TestCharacter:
+    def test_from_weights(self):
+        # A list of weights, one line each, is the pair form with multiplicity 1.
+        assert Character((w, 1) for w in []) == Character()
+        assert Character((w, 1) for w in [0, 1, 2]) == Character({0: 1, 1: 1, 2: 1})
+        assert Character((w, 1) for w in [0, 0, -1]) == Character({-1: 1, 0: 2})
+
     def test_canonical_form_drops_zeros(self):
         a = Character({3: 0, 1: 2, -1: 0})
         assert dict(a.items()) == {1: 2}
@@ -30,6 +36,14 @@ class TestCharacter:
         with pytest.raises(ValueError):
             Character({0.5: 1})
 
+    def test_json_rejects_bad_values(self):
+        # What json.loads gives back: string weights, and floats or booleans
+        # where integers belong.  The constructor takes none of them.
+        for bad in ({"0": 1}, {0: 1.0}, {0: True}, {"x": 1}):
+            with pytest.raises(ValueError):
+                Character(bad)
+        assert Character({3: 0}) == Character()
+
     def test_add_sub_neg(self):
         a = Character({0: 1, 1: 1})
         b = Character({1: 1, 2: 1})
@@ -48,6 +62,18 @@ class TestCharacter:
         with pytest.raises(TypeError):
             a * a
 
+    def test_mul(self):
+        # Multiples by an integer; neither a character nor a float or bool scales one.
+        one_plus_u = 1 + u
+        assert 2 * one_plus_u == one_plus_u * 2 == Character({0: 2, 1: 2})
+        assert -1 * one_plus_u == -one_plus_u
+        assert 0 * one_plus_u == Character() and Character() * 5 == Character()
+        for bad in (one_plus_u, 1.5, True):
+            with pytest.raises(TypeError):
+                one_plus_u * bad
+            with pytest.raises(TypeError):
+                bad * one_plus_u
+
     def test_dim(self):
         assert Character({0: 2, 3: 1, -1: -1}).dim() == 2
         assert Character().dim() == 0
@@ -56,6 +82,16 @@ class TestCharacter:
         assert Character.span(0, 2) == Character({0: 1, 1: 1, 2: 1})
         assert Character.span(2, 1) == Character()
         assert Character.span(-1, -1) == Character.monomial(-1)
+
+    def test_partial_order(self):
+        # The coefficientwise order as the checks ask it: a dominates b iff (a - b).is_nonneg().
+        assert (Character({0: 2, 1: 1}) - Character({0: 1})).is_nonneg()
+        assert not (Character({0: 1}) - Character({0: 2, 1: 1})).is_nonneg()
+        # incomparable pair: neither dominates
+        a = 1 + u
+        b = Character.monomial(0, 2)
+        assert not (a - b).is_nonneg()
+        assert not (b - a).is_nonneg()
 
     def test_is_nonneg(self):
         assert Character({0: 1, 5: 2}).is_nonneg()
@@ -110,11 +146,27 @@ class TestCharPoly:
         assert (p + q) - q == p
         assert p - p == CharPoly()
 
+    def test_mul(self):
+        # No product: the (1 + t) multiples the checks compare are built by a shift.
+        p = CharPoly([1, 1])
+        for left, right in [(p, p), (2, p), (p, 2), (p, u)]:
+            with pytest.raises(TypeError):
+                left * right
+        assert times_one_plus_t(p) == CharPoly([1, 2, 1])
+        assert times_one_plus_t(CharPoly()) == CharPoly()
+
     def test_at_minus_one(self):
         p = CharPoly([Character.span(0, 2), 1 + u])
         assert p.at_minus_one() == Character.monomial(2)
         assert CharPoly().at_minus_one() == Character()
         assert CharPoly([1, 1]).at_minus_one() == Character()
+
+    def test_partial_order(self):
+        # Coefficientwise in t and in u, as CharPoly.is_nonneg asks it of a difference.
+        assert (CharPoly([1 + u, u]) - CharPoly([u])).is_nonneg()
+        assert not (CharPoly([1]) - CharPoly([1, u])).is_nonneg()
+        assert (CharPoly([1 + u, u]) - CharPoly([u, u])).is_nonneg()
+        assert not (CharPoly([u]) - CharPoly([1 + u, u])).is_nonneg()
 
     def test_json_round_trip(self):
         p = CharPoly([Character({-1: 1}), Character({0: 2})])

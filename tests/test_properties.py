@@ -28,12 +28,12 @@ characters = st.dictionaries(weights, mults, max_size=6).map(Character)
 charpolys = st.lists(characters, max_size=3).map(CharPoly)
 nonneg_characters = st.dictionaries(weights, st.integers(0, 10), max_size=6).map(Character)
 nonneg_charpolys = st.lists(nonneg_characters, max_size=3).map(CharPoly)
+ints = st.integers(-7, 7)
 
 line_weights = st.builds(LineWeights, st.integers(-10, 10), st.integers(-10, 10))
 bundles = st.lists(line_weights, min_size=1, max_size=4).map(
     lambda ls: EquivBundleCP1(tuple(ls))
 )
-
 
 
 def times(a: Character, b: Character) -> Character:
@@ -60,6 +60,25 @@ class TestRingAxioms:
         assert a + Character() == a
         assert a + (-a) == Character()
 
+    # Integers scale a character; two characters have no product in the package.
+    @given(characters, ints)
+    def test_mul_commutes(self, a, n):
+        assert n * a == a * n == times(a, Character.monomial(0, n))
+
+    @given(characters, ints, ints)
+    def test_mul_associates(self, a, m, n):
+        assert (m * n) * a == m * (n * a)
+
+    @given(characters, characters, ints, ints)
+    def test_mul_distributes(self, a, b, m, n):
+        assert n * (a + b) == n * a + n * b
+        assert (m + n) * a == m * a + n * a
+
+    @given(characters)
+    def test_mul_neutral(self, a):
+        assert 1 * a == a * 1 == a
+        assert 0 * a == Character() and -1 * a == -a
+
     @given(characters, characters)
     def test_dim_is_additive_and_multiplicative(self, a, b):
         assert (a + b).dim() == a.dim() + b.dim()
@@ -73,6 +92,12 @@ class TestOrder:
     def test_transitive_by_construction(self, base, d1, d2):
         a, b, c = base + d1 + d2, base + d1, base
         assert (a - b).is_nonneg() and (b - c).is_nonneg() and (a - c).is_nonneg()
+
+    @given(characters, characters)
+    def test_ge_iff_difference_nonneg(self, a, b):
+        da, db = dict(a.items()), dict(b.items())
+        dominates = all(da.get(k, 0) >= db.get(k, 0) for k in da.keys() | db.keys())
+        assert dominates is (a - b).is_nonneg()
 
     @given(characters)
     def test_reflexive(self, a):
@@ -93,6 +118,17 @@ class TestCharPolyLaws:
     @given(charpolys, charpolys)
     def test_eval_at_minus_one_is_additive(self, p, q):
         assert (p + q).at_minus_one() == p.at_minus_one() + q.at_minus_one()
+
+    @given(charpolys, charpolys)
+    def test_eval_at_minus_one_is_multiplicative(self, p, q):
+        # The product pq, coefficient by coefficient from the dense products.
+        pq = CharPoly(
+            sum((times(p.coeff(i), q.coeff(m - i)) for i in range(m + 1)), Character())
+            for m in range(p.degree + q.degree + 1)
+        )
+        assert pq.at_minus_one() == times(p.at_minus_one(), q.at_minus_one())
+        # (1 + t) vanishes at t = -1, and so does every multiple of it.
+        assert times_one_plus_t(q).at_minus_one() == Character()
 
     @given(charpolys, charpolys)
     def test_morse_quotient_round_trip(self, q, r):

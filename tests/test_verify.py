@@ -130,6 +130,28 @@ class TestFailurePaths:
         assert r.residual is None
 
 
+def _poly(obj) -> CharPoly | None:
+    """The CharPoly a witness or residual was written from, or None for null."""
+    return None if obj is None else CharPoly(Character({int(k): q for k, q in c.items()}) for c in obj)
+
+
+def _rebuilt_result(obj) -> CheckResult:
+    """The CheckResult whose JSON is ``obj``, rebuilt by the constructors."""
+    witness, residual = _poly(obj["witness"]), _poly(obj["residual"])
+    return CheckResult(obj["check_id"], bundle(obj["bundle"]), obj["passed"], witness, residual)
+
+
+def _rebuilt(obj) -> SweepReport:
+    """The report whose JSON is ``obj``, rebuilt from its grid, results and set keys.
+
+    The package writes reports and reads none back; this shows the JSON
+    holds all of one.  The derived members are compared by the callers.
+    """
+    grid = tuple(bundle(lit) for lit in obj["grid"])
+    results = tuple(tuple(_rebuilt_result(r) for r in row) for row in obj["results"])
+    return SweepReport(grid, results, tuple(obj["equality_sets"]), "claimed_region" in obj)
+
+
 class TestCheckResultJson:
     def test_round_trip_with_witness(self):
         r = run_check("mcut", bundle("2:2"))
@@ -139,6 +161,12 @@ class TestCheckResultJson:
         assert obj["residual"] is None
         witness = CharPoly(Character({int(k): q for k, q in c.items()}) for c in obj["witness"])
         assert CheckResult(obj["check_id"], bundle(obj["bundle"]), obj["passed"], witness) == r
+
+    def test_round_trip_without_witness(self):
+        r = run_check("gluing", bundle("1:-1,2:2"))
+        obj = json.loads(json.dumps(r.to_json_obj()))
+        assert obj == {"check_id": "gluing", "bundle": "1:-1,2:2", "passed": True, "witness": None, "residual": None}
+        assert _rebuilt_result(obj) == r
 
 
 class TestSweep:
@@ -211,6 +239,21 @@ class TestGrid:
 
 
 class TestSweepReportSerialization:
+    def test_json_round_trip(self):
+        report = sweep(grid_bundles((-1, 1), (-1, 1)), ("gluing", "mcut", "morse"))
+        obj = json.loads(report.to_json_text())
+        back = _rebuilt(obj)
+        assert back == report
+        assert back.to_json_obj() == obj
+
+    def test_json_round_trip_with_claimed_region(self):
+        report = equality_region((-1, 1), (-1, 1))
+        obj = json.loads(report.to_json_text())
+        back = _rebuilt(obj)
+        assert back == report
+        assert back.claimed_region == report.claimed_region == tuple(obj["claimed_region"])
+        assert back.to_json_obj() == obj
+
     def test_fail_fast_report_round_trips(self, monkeypatch):
         # mcut was selected but never ran: its set is present and empty.
         def always_fails(t):
@@ -254,6 +297,36 @@ class TestSweepReportSerialization:
         assert "- Overall: FAIL" in text
         assert "## Failures" in text
         assert "1 - u" in text
+
+
+class TestReportLoadsOnlyWhatItWrites:
+    """A written report holds all of itself: rebuilt from its text, it is the same report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=2),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(ALL_CHECKS), unique=True, max_size=len(ALL_CHECKS)),
+        st.booleans(),
+        st.none() | st.sampled_from(ALL_CHECKS),
+        st.booleans(),
+    )
+    def test_round_trip(self, weights, checks, fail_fast, broken, region):
+        grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
+
+        def fails(t):  # the drawn check, if any, fails on every bundle
+            return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))
+
+        with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
+            report = sweep(grid, checks, fail_fast=fail_fast)
+        report = SweepReport(report.grid, report.results, report.morse_checks, region)
+        text = report.to_json_text()
+        back = _rebuilt(json.loads(text))
+        assert back == report
+        assert back.to_json_text() == text
 
 
 def _json_text(value) -> str:
