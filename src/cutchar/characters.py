@@ -78,11 +78,11 @@ class Character:
     """Laurent polynomial in u with integer coefficients, stored by its jumps.
 
     Supports + and - (with other characters or plain integers, an integer
-    meaning that multiple of u^0), multiples by an integer, equality and
-    :meth:`is_nonneg`.  Instances are immutable, so an operation may return
-    one of its operands: ``a + 0`` is ``a``.  The constructor takes the
-    dense ``{weight: multiplicity}`` form, which is also what every view and
-    the repr show, or its pairs, where repeated weights add up.
+    meaning that multiple of u^0), equality and :meth:`is_nonneg`.
+    Instances are immutable, so an operation may return one of its
+    operands: ``a + 0`` is ``a``.  The constructor takes the dense
+    ``{weight: multiplicity}`` form, which is also what every view and the
+    repr show, or its pairs, where repeated weights add up.
 
     >>> Character([(0, 1), (2, 1), (0, 1)])
     Character({0: 2, 2: 1})
@@ -172,20 +172,24 @@ class Character:
         c = self._jumps.get(0, 0)
         return hash(c) if self == c else hash(tuple(self._jumps.items()))
 
-    def __add__(self, other: "Character | int") -> "Character":
+    def _plus(self, other: "Character | int", sign: int) -> "Character":
+        """``self + sign * other`` for a sign of 1 or -1: the one body of + and -."""
         if type(other) is not Character:
             other = _as_character(other)
         # Instances are immutable, so a zero operand can hand back the other one.
         if not other._jumps:
             return self
-        if not self._jumps:
+        if not self._jumps and sign > 0:
             return other
         merged = dict(self._jumps)
         for k, q in other._jumps.items():
-            merged[k] = merged.get(k, 0) + q
+            merged[k] = merged.get(k, 0) + sign * q
         new = object.__new__(Character)
         new._jumps = _canonical(merged)
         return new
+
+    def __add__(self, other: "Character | int") -> "Character":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -193,27 +197,10 @@ class Character:
         return Character._from_jumps({k: -q for k, q in self._jumps.items()})
 
     def __sub__(self, other: "Character | int") -> "Character":
-        if type(other) is not Character:
-            other = _as_character(other)
-        if not other._jumps:
-            return self
-        merged = dict(self._jumps)
-        for k, q in other._jumps.items():
-            merged[k] = merged.get(k, 0) - q
-        new = object.__new__(Character)
-        new._jumps = _canonical(merged)
-        return new
+        return self._plus(other, -1)
 
     def __rsub__(self, other: int) -> "Character":
         return _as_character(other) - self
-
-    def __mul__(self, other: int) -> "Character":
-        """The multiple ``other * self`` for an integer ``other``; two characters do not multiply."""
-        if type(other) is not int:
-            return NotImplemented
-        return Character._from_jumps({k: other * q for k, q in self._jumps.items()})
-
-    __rmul__ = __mul__
 
     def to_json_obj(self) -> dict[str, int]:
         """JSON form: decimal weight strings to integer multiplicities."""
@@ -243,12 +230,10 @@ ZERO = Character()
 
 
 def _as_character(value: "Character | int") -> Character:
-    if type(value) is Character:
+    if isinstance(value, Character):
         return value
     if type(value) is int:
         return Character.monomial(0, value)
-    if isinstance(value, Character):
-        return value
     raise TypeError(f"expected Character or int, got {type(value).__name__}")
 
 

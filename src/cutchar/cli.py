@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
-from .verify import ALL_CHECKS, SweepReport, _write_json, equality_region, grid_bundles, sweep
+from .verify import ALL_CHECKS, SweepReport, _normalize_checks, _write_json, equality_region, grid_bundles, sweep
 
 __all__ = ["main", "console_main", "RunConfig"]
 
@@ -70,10 +70,10 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     if not text:
         raise _UsageError(_NO_CHECKS)
     ids = tuple(piece.strip() for piece in text.split(","))
-    for cid in ids:
-        if cid not in ALL_CHECKS:
-            raise _UsageError(f"unknown check id {cid!r}; known: {', '.join(ALL_CHECKS)}, all")
-    return ids
+    try:
+        return _normalize_checks(ids)
+    except ValueError as exc:
+        raise _UsageError(f"{exc}, all") from None
 
 
 def _is_str_list(value) -> bool:
@@ -142,11 +142,10 @@ class RunConfig:
             if not ids:
                 raise _UsageError(f"config {path}: {_NO_CHECKS}")
             # One id per entry: no "all" and no comma-separated lists here.
-            for cid in ids:
-                if cid not in ALL_CHECKS:
-                    known = ", ".join(ALL_CHECKS)
-                    raise _UsageError(f"config {path}: unknown check id {cid!r}; known: {known}")
-            checks = tuple(ids)
+            try:
+                checks = _normalize_checks(ids)
+            except ValueError as exc:
+                raise _UsageError(f"config {path}: {exc}") from None
         fail_fast = obj.get("fail_fast")
         if fail_fast is not None and type(fail_fast) is not bool:
             raise _UsageError(f"config {path}: fail_fast must be a boolean")

@@ -80,16 +80,10 @@ def _row_kernel(row: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _block(line: LineWeights, m: int) -> list[int]:
     """The weight-m block's differential row: +1 for a chart-0 column, then -1 for a chart-1 one."""
-    r_p, r_q = line.r_p, line.r_q
     row: list[int] = []
-    if m >= r_q:
-        exp = m - r_q
-        assert exp + r_q == m, "column lands in the wrong weight"
+    if m >= line.r_q:  # z^(m - r_Q) on chart 0, of weight r_Q + (m - r_Q) = m
         row.append(1)
-    if m <= r_p:
-        exp = r_p - m
-        img_exp = r_p - r_q - exp  # w^exp on the overlap, in chart-0 terms
-        assert img_exp + r_q == m, "column lands in the wrong weight"
+    if m <= line.r_p:  # w^(r_P - m) on chart 1, of weight m; on the overlap it reads z^(m - r_Q)
         row.append(-1)
     return row
 

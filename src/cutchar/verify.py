@@ -402,6 +402,9 @@ class SweepReport:
         return buf.getvalue()
 
     def to_markdown(self) -> str:
+        def cell(value) -> str:  # a witness or residual, or empty when there is none
+            return "" if value is None else str(value)
+
         summary, equality_sets, claimed = self.summary, self.equality_sets, self.claimed_region
         lines = ["# Sweep report", ""]
         lines.append(f"- Bundles: {len(self.grid)}")
@@ -427,19 +430,16 @@ class SweepReport:
         if failures:
             lines += ["", "## Failures", "", "| bundle | check | witness | residual |", "| --- | --- | --- | --- |"]
             for r in failures:
-                w = "" if r.witness is None else str(r.witness)
-                res = "" if r.residual is None else str(r.residual)
-                lines.append(f"| `{r.bundle.literal()}` | {r.check_id} | {w} | {res} |")
+                lines.append(f"| `{r.bundle.literal()}` | {r.check_id} | {cell(r.witness)} | {cell(r.residual)} |")
         if len(self.grid) == 1:
             lines += ["", "## Details", "", "| check | passed | witness | residual |", "| --- | --- | --- | --- |"]
             for r in self.results[0]:
-                w = "" if r.witness is None else str(r.witness)
-                res = "" if r.residual is None else str(r.residual)
-                lines.append(f"| {r.check_id} | {str(r.passed).lower()} | {w} | {res} |")
+                lines.append(f"| {r.check_id} | {str(r.passed).lower()} | {cell(r.witness)} | {cell(r.residual)} |")
         return "\n".join(lines) + "\n"
 
 
 def _normalize_checks(check_ids) -> tuple[str, ...]:
+    """The ids in registry order, each once (all for ``None``); a ValueError names an unknown id."""
     if check_ids is None:
         return ALL_CHECKS
     wanted = set()

@@ -31,14 +31,6 @@ def m_neg(a: dict) -> dict:
     return {k: -q for k, q in a.items()}
 
 
-def m_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, q1 in a.items():
-        for k2, q2 in b.items():
-            out[k1 + k2] = out.get(k1 + k2, 0) + q1 * q2
-    return clean(out)
-
-
 def m_str(a: dict) -> str:
     parts = []
     for k, q in a.items():
@@ -84,19 +76,10 @@ class TestAgainstDictModel:
         assert dict((ca - cb).items()) == m_add(ma, m_neg(mb))
         assert dict((-ca).items()) == m_neg(ma)
 
-    @given(pairs(), pairs(), ints, ints)
-    def test_mul(self, a, b, m, n):
-        # Integer multiples, alone and in a sum; two characters do not multiply.
-        (ca, ma), (cb, mb) = a, b
-        assert dict((ca * n + m * cb).items()) == m_add(m_mul(ma, clean({0: n})), m_mul(mb, clean({0: m})))
-        with pytest.raises(TypeError):
-            ca * cb
-
     @given(pairs(), ints)
     def test_int_operands(self, a, n):
         ca, ma = a
         const = clean({0: n})
-        assert dict((ca * n).items()) == dict((n * ca).items()) == m_mul(ma, const)
         assert dict((ca + n).items()) == dict((n + ca).items()) == m_add(ma, const)
         assert dict((ca - n).items()) == m_add(ma, m_neg(const))
         assert dict((n - ca).items()) == m_add(const, m_neg(ma))

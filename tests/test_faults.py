@@ -100,10 +100,11 @@ CASES = [
 
 def inject(monkeypatch, name: str, b: EquivBundleCP1, k: int) -> None:
     target, c0, c1, skew, _ = FAULTS[name]
-    uk = Character.monomial(k)
 
     def edit(table):
-        return FaultyTable(table.h0 + c0 * uk, table.h1 + c1 * uk, skew * uk)
+        return FaultyTable(
+            table.h0 + Character.monomial(k, c0), table.h1 + Character.monomial(k, c1), Character.monomial(k, skew)
+        )
 
     if target == "cut":
         mcut_cohomology = cutchar.verify.mcut_cohomology

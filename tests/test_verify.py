@@ -348,7 +348,7 @@ def _characters(draw) -> Character:
     for _ in range(draw(st.integers(0, 4))):
         weight += draw(st.integers(0, 2))
         n, mult = draw(length), draw(st.integers(-3, 3))
-        ch += Character.span(weight, weight + n - 1) * mult
+        ch += Character([(m, mult) for m in range(weight, weight + n)])
         weight += n
     return ch
 
@@ -372,7 +372,7 @@ class TestJsonText:
         grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
 
         def fails(t):  # the drawn check, if any, fails on every bundle
-            return CheckResult(broken, t.bundle, False, residual=CharPoly([0, -2 * u]))
+            return CheckResult(broken, t.bundle, False, residual=CharPoly([0, Character.monomial(1, -2)]))
 
         with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
             report = sweep(grid, checks, fail_fast=fail_fast)
