@@ -52,9 +52,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     head, sep, tail = text.partition("..")
     if not sep:
         raise _UsageError(f"bad range {text!r}: expected A..B")
-    # The bundle weight grammar; int() alone would also take "1_0", " +0" and "٠".
+    # The bundle weight grammar; int() alone would also take "1_0", " +0", "01", "-0" and "٠".
     if not (_WEIGHT.fullmatch(head) and _WEIGHT.fullmatch(tail)):
-        raise _UsageError(f"bad range {text!r}: endpoints must match -?[0-9]+")
+        raise _UsageError(f"bad range {text!r}: endpoints must match {_WEIGHT.pattern}")
     lo, hi = int(head), int(tail)
     if lo > hi:
         raise _UsageError(f"bad range {text!r}: {lo} > {hi}")
@@ -70,6 +70,8 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     if not text:
         raise _UsageError(_NO_CHECKS)
     ids = tuple(piece.strip() for piece in text.split(","))
+    if "all" in ids:
+        raise _UsageError("'all' must stand alone as the whole --checks value")
     try:
         return _normalize_checks(ids)
     except ValueError as exc:
@@ -245,9 +247,9 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    config = RunConfig.load(args.config) if args.config else RunConfig()
-    rp = _parse_range(args.rp_range) if args.rp_range else None
-    rq = _parse_range(args.rq_range) if args.rq_range else None
+    config = RunConfig.load(args.config) if args.config is not None else RunConfig()
+    rp = _parse_range(args.rp_range) if args.rp_range is not None else None
+    rq = _parse_range(args.rq_range) if args.rq_range is not None else None
     if (rp is None) != (rq is None):
         raise _UsageError("--rp-range and --rq-range go together")
     if rp is not None:

@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 
-_WEIGHT = re.compile("-?[0-9]+")
+# The decimal form str() writes, so every accepted weight writes back as itself.
+_WEIGHT = re.compile("0|-?[1-9][0-9]*")
 
 
 class MalformedCut(ValueError):
@@ -87,7 +88,7 @@ class EquivBundleCP1:
 
     @classmethod
     def parse(cls, literal: str) -> "EquivBundleCP1":
-        """Parse ``"rP:rQ,rP:rQ,..."``, each weight ASCII ``-?[0-9]+``.
+        """Parse ``"rP:rQ,rP:rQ,..."``, each weight canonical ASCII decimal, ``0|-?[1-9][0-9]*``.
 
         Raises ValueError on bad syntax.
         """
@@ -96,9 +97,9 @@ class EquivBundleCP1:
             head, sep, tail = piece.partition(":")
             if not sep:
                 raise ValueError(f"bad summand {piece!r}: expected rP:rQ")
-            # int() alone would also take "1_0", "+3", " 3" and non-ASCII digits.
+            # int() alone would also take "1_0", "+3", " 3", "03", "-0" and non-ASCII digits.
             if not (_WEIGHT.fullmatch(head) and _WEIGHT.fullmatch(tail)):
-                raise ValueError(f"bad summand {piece!r}: weights must match -?[0-9]+")
+                raise ValueError(f"bad summand {piece!r}: weights must match {_WEIGHT.pattern}")
             summands.append(LineWeights(int(head), int(tail)))
         return cls(tuple(summands))
 

@@ -197,7 +197,7 @@ class TestSweep:
         "rp, rq", [("1_0..1_0", "0..0"), ("0..0", " +0..٠"), ("+1..2", "0..0"), ("0..0", "0..٣")]
     )
     def test_range_uses_the_weight_grammar(self, rp, rq):
-        # The endpoints follow -?[0-9]+, as bundle weights do; int() alone
+        # The endpoints follow 0|-?[1-9][0-9]*, as bundle weights do; int() alone
         # once ran "1_0..1_0" as 10:0.
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cutchar import (
     Character,
@@ -26,9 +28,27 @@ class TestBundle:
 
     def test_parse_rejects_garbage(self):
         for bad in ["", "1", "1:", ":1", "1:2,", "a:b", "1;2", "1:2:3",
-                    "1_0:0", "0:1_0", "+3:0", " 3:0", "\u0663:0"]:
+                    "1_0:0", "0:1_0", "+3:0", " 3:0", "\u0663:0", "01:0", "-0:0"]:
             with pytest.raises(ValueError):
                 EquivBundleCP1.parse(bad)
+
+    # Weights spelled as the old grammar -?[0-9]+ took them, with leading
+    # zeros and -0, and free text over the characters int() also reads.
+    _weight_texts = st.from_regex("-?[0-9]{1,3}", fullmatch=True)
+    _literals = st.lists(st.tuples(_weight_texts, _weight_texts), min_size=1, max_size=3).map(
+        lambda pairs: ",".join(f"{a}:{b}" for a, b in pairs)
+    ) | st.text(alphabet="0123456789-:,+_ \u0663", max_size=9)
+
+    @given(_literals)
+    @example("01:0")
+    @example("-0:0")
+    def test_accepted_literal_writes_back_as_itself(self, text):
+        # One spelling per bundle: whatever parse accepts, literal() writes back unchanged.
+        try:
+            bundle = EquivBundleCP1.parse(text)
+        except ValueError:
+            return
+        assert bundle.literal() == text
 
     def test_degree(self):
         assert LineWeights(3, -1).degree == 4

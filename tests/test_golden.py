@@ -241,7 +241,7 @@ GOLDEN = [
     (
         ["cohomology", "1_0:0"],
         2,
-        "error: bad summand '1_0:0': weights must match -?[0-9]+\n",
+        "error: bad summand '1_0:0': weights must match 0|-?[1-9][0-9]*\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
@@ -384,6 +384,55 @@ GOLDEN = [
         "",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         (634373, "7a72f247b57c094deddfa7d83e15b6fa792e4020af445eb6735c9ac195bb689c"),
+    ),
+    (
+        ["sweep", "--config", "{tmp}/mixed.json", "--rp-range", "", "--rq-range", ""],
+        2,
+        "error: bad range '': expected A..B\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["sweep", "--config", "", "--rp-range", "0..0", "--rq-range", "0..0"],
+        2,
+        "error: cannot read config : [Errno 2] No such file or directory: ''\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["sweep", "--rp-range", "", "--rq-range", ""],
+        2,
+        "error: bad range '': expected A..B\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["cohomology", "01:0"],
+        2,
+        "error: bad summand '01:0': weights must match 0|-?[1-9][0-9]*\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["verify", "-0:1"],
+        2,
+        "error: bad summand '-0:1': weights must match 0|-?[1-9][0-9]*\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["sweep", "--rp-range", "00..1", "--rq-range", "0..0"],
+        2,
+        "error: bad range '00..1': endpoints must match 0|-?[1-9][0-9]*\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--checks", "all,gluing"],
+        2,
+        "error: 'all' must stand alone as the whole --checks value\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
     ),
 ]
 

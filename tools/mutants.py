@@ -154,6 +154,35 @@ MUTANTS = [
         "return hash(c) if self == c else hash(tuple(self._jumps.items()))",
         "return hash(tuple(self._jumps.items()))",
     ),
+    # + and - share one body, which takes the sign.
+    Mutant("plus-minus-sign-ignored", "characters.py", "merged.get(k, 0) + sign * q", "merged.get(k, 0) + q"),
+    # The --checks flag and a config's checks list share one validator; each adds its own context.
+    Mutant(
+        "config-check-prefix-dropped",
+        "cli.py",
+        'raise _UsageError(f"config {path}: {exc}") from None',
+        "raise _UsageError(str(exc)) from None",
+    ),
+    # A weight is accepted only in the one spelling the writer writes back.
+    Mutant(
+        "weight-grammar-widened",
+        "geometry.py",
+        '_WEIGHT = re.compile("0|-?[1-9][0-9]*")',
+        '_WEIGHT = re.compile("-?[0-9]+")',
+    ),
+    # An empty flag value is parsed, and refused, like any other.
+    Mutant(
+        "empty-config-flag-dropped",
+        "cli.py",
+        "RunConfig.load(args.config) if args.config is not None else RunConfig()",
+        "RunConfig.load(args.config) if args.config else RunConfig()",
+    ),
+    Mutant(
+        "empty-range-flags-dropped",
+        "cli.py",
+        "args.rp_range is not None else None\n    rq = _parse_range(args.rq_range) if args.rq_range is not None",
+        "args.rp_range else None\n    rq = _parse_range(args.rq_range) if args.rq_range",
+    ),
     # Each bundle's checks read that bundle's own closed-form pass.
     Mutant("pass-from-first-bundle", "verify.py", "t = _tables(bundle)", "t = _tables(grid[0])"),
     # Each line's runs close inside its window, so a short window trips the closing assert.
