@@ -28,8 +28,8 @@ import contextlib
 import json
 import re
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
+from typing import NamedTuple
 
 from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
 from .verify import ALL_CHECKS, SweepReport, _normalize_checks, _write_json, equality_region, grid_bundles, sweep
@@ -82,8 +82,7 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Settings loadable from a JSON file, overridable by flags.
 
     The file holds exactly one bundle source, either
@@ -166,7 +165,7 @@ class RunConfig:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 @contextlib.contextmanager

@@ -24,7 +24,7 @@ invariant section through the node (r_P >= 0 or r_Q <= 0) and 0 otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import ZERO, Character, CharPoly
 
@@ -48,8 +48,7 @@ class MalformedCut(ValueError):
     """The pieces handed to the cut-space computation are inconsistent."""
 
 
-@dataclass(frozen=True, slots=True)
-class LineWeights:
+class LineWeights(NamedTuple):
     """Fixed-point weights (r_P, r_Q) of one equivariant line summand."""
 
     r_p: int
@@ -60,8 +59,12 @@ class LineWeights:
         return self.r_p - self.r_q
 
 
-@dataclass(frozen=True, slots=True)
-class EquivBundleCP1:
+def _checked_make(cls, fields):
+    """``_make``, and so ``_replace``, through the constructor, whose checks NamedTuple's own skips."""
+    return cls(*fields)
+
+
+class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeights, ...])])):
     """Formal direct sum of equivariant line bundles on CP^1.
 
     The literal form is comma-separated ``rP:rQ`` pairs, e.g. ``"1:-1,2:2"``.
@@ -72,15 +75,18 @@ class EquivBundleCP1:
     '3:0'
     """
 
-    summands: tuple[LineWeights, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
-        if not self.summands:
+    def __new__(cls, summands):
+        summands = tuple(summands)
+        if not summands:
             raise ValueError("a bundle needs at least one summand")
-        for s in self.summands:
+        for s in summands:
             if not isinstance(s, LineWeights):
                 raise ValueError(f"summand {s!r} is not a LineWeights")
+        return super().__new__(cls, summands)
+
+    _make = classmethod(_checked_make)
 
     @property
     def rank(self) -> int:
@@ -107,8 +113,7 @@ class EquivBundleCP1:
         return ",".join(f"{s.r_p}:{s.r_q}" for s in self.summands)
 
 
-@dataclass(frozen=True, slots=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Characters of H^0 and H^1 (all higher groups vanish on a curve)."""
 
     h0: Character
@@ -131,27 +136,28 @@ class CohomologyTable:
         return {"h0": self.h0.to_json_obj(), "h1": self.h1.to_json_obj(), "n": self.n}
 
 
-@dataclass(frozen=True, slots=True)
-class CutDecomposition:
+class CutDecomposition(NamedTuple("CutDecomposition", [("plus", EquivBundleCP1), ("minus", EquivBundleCP1)])):
     """The two sides of the level-zero cut, paired summand by summand.
 
-    Raises :class:`MalformedCut` when built unless the sides have equal rank
-    and every node fiber weight (r_Q on the plus side, r_P on the minus side)
-    is zero.
+    Raises :class:`MalformedCut` when built, also by ``_replace``, unless the
+    sides have equal rank and every node fiber weight (r_Q on the plus side,
+    r_P on the minus side) is zero.
     """
 
-    plus: EquivBundleCP1
-    minus: EquivBundleCP1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.plus.rank != self.minus.rank:
-            raise MalformedCut(f"sides have different ranks: {self.plus.rank} vs {self.minus.rank}")
-        for s in self.plus.summands:
+    def __new__(cls, plus, minus):
+        if plus.rank != minus.rank:
+            raise MalformedCut(f"sides have different ranks: {plus.rank} vs {minus.rank}")
+        for s in plus.summands:
             if s.r_q != 0:
                 raise MalformedCut(f"plus-side node weight must be 0, got {s.r_q}")
-        for s in self.minus.summands:
+        for s in minus.summands:
             if s.r_p != 0:
                 raise MalformedCut(f"minus-side node weight must be 0, got {s.r_p}")
+        return super().__new__(cls, plus, minus)
+
+    _make = classmethod(_checked_make)
 
     @property
     def red_dims(self) -> tuple[int, int]:

@@ -35,7 +35,6 @@ its rank over Q is 1 unless it is zero, and its kernel is read off the row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .characters import Character
@@ -132,20 +131,25 @@ def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
     return _table([summand])
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _GluedTable(CohomologyTable):
     """The nodal table, carrying the Cech tables of the two sides it was glued from.
 
-    It compares and hashes as the plain table of its h0 and h1.
+    Its tuple is its h0 and h1 alone, so it compares and hashes as the plain
+    table; the sides sit in its ``__dict__``, which no assignment reaches.
     """
 
-    plus: CohomologyTable
-    minus: CohomologyTable
+    def __new__(cls, h0: Character, h1: Character, plus: CohomologyTable, minus: CohomologyTable):
+        self = super().__new__(cls, h0, h1)
+        self.__dict__.update(plus=plus, minus=minus)
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        return CohomologyTable(self.h0, self.h1) == other
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"{name!r} is read-only: the glued table is immutable")
 
-    __hash__ = CohomologyTable.__hash__
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes) -> _GluedTable:
+        return _GluedTable(**{**self._asdict(), **self.__dict__, **changes})
 
 
 def _node_values(line: LineWeights, node_chart: int) -> list[int]:

@@ -30,7 +30,6 @@ reads one back, so nothing here parses a report or a result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one check on one bundle.
 
     ``witness`` is the certificate a passing inequality produces (the Morse
@@ -78,9 +76,8 @@ class CheckResult:
 
     def to_json_obj(self) -> dict:
         return {
-            "check_id": self.check_id,
+            **self._asdict(),
             "bundle": self.bundle.literal(),
-            "passed": self.passed,
             "witness": None if self.witness is None else self.witness.to_json_obj(),
             "residual": None if self.residual is None else self.residual.to_json_obj(),
         }
@@ -300,8 +297,7 @@ def run_check(check_id: str, bundle: EquivBundleCP1) -> CheckResult:
     return sweep([bundle], (check_id,)).results[0][0]
 
 
-@dataclass(frozen=True, slots=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """All check results over a grid of bundles, plus derived views.
 
     ``results[i]`` are the results for ``grid[i]`` in registry order.

@@ -1,3 +1,4 @@
+import calendar
 import contextlib
 import csv
 import io
@@ -5,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -24,7 +26,7 @@ from cutchar import (
     cut,
     mcut_cohomology,
 )
-from cutchar.cli import main
+from cutchar.cli import _timestamp, main
 from cutchar.verify import ALL_CHECKS, _REGISTRY, equality_region, grid_bundles, sweep
 
 
@@ -314,6 +316,22 @@ class TestTableJsonText:
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert main(argv) == 0
         assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+class TestTimestamp:
+    def test_utc_whatever_the_local_zone(self, monkeypatch):
+        # A POSIX zone string five and a half hours east of UTC, so no zone database is needed.
+        monkeypatch.setenv("TZ", "XYZ-05:30")
+        time.tzset()
+        try:
+            assert time.localtime().tm_gmtoff == 19800
+            before = int(time.time())
+            stamp = _timestamp()
+            after = time.time()
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert before <= calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")) <= after
 
 
 class TestSweepConfig:

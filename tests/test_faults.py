@@ -15,7 +15,7 @@ from the Cech tables, moves more than its own comparison.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -178,7 +178,7 @@ def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> No
     first = b.summands[0]
 
     def bump(table, field):
-        return replace(table, **{field: getattr(table, field) + uk})
+        return table._replace(**{field: getattr(table, field) + uk})
 
     if route == "cech":
         cech = cutchar.verify.cech_cohomology_p1
@@ -193,7 +193,7 @@ def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> No
 
         def faulty(cutd):
             t = nodal(cutd)
-            return bump(t, part) if route == "nodal" else replace(t, **{route: bump(getattr(t, route), part)})
+            return bump(t, part) if route == "nodal" else t._replace(**{route: bump(getattr(t, route), part)})
 
         monkeypatch.setattr(cutchar.verify, "cech_cohomology_nodal", faulty)
 

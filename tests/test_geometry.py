@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -184,5 +182,13 @@ class TestCut:
             {"minus": EquivBundleCP1.parse("0:-1,3:2")},
         ]:
             with pytest.raises(MalformedCut):
-                replace(d, **change)
-        assert replace(d, minus=EquivBundleCP1.parse("0:5,0:6")).red_dims == (2, 0)
+                d._replace(**change)
+        assert d._replace(minus=EquivBundleCP1.parse("0:5,0:6")).red_dims == (2, 0)
+        # _replace and _make skip a NamedTuple's __new__ unless the record routes them through it.
+        with pytest.raises(MalformedCut):
+            CutDecomposition._make((d.plus, EquivBundleCP1.parse("0:1")))
+        with pytest.raises(ValueError, match="at least one summand"):
+            d.plus._replace(summands=())
+        with pytest.raises(ValueError, match="is not a LineWeights"):
+            EquivBundleCP1._make([((1, 0),)])
+        assert EquivBundleCP1._make([[LineWeights(1, 0)]]) == EquivBundleCP1.parse("1:0")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import cutchar
 from cutchar import characters, geometry, oracles, verify
 
@@ -13,3 +18,18 @@ def test_package_exports_each_modules_names_once():
             obj = getattr(module, name)
             assert getattr(cutchar, name) is obj, name
             assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+
+def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
+    # Every CLI process pays for its imports; dataclasses pulls in inspect, and so ast, dis and tokenize.
+    src = Path(cutchar.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import cutchar.cli\n"
+        f"assert cutchar.cli.main(['cohomology', '0:0', '--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "out.json").read_text(encoding="utf-8").startswith('{\n  "h0": {\n    "0": 1\n')
