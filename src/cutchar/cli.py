@@ -65,11 +65,11 @@ _NO_CHECKS = "no checks selected"
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
-    if text == "all":
-        return ALL_CHECKS
     if not text:
         raise _UsageError(_NO_CHECKS)
     ids = tuple(piece.strip() for piece in text.split(","))
+    if ids == ("all",):
+        return ALL_CHECKS
     if "all" in ids:
         raise _UsageError("'all' must stand alone as the whole --checks value")
     try:
@@ -104,63 +104,61 @@ class RunConfig(NamedTuple):
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
-            raise _UsageError(f"cannot read config {path}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise _UsageError(f"config {path} is not UTF-8: {exc}") from None
+            raise _UsageError(f"config {path!r} is not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
-            raise _UsageError(f"config {path} is not valid JSON: {exc}") from None
+            raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from None
         except RecursionError:
-            raise _UsageError(f"config {path} nests too deeply to decode") from None
-        except ValueError as exc:  # from open(): a path holding a NUL byte
+            raise _UsageError(f"config {path!r} nests too deeply to decode") from None
+        except (OSError, ValueError) as exc:  # ValueError from open(): a path holding a NUL byte
             raise _UsageError(f"cannot read config {path!r}: {exc}") from None
         if not isinstance(obj, dict):
-            raise _UsageError(f"config {path} must be a JSON object")
+            raise _UsageError(f"config {path!r} must be a JSON object")
         known = {"bundles", "grid", "checks", "fail_fast", "output"}
         unknown = set(obj) - known
         if unknown:
-            raise _UsageError(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
+            raise _UsageError(f"config {path!r} has unknown keys: {', '.join(sorted(unknown))}")
         if ("bundles" in obj) == ("grid" in obj):
-            raise _UsageError(f"config {path} must set exactly one of bundles, grid")
+            raise _UsageError(f"config {path!r} must set exactly one of bundles, grid")
         bundles = grid = None
         if "bundles" in obj:
             lits = obj["bundles"]
             if not _is_str_list(lits) or not lits:
-                raise _UsageError(f"config {path}: bundles must be a nonempty list of strings")
+                raise _UsageError(f"config {path!r}: bundles must be a nonempty list of strings")
             bundles = tuple(_parse_bundle(lit) for lit in lits)
         else:
             g = obj["grid"]
             if not isinstance(g, dict) or set(g) != {"rp_range", "rq_range"}:
-                raise _UsageError(f"config {path}: grid must have keys rp_range, rq_range")
+                raise _UsageError(f"config {path!r}: grid must have keys rp_range, rq_range")
             if not all(isinstance(v, str) for v in g.values()):
-                raise _UsageError(f"config {path}: grid ranges must be strings A..B")
+                raise _UsageError(f"config {path!r}: grid ranges must be strings A..B")
             grid = (_parse_range(g["rp_range"]), _parse_range(g["rq_range"]))
         checks = None
         if "checks" in obj:
             ids = obj["checks"]
             if not _is_str_list(ids):
-                raise _UsageError(f"config {path}: checks must be a list of ids")
+                raise _UsageError(f"config {path!r}: checks must be a list of ids")
             if not ids:
-                raise _UsageError(f"config {path}: {_NO_CHECKS}")
+                raise _UsageError(f"config {path!r}: {_NO_CHECKS}")
             # One id per entry: no "all" and no comma-separated lists here.
             try:
                 checks = _normalize_checks(ids)
             except ValueError as exc:
-                raise _UsageError(f"config {path}: {exc}") from None
+                raise _UsageError(f"config {path!r}: {exc}") from None
         fail_fast = obj.get("fail_fast")
         if fail_fast is not None and type(fail_fast) is not bool:
-            raise _UsageError(f"config {path}: fail_fast must be a boolean")
+            raise _UsageError(f"config {path!r}: fail_fast must be a boolean")
         out = fmt = None
         if "output" in obj:
             output = obj["output"]
             if not isinstance(output, dict) or not set(output) <= {"path", "format"}:
-                raise _UsageError(f"config {path}: output takes keys path, format")
+                raise _UsageError(f"config {path!r}: output takes keys path, format")
             out = output.get("path")
             fmt = output.get("format")
             if out is not None and not isinstance(out, str):
-                raise _UsageError(f"config {path}: output path must be a string")
+                raise _UsageError(f"config {path!r}: output path must be a string")
             if fmt is not None and fmt not in ("json", "csv", "md"):
-                raise _UsageError(f"config {path}: format must be json, csv or md")
+                raise _UsageError(f"config {path!r}: format must be json, csv or md")
         return cls(bundles, grid, checks, fail_fast, out, fmt)
 
 

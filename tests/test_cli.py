@@ -169,7 +169,7 @@ class TestSweep:
         assert proc.returncode == 2
         assert proc.stdout == ""
         flag = run_cli("sweep", "--rp-range", "0..0", "--rq-range", "0..0", "--checks", "")
-        assert proc.stderr == f"error: config {cfg}: no checks selected\n"
+        assert proc.stderr == f"error: config {str(cfg)!r}: no checks selected\n"
         assert flag.stderr == "error: no checks selected\n"
 
     def test_csv_format(self):
@@ -410,7 +410,7 @@ class TestSweepConfig:
             assert main(["sweep", "--config", cfg]) == 2
         assert out.getvalue() == ""
         known = "gluing, mcut, morse, mv, simple, semicontinuity, oracle"
-        assert err.getvalue() == f"error: config {cfg}: unknown check id {entry!r}; known: {known}\n"
+        assert err.getvalue() == f"error: config {cfg!r}: unknown check id {entry!r}; known: {known}\n"
 
     def test_unreadable_config_exits_2(self, tmp_path):
         proc = run_cli("sweep", "--config", str(tmp_path / "missing.json"))

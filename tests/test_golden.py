@@ -129,14 +129,14 @@ GOLDEN = [
     (
         ["sweep", "--config", "{tmp}/no-checks.json"],
         2,
-        "error: config {tmp}/no-checks.json: no checks selected\n",
+        "error: config '{tmp}/no-checks.json': no checks selected\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
     (
         ["sweep", "--config", "{tmp}/no-checks.json", "--format", "md"],
         2,
-        "error: config {tmp}/no-checks.json: no checks selected\n",
+        "error: config '{tmp}/no-checks.json': no checks selected\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
@@ -395,7 +395,7 @@ GOLDEN = [
     (
         ["sweep", "--config", "", "--rp-range", "0..0", "--rq-range", "0..0"],
         2,
-        "error: cannot read config : [Errno 2] No such file or directory: ''\n",
+        "error: cannot read config '': [Errno 2] No such file or directory: ''\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
@@ -432,6 +432,27 @@ GOLDEN = [
         2,
         "error: 'all' must stand alone as the whole --checks value\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--checks", "all"],
+        0,
+        "",
+        (1803, "2eb56acf933ba5daecf354285623948fbdd04e003d85ec6289e6070c7bd8159c"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--checks", " all"],
+        0,
+        "",
+        (1803, "2eb56acf933ba5daecf354285623948fbdd04e003d85ec6289e6070c7bd8159c"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--checks", "all "],
+        0,
+        "",
+        (1803, "2eb56acf933ba5daecf354285623948fbdd04e003d85ec6289e6070c7bd8159c"),
         None,
     ),
 ]

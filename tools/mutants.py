@@ -160,7 +160,7 @@ MUTANTS = [
     Mutant(
         "config-check-prefix-dropped",
         "cli.py",
-        'raise _UsageError(f"config {path}: {exc}") from None',
+        'raise _UsageError(f"config {path!r}: {exc}") from None',
         "raise _UsageError(str(exc)) from None",
     ),
     # A weight is accepted only in the one spelling the writer writes back.
@@ -192,6 +192,22 @@ MUTANTS = [
         "max(line.r_p, line.r_q) + 2)",
         "max(line.r_p, line.r_q) + 1)",
     ),
+    # Records are NamedTuples: _make, and so _replace, must still run the constructor's checks.
+    Mutant(
+        "make-skips-checks",
+        "geometry.py",
+        "    return cls(*fields)\n",
+        "    return tuple.__new__(cls, fields)\n",
+    ),
+    # The glued table keeps its sides outside the tuple, behind a read-only guard.
+    Mutant(
+        "glued-table-guard-dropped",
+        "oracles.py",
+        'raise AttributeError(f"{name!r} is read-only: the glued table is immutable")',
+        "object.__setattr__(self, name, value)",
+    ),
+    # The generation time is UTC whatever the local zone.
+    Mutant("stamp-in-local-time", "cli.py", "time.gmtime()", "time.localtime()"),
     Mutant(
         "node-column-first",
         "oracles.py",
