@@ -60,7 +60,7 @@ class LineWeights(NamedTuple):
 
 
 def _checked_make(cls, fields):
-    """``_make``, and so ``_replace``, through the constructor, whose checks NamedTuple's own skips."""
+    """NamedTuple's ``_make``, which ``_replace`` calls, skips ``__new__``; this one runs it and its checks."""
     return cls(*fields)
 
 
@@ -139,9 +139,9 @@ class CohomologyTable(NamedTuple):
 class CutDecomposition(NamedTuple("CutDecomposition", [("plus", EquivBundleCP1), ("minus", EquivBundleCP1)])):
     """The two sides of the level-zero cut, paired summand by summand.
 
-    Raises :class:`MalformedCut` when built, also by ``_replace``, unless the
-    sides have equal rank and every node fiber weight (r_Q on the plus side,
-    r_P on the minus side) is zero.
+    Raises :class:`MalformedCut` when built, also by ``_replace`` or
+    ``_make``, unless the sides have equal rank and every node fiber weight
+    (r_Q on the plus side, r_P on the minus side) is zero.
     """
 
     __slots__ = ()

@@ -76,8 +76,9 @@ class CheckResult(NamedTuple):
 
     def to_json_obj(self) -> dict:
         return {
-            **self._asdict(),
+            "check_id": self.check_id,
             "bundle": self.bundle.literal(),
+            "passed": self.passed,
             "witness": None if self.witness is None else self.witness.to_json_obj(),
             "residual": None if self.residual is None else self.residual.to_json_obj(),
         }
