@@ -59,15 +59,11 @@ class LineWeights(NamedTuple):
         return self.r_p - self.r_q
 
 
-def _checked_make(cls, fields):
-    """NamedTuple's ``_make``, which ``_replace`` calls, skips ``__new__``; this one runs it and its checks."""
-    return cls(*fields)
-
-
 class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeights, ...])])):
     """Formal direct sum of equivariant line bundles on CP^1.
 
     The literal form is comma-separated ``rP:rQ`` pairs, e.g. ``"1:-1,2:2"``.
+    Building one, also by ``_replace`` or ``_make``, checks its summands.
 
     >>> EquivBundleCP1.parse("1:-1,2:2").rank
     2
@@ -86,7 +82,7 @@ class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeight
                 raise ValueError(f"summand {s!r} is not a LineWeights")
         return super().__new__(cls, summands)
 
-    _make = classmethod(_checked_make)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's own skips __new__
 
     @property
     def rank(self) -> int:
@@ -157,7 +153,7 @@ class CutDecomposition(NamedTuple("CutDecomposition", [("plus", EquivBundleCP1),
                 raise MalformedCut(f"minus-side node weight must be 0, got {s.r_p}")
         return super().__new__(cls, plus, minus)
 
-    _make = classmethod(_checked_make)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's own skips __new__
 
     @property
     def red_dims(self) -> tuple[int, int]:

@@ -148,6 +148,9 @@ class _GluedTable(CohomologyTable):
 
     __delattr__ = __setattr__
 
+    def __getnewargs__(self):  # for copy and pickle
+        return (*self, self.plus, self.minus)
+
     def _replace(self, **changes) -> _GluedTable:
         return _GluedTable(**{**self._asdict(), **self.__dict__, **changes})
 

@@ -1,5 +1,8 @@
 """The package's records are immutable NamedTuples: what that keeps and what it changes."""
 
+import copy
+import pickle
+
 import pytest
 
 from cutchar import (
@@ -41,6 +44,11 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             record.extra = None
 
+    @pytest.mark.parametrize("record", public_records(), ids=lambda r: type(r).__name__)
+    def test_copies_and_pickles(self, record):
+        for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(again) is type(record) and again == record
+
     def test_glued_table_sides_cannot_be_assigned_or_deleted(self):
         t = cech_cohomology_nodal(cut(EquivBundleCP1.parse("2:-3")))
         plus, minus = t.plus, t.minus
@@ -70,6 +78,12 @@ class TestGluedTable:
         assert (swapped.h0, swapped.h1, swapped.plus, swapped.minus) == (t.h0, t.h1, t.minus, t.minus)
         with pytest.raises(TypeError):
             t._replace(h2=t.h0)
+
+    def test_copies_and_pickles_with_its_sides(self):
+        t = cech_cohomology_nodal(cut(EquivBundleCP1.parse("1:-1,2:2")))
+        for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(again) is type(t)
+            assert (again.h0, again.h1, again.plus, again.minus) == (t.h0, t.h1, t.plus, t.minus)
 
 
 class TestTupleSemantics:

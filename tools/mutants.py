@@ -194,10 +194,16 @@ MUTANTS = [
     ),
     # Records are NamedTuples: _make, and so _replace, must still run the constructor's checks.
     Mutant(
-        "make-skips-checks",
+        "bundle-make-skips-checks",
         "geometry.py",
-        "    return cls(*fields)\n",
-        "    return tuple.__new__(cls, fields)\n",
+        "return super().__new__(cls, summands)\n\n    _make =",
+        "return super().__new__(cls, summands)\n\n    _unused =",
+    ),
+    Mutant(
+        "cut-make-skips-checks",
+        "geometry.py",
+        "return super().__new__(cls, plus, minus)\n\n    _make =",
+        "return super().__new__(cls, plus, minus)\n\n    _unused =",
     ),
     # The glued table keeps its sides outside the tuple, behind a read-only guard.
     Mutant(
