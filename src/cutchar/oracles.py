@@ -151,6 +151,8 @@ class _GluedTable(CohomologyTable):
     def __getnewargs__(self):  # for copy and pickle
         return (*self, self.plus, self.minus)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's own would leave out the sides
+
     def _replace(self, **changes) -> _GluedTable:
         return _GluedTable(**{**self._asdict(), **self.__dict__, **changes})
 

@@ -78,6 +78,9 @@ class TestGluedTable:
         assert (swapped.h0, swapped.h1, swapped.plus, swapped.minus) == (t.h0, t.h1, t.minus, t.minus)
         with pytest.raises(TypeError):
             t._replace(h2=t.h0)
+        assert t._make((*t, t.plus, t.minus)).plus == t.plus
+        with pytest.raises(TypeError):
+            t._make(t)
 
     def test_copies_and_pickles_with_its_sides(self):
         t = cech_cohomology_nodal(cut(EquivBundleCP1.parse("1:-1,2:2")))
