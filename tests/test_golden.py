@@ -455,6 +455,69 @@ GOLDEN = [
         (1803, "2eb56acf933ba5daecf354285623948fbdd04e003d85ec6289e6070c7bd8159c"),
         None,
     ),
+    (
+        [],
+        2,
+        "usage: cutchar [-h] {cohomology,cut,verify,sweep,equality-region} ...\ncutchar: error: the following arguments are required: command\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["bogus"],
+        2,
+        "usage: cutchar [-h] {cohomology,cut,verify,sweep,equality-region} ...\ncutchar: error: argument command: invalid choice: 'bogus' (choose from 'cohomology', 'cut', 'verify', 'sweep', 'equality-region')\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["--"],
+        2,
+        "usage: cutchar [-h] {cohomology,cut,verify,sweep,equality-region} ...\ncutchar: error: the following arguments are required: command\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "extra"],
+        2,
+        "usage: cutchar [-h] {cohomology,cut,verify,sweep,equality-region} ...\ncutchar: error: unrecognized arguments: extra\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["--help"],
+        0,
+        "",
+        (642, "105fc572b180bcd0fd4a27e367e4f2675154439cea64c4d3923f3eb1e5407923"),
+        None,
+    ),
+    (
+        ["verify", "--help"],
+        0,
+        "",
+        (613, "1318135bbe31528bc4002f262fa8759f4c1ba5eab7cedc754280e60da2595b7f"),
+        None,
+    ),
+    (
+        ["sweep", "-h"],
+        0,
+        "",
+        (808, "37206d3e71d0dca92701c4110d399de7758d93127307ac0723a411e25e9929a7"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--chec", "gluing"],
+        0,
+        "",
+        (309, "888ce61bf80b3493b2042701d2e36f9e6ea4f07f0031eb3725fe76980bf379e1"),
+        None,
+    ),
+    (
+        ["cohomology", "0:0", "--out", ""],
+        2,
+        "error: cannot write : [Errno 2] No such file or directory: ''\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
 ]
 
 
