@@ -285,57 +285,73 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_CHECKS_HELP = "comma-separated check ids, spaces around each ignored, or all"
+
+
+def _add_bundle(p) -> None:
+    p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")
+
+
+def _add_verify(p) -> None:
+    _add_bundle(p)
+    p.add_argument("--checks", default="all", help=_CHECKS_HELP)
+    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
+
+
+def _add_sweep(p) -> None:
+    p.add_argument("--rp-range", metavar="A..B", help="inclusive range of r_P")
+    p.add_argument("--rq-range", metavar="A..B", help="inclusive range of r_Q")
+    p.add_argument("--checks", help=_CHECKS_HELP)
+    p.add_argument("--format", choices=("json", "csv", "md"))
+    p.add_argument("--fail-fast", action="store_true", default=None, help="stop at the first failing check")
+    p.add_argument("--config", metavar="PATH", help="JSON run configuration; flags override it")
+
+
+def _add_region(p) -> None:
+    p.add_argument("--rp-range", metavar="A..B", required=True)
+    p.add_argument("--rq-range", metavar="A..B", required=True)
+    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
+
+
+# Each command's help line, its handler, and what adds its own arguments.
+_COMMANDS = {
+    "cohomology": ("section characters of a bundle", _cmd_cohomology, _add_bundle),
+    "cut": ("the level-zero cut and its cohomology", _cmd_cut, _add_bundle),
+    "verify": ("run checks on one bundle", _cmd_verify, _add_verify),
+    "sweep": ("run checks over a rank-one grid", _cmd_sweep, _add_sweep),
+    "equality-region": ("map where the Morse-type inequalities are tight", _cmd_equality_region, _add_region),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone when it names one, else of every command.
+
+    A process parses once, and building a subparser costs more than most commands' work.
+    """
     parser = _Parser(
         prog="cutchar",
         description="Exact circle-equivariant section characters on the projective line, "
         "the level-zero cut, and checks of the gluing and Morse-type relations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    one = command in _COMMANDS
+    # The top-level usage lists the commands built, so with one built the metavar names all.
+    # Only then: it would also rename the action in the unknown- and missing-command errors.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     stamp = "stamp JSON and Markdown output with the generation time; CSV gets no stamp"
-    common.add_argument("--timestamps", action="store_true", help=stamp)
-
-    p = sub.add_parser("cohomology", parents=[common], help="section characters of a bundle")
-    p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")
-    p.set_defaults(func=_cmd_cohomology)
-
-    p = sub.add_parser("cut", parents=[common], help="the level-zero cut and its cohomology")
-    p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")
-    p.set_defaults(func=_cmd_cut)
-
-    p = sub.add_parser("verify", parents=[common], help="run checks on one bundle")
-    p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")
-    p.add_argument(
-        "--checks", default="all", help="comma-separated check ids, spaces around each ignored, or all"
-    )
-    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("sweep", parents=[common], help="run checks over a rank-one grid")
-    p.add_argument("--rp-range", metavar="A..B", help="inclusive range of r_P")
-    p.add_argument("--rq-range", metavar="A..B", help="inclusive range of r_Q")
-    p.add_argument("--checks", help="comma-separated check ids, spaces around each ignored, or all")
-    p.add_argument("--format", choices=("json", "csv", "md"))
-    p.add_argument("--fail-fast", action="store_true", default=None, help="stop at the first failing check")
-    p.add_argument("--config", metavar="PATH", help="JSON run configuration; flags override it")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "equality-region", parents=[common], help="map where the Morse-type inequalities are tight"
-    )
-    p.add_argument("--rp-range", metavar="A..B", required=True)
-    p.add_argument("--rq-range", metavar="A..B", required=True)
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-    p.set_defaults(func=_cmd_equality_region)
-
+    for name in [command] if one else _COMMANDS:
+        help_line, handler, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+        p.add_argument("--timestamps", action="store_true", help=stamp)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         out, fmt, work = args.func(args)
         with _destination(out) as dest:
