@@ -1,3 +1,4 @@
+import argparse
 import calendar
 import contextlib
 import csv
@@ -477,6 +478,25 @@ class TestUsage:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "equality-region" in proc.stdout
+
+    @pytest.mark.parametrize(
+        ("argv", "parsers"),
+        [(["verify", "1:0", "--checks", "gluing"], 2), (["--help"], 6), (["bogus"], 6), ([], 6)],
+        ids=["named-command", "help", "unknown-command", "no-command"],
+    )
+    def test_builds_only_the_named_commands_parser(self, argv, parsers, monkeypatch, capsys):
+        """A named command builds the top-level parser and its own; anything else, every command's."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert len(built) == parsers
 
 
 class TestRepeatedMain:
