@@ -179,11 +179,11 @@ def _destination(out: str | None):
         dest, where = contextlib.nullcontext(sys.stdout), "stdout"
     else:
         try:
-            dest, where = open(out, "w", encoding="utf-8"), out
+            dest, where = open(out, "w", encoding="utf-8"), repr(out)
         except (OSError, ValueError) as exc:
             # ValueError: a path holding a NUL or a lone surrogate, as a
             # config's output path can.
-            raise _UsageError(f"cannot write {out}: {exc}") from None
+            raise _UsageError(f"cannot write {out!r}: {exc}") from None
     try:
         with dest as fh:
             yield fh

@@ -157,7 +157,7 @@ GOLDEN = [
     (
         ["sweep", "--config", "{tmp}/nul-output.json"],
         2,
-        "error: cannot write a\u0000b: embedded null byte\n",
+        "error: cannot write 'a\\x00b': embedded null byte\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
@@ -262,14 +262,14 @@ GOLDEN = [
     (
         ["cut", "1:-1", "--out", "{tmp}/missing/cut.json"],
         2,
-        "error: cannot write {tmp}/missing/cut.json: [Errno 2] No such file or directory: '{tmp}/missing/cut.json'\n",
+        "error: cannot write '{tmp}/missing/cut.json': [Errno 2] No such file or directory: '{tmp}/missing/cut.json'\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
     (
         ["sweep", "--rp-range", "0..1", "--rq-range", "0..1", "--out", "{tmp}/missing/sweep.json"],
         2,
-        "error: cannot write {tmp}/missing/sweep.json: [Errno 2] No such file or directory: '{tmp}/missing/sweep.json'\n",
+        "error: cannot write '{tmp}/missing/sweep.json': [Errno 2] No such file or directory: '{tmp}/missing/sweep.json'\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
@@ -514,7 +514,7 @@ GOLDEN = [
     (
         ["cohomology", "0:0", "--out", ""],
         2,
-        "error: cannot write : [Errno 2] No such file or directory: ''\n",
+        "error: cannot write '': [Errno 2] No such file or directory: ''\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
