@@ -214,6 +214,25 @@ MUTANTS = [
     ),
     # The generation time is UTC whatever the local zone.
     Mutant("stamp-in-local-time", "cli.py", "time.gmtime()", "time.localtime()"),
+    # A named command builds its own subparser alone, and the top-level usage still names all five.
+    Mutant(
+        "every-command-parser-built",
+        "cli.py",
+        "for name in [command] if one else _COMMANDS:",
+        "for name in _COMMANDS:",
+    ),
+    Mutant(
+        "top-usage-metavar-dropped",
+        "cli.py",
+        'metavar = "{" + ",".join(_COMMANDS) + "}" if one else None',
+        "metavar = None",
+    ),
+    Mutant(
+        "metavar-on-full-path",
+        "cli.py",
+        'metavar = "{" + ",".join(_COMMANDS) + "}" if one else None',
+        'metavar = "{" + ",".join(_COMMANDS) + "}"',
+    ),
     Mutant(
         "node-column-first",
         "oracles.py",
