@@ -693,10 +693,11 @@ class TestStdoutWriteFails:
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
-    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
-    def test_dev_full_as_out_names_the_path_quoted(self, capsys):
-        assert main(["cohomology", "0:0", "--out", "/dev/full"]) == 2
-        assert capsys.readouterr().err == "error: cannot write '/dev/full': [Errno 28] No space left on device\n"
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+def test_failed_write_to_out_names_the_path_quoted(capsys):
+    assert main(["cohomology", "0:0", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: cannot write '/dev/full': [Errno 28] No space left on device\n"
 
 
 # Outputs that cannot be opened: the command exits 2 before any check runs.
