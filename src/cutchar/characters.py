@@ -302,9 +302,6 @@ class CharPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "CharPoly":
-        return CharPoly([-c for c in self._coeffs])
-
     def __sub__(self, other: "CharPoly | Character | int") -> "CharPoly":
         pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
         return CharPoly([a - b for a, b in pairs])

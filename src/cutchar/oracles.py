@@ -9,8 +9,8 @@ Three routes that share no code with the closed forms in :mod:`.geometry`:
   is built from once;
 * the same loop on the two cut pieces glued at the node: each side's Cech
   table, one loop per line over its own window, plus one node term per
-  summand pair from the rank of the matching condition at the node fiber;
-  the result carries the side tables too; and
+  summand pair from the rank of the matching condition at the node fiber,
+  returned with the two side tables; and
 * the fixed-point localization formula: the two fixed-point terms over
   their common denominator, which is -u^(-1) (1 - u)^2, so the index is
   four monomials divided twice by 1 - u, each division reading the
@@ -131,32 +131,6 @@ def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
     return _table([summand])
 
 
-class _GluedTable(CohomologyTable):
-    """The nodal table, carrying the Cech tables of the two sides it was glued from.
-
-    Its tuple is its h0 and h1 alone, so it compares and hashes as the plain
-    table; the sides sit in its ``__dict__``, which no assignment reaches.
-    """
-
-    def __new__(cls, h0: Character, h1: Character, plus: CohomologyTable, minus: CohomologyTable):
-        self = super().__new__(cls, h0, h1)
-        self.__dict__.update(plus=plus, minus=minus)
-        return self
-
-    def __setattr__(self, name: str, value=None):
-        raise AttributeError(f"{name!r} is read-only: the glued table is immutable")
-
-    __delattr__ = __setattr__
-
-    def __getnewargs__(self):  # for copy and pickle
-        return (*self, self.plus, self.minus)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's own would leave out the sides
-
-    def _replace(self, **changes) -> _GluedTable:
-        return _GluedTable(**{**self._asdict(), **self.__dict__, **changes})
-
-
 def _node_values(line: LineWeights, node_chart: int) -> list[int]:
     """The weight-0 kernel basis of the line, each vector read at the node's column.
 
@@ -166,7 +140,7 @@ def _node_values(line: LineWeights, node_chart: int) -> list[int]:
     return [v[col] for v in _row_kernel(_block(line, 0))]
 
 
-def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
+def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
     """Cohomology of the two cut pieces glued at the node, from first principles.
 
     Sections of the glued curve are pairs of sections agreeing at the node;
@@ -179,14 +153,15 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
     gives each side's Cech table, from one loop per line over its own
     window, plus one node term per summand pair: -rank in H^0 and 1 - rank
     in H^1 at weight 0, where rank is that of the joint evaluation map.
-    Off weight 0 the fiber and the evaluation map are zero.  The returned table also carries the two
-    sides' own Cech tables, as ``plus`` and ``minus``.
+    Off weight 0 the fiber and the evaluation map are zero.  Returns
+    ``(glued, plus, minus)``: the glued table, then the two sides' own Cech
+    tables it was glued from.
 
     >>> from .geometry import cut, EquivBundleCP1
-    >>> t = cech_cohomology_nodal(cut(EquivBundleCP1.parse("2:2")))
-    >>> (t.h0, t.h1)
+    >>> glued, plus, minus = cech_cohomology_nodal(cut(EquivBundleCP1.parse("2:2")))
+    >>> (glued.h0, glued.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
-    >>> (t.plus.h0, t.minus.h1)
+    >>> (plus.h0, minus.h1)
     (Character({0: 1, 1: 1, 2: 1}), Character({1: 1}))
     """
     plus = _table(cutd.plus.summands)
@@ -197,12 +172,11 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> CohomologyTable:
         rank, _ = _row_rank(evals)
         node_h0 -= rank
         node_h1 += 1 - rank
-    return _GluedTable(
+    glued = CohomologyTable(
         plus.h0 + minus.h0 + Character.monomial(0, node_h0),
         plus.h1 + minus.h1 + Character.monomial(0, node_h1),
-        plus,
-        minus,
     )
+    return glued, plus, minus
 
 
 class NonPolynomialResult(ValueError):

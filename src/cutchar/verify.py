@@ -262,17 +262,17 @@ def cross_validate(t: _BundlePass) -> CheckResult:
         cech_h0 += table.h0
         cech_h1 += table.h1
         loc_index += localization_index(s)
-    nodal = cech_cohomology_nodal(t.cutd)
+    nodal, plus, minus = cech_cohomology_nodal(t.cutd)
     pairs = (
         (t.m.h0, cech_h0),
         (t.m.h1, cech_h1),
         (t.cut_space.h0, nodal.h0),
         (t.cut_space.h1, nodal.h1),
         (t.m_index, loc_index),
-        (t.plus.h0, nodal.plus.h0),
-        (t.plus.h1, nodal.plus.h1),
-        (t.minus.h0, nodal.minus.h0),
-        (t.minus.h1, nodal.minus.h1),
+        (t.plus.h0, plus.h0),
+        (t.plus.h1, plus.h1),
+        (t.minus.h0, minus.h0),
+        (t.minus.h1, minus.h1),
     )
     # Equal characters subtract to zero, so a pass needs no residual built.
     if all(closed == oracle for closed, oracle in pairs):

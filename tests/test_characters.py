@@ -57,6 +57,12 @@ class TestCharacter:
         assert a + 1 == Character({0: 1, 1: 1})
         assert 1 + a == a + 1
         assert 2 - a == Character({0: 2, 1: -1})
+        # Only an int coerces: a float or a bool is no multiple of u^0.
+        for left, right in [(a, 1.5), (1.5, a), (a, True)]:
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
         # Integers coerce only for + and -: a character has no product, not even with an integer.
         for left, right in [(a, a), (3, a), (a, 3)]:
             with pytest.raises(TypeError):
@@ -133,6 +139,19 @@ class TestCharPoly:
         assert p + q == CharPoly([1 + u, u, Character.monomial(0)])
         assert (p + q) - q == p
         assert p - p == CharPoly()
+        # A character or an int operand is the constant polynomial.
+        assert p + u == CharPoly([1 + u, u])
+        assert p - 1 == CharPoly([0, u])
+        assert 1 + p == p + 1 == CharPoly([2, u])
+
+    def test_eq_and_hash(self):
+        p, q = CharPoly([1, u]), CharPoly([1, u, Character()])
+        assert p == q and hash(p) == hash(q)
+        assert {p: 1}[q] == 1
+        # A CharPoly equals only a CharPoly: the zero one is not 0, and a constant one not its character.
+        assert (CharPoly() == 0) is False
+        assert (CharPoly([u]) == u) is False
+        assert CharPoly([1]) != 1
 
     def test_mul(self):
         # No product: the (1 + t) multiples the checks compare are built by a shift.

@@ -170,8 +170,8 @@ def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> No
     """Add u^k to the one oracle output that ``comparison`` reads.
 
     ``cech-*`` and ``localization`` edit the route's result on the first
-    summand only; ``nodal-*`` edit the glued table, and ``plus-*`` and
-    ``minus-*`` the side table it carries.
+    summand only; ``nodal-*``, ``plus-*`` and ``minus-*`` edit the glued,
+    plus or minus table of the nodal route's ``(glued, plus, minus)``.
     """
     uk = Character.monomial(k)
     route, _, part = comparison.partition("-")
@@ -192,8 +192,10 @@ def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> No
         nodal = cutchar.verify.cech_cohomology_nodal
 
         def faulty(cutd):
-            t = nodal(cutd)
-            return bump(t, part) if route == "nodal" else t._replace(**{route: bump(getattr(t, route), part)})
+            tables = list(nodal(cutd))
+            i = ("nodal", "plus", "minus").index(route)
+            tables[i] = bump(tables[i], part)
+            return tuple(tables)
 
         monkeypatch.setattr(cutchar.verify, "cech_cohomology_nodal", faulty)
 
@@ -215,3 +217,11 @@ class TestOracleFaultTable:
         # The residual is closed form minus oracle, so the fault shows as -u^k.
         want = CharPoly([Character.monomial(k, -1 if c == comparison else 0) for c in COMPARISONS])
         assert got["oracle"].residual == want
+
+    def test_markdown_failure_row(self, monkeypatch):
+        # The residual's zero coefficients below t^4 are skipped, and t^4 is written as a power.
+        b = EquivBundleCP1.parse(RANK_ONE)
+        inject_oracle(monkeypatch, "localization", b, FAR)
+        lines = sweep([b]).to_markdown().splitlines()
+        rows = lines[lines.index("## Failures") + 4 : lines.index("## Details") - 1]
+        assert rows == [f"| `{RANK_ONE}` | oracle |  | t^4*(-u^{FAR}) |"]

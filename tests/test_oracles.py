@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cutchar import (
     Character,
+    CohomologyTable,
     CutDecomposition,
     EquivBundleCP1,
     LineWeights,
@@ -93,13 +94,13 @@ class TestCechNodal:
         for rp in range(-5, 6):
             for rq in range(-5, 6):
                 d = cut(EquivBundleCP1((LineWeights(rp, rq),)))
-                got = cech_cohomology_nodal(d)
+                got, _, _ = cech_cohomology_nodal(d)
                 want = mcut_cohomology(d)
                 assert (got.h0, got.h1) == (want.h0, want.h1), (rp, rq)
 
     def test_rank_two(self):
         d = cut(EquivBundleCP1.parse("1:-1,2:2"))
-        got = cech_cohomology_nodal(d)
+        got, _, _ = cech_cohomology_nodal(d)
         want = mcut_cohomology(d)
         assert (got.h0, got.h1) == (want.h0, want.h1)
 
@@ -107,16 +108,18 @@ class TestCechNodal:
         # (2,0) cuts to plus (2,0), minus (0,0); both sides have an
         # invariant section through the node, gluing kills one of them.
         d = cut(EquivBundleCP1.parse("2:0"))
-        t = cech_cohomology_nodal(d)
+        t, _, _ = cech_cohomology_nodal(d)
         assert t.h0 == Character.span(0, 2)
         assert t.h1 == Character()
 
     def test_result_compares_as_a_table_and_carries_the_sides(self):
         d = cut(EquivBundleCP1.parse("2:-3"))
-        got, want = cech_cohomology_nodal(d), mcut_cohomology(d)
-        assert got == want and want == got and hash(got) == hash(want)
-        assert got.plus == cech_cohomology_p1(d.plus.summands[0])
-        assert got.minus == cech_cohomology_p1(d.minus.summands[0])
+        glued, plus, minus = cech_cohomology_nodal(d)
+        want = mcut_cohomology(d)
+        assert type(glued) is CohomologyTable
+        assert glued == want and want == glued and hash(glued) == hash(want)
+        assert plus == cech_cohomology_p1(d.plus.summands[0])
+        assert minus == cech_cohomology_p1(d.minus.summands[0])
 
     def test_rejects_malformed(self):
         with pytest.raises(MalformedCut):
@@ -141,7 +144,7 @@ class TestRoutesOnRandomBundles:
     def test_routes_match_closed_forms(self, b):
         # Several summands' node terms, some negative, meet at weight 0.
         d = cut(b)
-        got, want = cech_cohomology_nodal(d), mcut_cohomology(d)
+        (got, _, _), want = cech_cohomology_nodal(d), mcut_cohomology(d)
         assert (got.h0, got.h1) == (want.h0, want.h1)
         tables = [cech_cohomology_p1(s) for s in b.summands]
         want = cohomology(b)

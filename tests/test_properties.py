@@ -220,7 +220,7 @@ class TestOracleAgreement:
     @given(bundles)
     def test_nodal_matches_mcut(self, b):
         d = cut(b)
-        got = cech_cohomology_nodal(d)
+        got, _, _ = cech_cohomology_nodal(d)
         want = mcut_cohomology(d)
         assert (got.h0, got.h1) == (want.h0, want.h1)
 

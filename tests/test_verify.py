@@ -558,7 +558,7 @@ class TestUnboundedWeights:
             cutd = cut(b)
             (plus,), (minus,) = cutd.plus.summands, cutd.minus.summands
             tm, tp, tmin = cech_cohomology_p1(s), cech_cohomology_p1(plus), cech_cohomology_p1(minus)
-            tcut = cech_cohomology_nodal(cutd)
+            tcut, _, _ = cech_cohomology_nodal(cutd)
             sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + 1])
             q_mcut = morse_quotient(tcut.euler_poly(), tm.euler_poly())
             q_morse = morse_quotient(sides, tm.euler_poly())

@@ -205,13 +205,8 @@ MUTANTS = [
         "return super().__new__(cls, plus, minus)\n\n    _make =",
         "return super().__new__(cls, plus, minus)\n\n    _unused =",
     ),
-    # The glued table keeps its sides outside the tuple, behind a read-only guard.
-    Mutant(
-        "glued-table-guard-dropped",
-        "oracles.py",
-        'raise AttributeError(f"{name!r} is read-only: the glued table is immutable")',
-        "object.__setattr__(self, name, value)",
-    ),
+    # The nodal route hands back its two side tables in order: plus, then minus.
+    Mutant("nodal-sides-swapped", "oracles.py", "return glued, plus, minus", "return glued, minus, plus"),
     # The generation time is UTC whatever the local zone.
     Mutant("stamp-in-local-time", "cli.py", "time.gmtime()", "time.localtime()"),
     # A named command builds its own subparser alone, and the top-level usage still names all five.
