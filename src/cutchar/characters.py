@@ -118,7 +118,10 @@ class Character:
         """The single term ``mult * u^weight``."""
         _check_int(weight, "weight")
         _check_int(mult, "multiplicity")
-        return cls._from_jumps({weight: mult, weight + 1: -mult})
+        # Already canonical: ascending, and no zero entry.
+        new = cls.__new__(cls)
+        new._jumps = {weight: mult, weight + 1: -mult} if mult else {}
+        return new
 
     @classmethod
     def span(cls, lo: int, hi: int) -> "Character":
@@ -133,7 +136,10 @@ class Character:
         """
         _check_int(lo, "weight")
         _check_int(hi, "weight")
-        return cls._from_jumps({lo: 1, hi + 1: -1} if lo <= hi else {})
+        # Already canonical: ascending, and no zero entry.
+        new = cls.__new__(cls)
+        new._jumps = {lo: 1, hi + 1: -1} if lo <= hi else {}
+        return new
 
     @property
     def coeffs(self) -> Mapping[int, int]:
@@ -175,6 +181,9 @@ class Character:
     def _plus(self, other: "Character | int", sign: int) -> "Character":
         """``self + sign * other`` for a sign of 1 or -1: the one body of + and -."""
         if type(other) is not Character:
+            # Leave any other operand, a CharPoly say, to its own reflected method.
+            if type(other) is not int and not isinstance(other, Character):
+                return NotImplemented
             other = _as_character(other)
         # Instances are immutable, so a zero operand can hand back the other one.
         if not other._jumps:
@@ -182,8 +191,9 @@ class Character:
         if not self._jumps and sign > 0:
             return other
         merged = dict(self._jumps)
+        get = merged.get
         for k, q in other._jumps.items():
-            merged[k] = merged.get(k, 0) + sign * q
+            merged[k] = get(k, 0) + sign * q
         new = object.__new__(Character)
         new._jumps = _canonical(merged)
         return new
@@ -254,7 +264,7 @@ class CharPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable["Character | int"] = ()):
-        cs = [_as_character(c) for c in coeffs]
+        cs = [c if type(c) is Character else _as_character(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs: tuple[Character, ...] = tuple(cs)
@@ -306,6 +316,9 @@ class CharPoly:
         pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
         return CharPoly([a - b for a, b in pairs])
 
+    def __rsub__(self, other: "Character | int") -> "CharPoly":
+        return _as_charpoly(other) - self
+
     def to_json_obj(self) -> list[dict[str, int]]:
         """JSON form: array of characters indexed by power of t."""
         return [c.to_json_obj() for c in self._coeffs]
@@ -351,12 +364,12 @@ def morse_quotient(p: CharPoly, r: CharPoly) -> CharPoly:
     residual = diff.at_minus_one()
     if residual:
         raise NotDivisible(residual)
-    # q_m = d_m - q_{m-1}; the step at m = degree yields zero exactly because
-    # diff(-1) == 0, and the constructor trims it.
+    # q_m = d_m - q_{m-1}; the step at m = degree would yield zero exactly
+    # because diff(-1) == 0, so it is not taken.
     qs: list[Character] = []
     prev = ZERO
-    for m in range(diff.degree + 1):
-        prev = diff.coeff(m) - prev
+    for d in diff._coeffs[:-1]:
+        prev = d - prev
         qs.append(prev)
     q = CharPoly(qs)
     assert _is_factorization(p, r, q)

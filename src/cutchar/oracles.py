@@ -50,9 +50,11 @@ __all__ = [
 
 def _row_rank(row: Sequence[int]) -> tuple[int, int | None]:
     """``(1, first nonzero column)`` for a nonzero one-row matrix, ``(0, None)`` for a zero one."""
-    for c, a in enumerate(row):
+    c = 0
+    for a in row:
         if a:
             return 1, c
+        c += 1
     return 0, None
 
 
@@ -79,12 +81,12 @@ def _row_kernel(row: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _block(line: LineWeights, m: int) -> list[int]:
     """The weight-m block's differential row: +1 for a chart-0 column, then -1 for a chart-1 one."""
-    row: list[int] = []
-    if m >= line.r_q:  # z^(m - r_Q) on chart 0, of weight r_Q + (m - r_Q) = m
-        row.append(1)
-    if m <= line.r_p:  # w^(r_P - m) on chart 1, of weight m; on the overlap it reads z^(m - r_Q)
-        row.append(-1)
-    return row
+    r_p, r_q = line
+    # z^(m - r_Q) on chart 0 has weight r_Q + (m - r_Q) = m when m >= r_Q; w^(r_P - m)
+    # on chart 1 has weight m when m <= r_P, and on the overlap it reads z^(m - r_Q).
+    if m >= r_q:
+        return [1, -1] if m <= r_p else [1]
+    return [-1] if m <= r_p else []
 
 
 def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
@@ -104,10 +106,11 @@ def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
     h0: dict[int, int] = {}
     h1: dict[int, int] = {}
     for line in lines:
+        r_p, r_q = line
         prev0 = prev1 = 0
-        for m in range(min(line.r_p, line.r_q) - 1, max(line.r_p, line.r_q) + 2):
+        for m in range(min(r_p, r_q) - 1, max(r_p, r_q) + 2):
             row = _block(line, m)
-            rank, _ = _row_rank(row)
+            rank = _row_rank(row)[0]
             n0, n1 = len(row) - rank, 1 - rank
             if n0 != prev0:
                 h0[m] = h0.get(m, 0) + n0 - prev0

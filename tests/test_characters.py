@@ -143,6 +143,16 @@ class TestCharPoly:
         assert p + u == CharPoly([1 + u, u])
         assert p - 1 == CharPoly([0, u])
         assert 1 + p == p + 1 == CharPoly([2, u])
+        assert 1 - p == CharPoly([0, -u])
+        # A character on the left leaves the polynomial to its reflected methods.
+        assert u + CharPoly([1]) == CharPoly([1 + u])
+        assert u - CharPoly([1]) == CharPoly([u - 1])
+        assert u - p == CharPoly([u - 1, -u])
+        assert type(u + p) is type(u - p) is CharPoly
+        # An entry is a character or an int, nothing else.
+        for bad in ("x", 1.5, True, p):
+            with pytest.raises(TypeError, match="expected Character or int"):
+                CharPoly([bad])
 
     def test_eq_and_hash(self):
         p, q = CharPoly([1, u]), CharPoly([1, u, Character()])

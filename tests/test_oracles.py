@@ -57,6 +57,16 @@ class TestCechLine:
         assert _block(line, -1) == [-1]
         assert set(_blocks_built(monkeypatch, line)) == set(range(-1, 4))
 
+    @pytest.mark.parametrize("line, m", [((2, 0), 1), ((2, 0), 3), ((2, 0), -1), ((-3, 0), -1)])
+    def test_each_row_is_a_fresh_list(self, line, m):
+        # Whoever is handed a row may edit it; the next row of that shape stays as built.
+        line = LineWeights(*line)
+        row = _block(line, m)
+        expected = list(row)
+        row.clear()
+        row.append(5)
+        assert _block(line, m) == expected
+
     def test_sections_span_kernel(self):
         secs = _row_kernel(_block(LineWeights(2, 0), 1))
         assert len(secs) == 1

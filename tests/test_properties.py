@@ -65,6 +65,44 @@ class TestRingAxioms:
         assert times(a, b).dim() == a.dim() * b.dim()
 
 
+def assert_canonical(ch: Character) -> None:
+    """The jumps are stored with ascending weights and no zero entry."""
+    assert list(ch._jumps) == sorted(ch._jumps), ch._jumps
+    assert all(ch._jumps.values()), ch._jumps
+
+
+class TestCanonicalForm:
+    """Every way to build a character stores canonical jumps, whichever order its input came in."""
+
+    @given(weights, weights)
+    def test_span(self, lo, hi):
+        ch = Character.span(lo, hi)
+        assert_canonical(ch)
+        assert ch == Character((m, 1) for m in range(lo, hi + 1))
+
+    @given(weights, mults)
+    def test_monomial(self, weight, mult):
+        ch = Character.monomial(weight, mult)
+        assert_canonical(ch)
+        assert ch == Character({weight: mult})
+
+    @given(st.lists(st.tuples(weights, mults), max_size=8))
+    def test_constructor(self, pairs):
+        assert_canonical(Character(pairs))
+        assert_canonical(Character(dict(pairs)))
+
+    @given(st.dictionaries(weights, mults, max_size=6), weights)
+    def test_from_jumps(self, jumps, last):
+        # Any key order, zero entries kept, and one entry that makes the jumps sum to zero.
+        jumps[last] = jumps.get(last, 0) - sum(jumps.values())
+        assert_canonical(Character._from_jumps(jumps))
+
+    @given(characters, characters, mults)
+    def test_arithmetic(self, a, b, c):
+        for ch in (a + b, a - b, -a, a + c, a - c, c + a, c - a, a - a, a + (-a)):
+            assert_canonical(ch)
+
+
 class TestOrder:
     """The coefficientwise order as the checks ask it: a dominates b iff (a - b).is_nonneg()."""
 

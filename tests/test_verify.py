@@ -472,17 +472,29 @@ class TestPerBundlePass:
     # was shared, these bundles built 123 and 186 characters.
     @pytest.mark.parametrize("lit, bound", [("3:-2", 26), ("1:-1,2:2,-3:5", 66)])
     def test_characters_built_by_the_closed_form_checks(self, monkeypatch, lit, bound):
-        # Every instance takes its jumps from one _canonical call: __init__,
-        # _from_jumps, + and - all end in it.
+        # Every instance takes its jumps from one _canonical call (__init__,
+        # _from_jumps, + and - all end in it) or from span or monomial, whose
+        # jumps are canonical as written.
         built = Counter()
         canonical = cutchar.characters._canonical
+        span, monomial = Character.span.__func__, Character.monomial.__func__
 
         def counting_canonical(terms):
             built["_canonical"] += 1
             return canonical(terms)
 
+        def counting_span(cls, lo, hi):
+            built["span"] += 1
+            return span(cls, lo, hi)
+
+        def counting_monomial(cls, weight, mult=1):
+            built["monomial"] += 1
+            return monomial(cls, weight, mult)
+
         b = bundle(lit)
         monkeypatch.setattr(cutchar.characters, "_canonical", counting_canonical)
+        monkeypatch.setattr(Character, "span", classmethod(counting_span))
+        monkeypatch.setattr(Character, "monomial", classmethod(counting_monomial))
         sweep([b], [cid for cid in ALL_CHECKS if cid != "oracle"])
         monkeypatch.undo()
         assert 0 < built.total() <= bound

@@ -155,7 +155,20 @@ MUTANTS = [
         "return hash(tuple(self._jumps.items()))",
     ),
     # + and - share one body, which takes the sign.
-    Mutant("plus-minus-sign-ignored", "characters.py", "merged.get(k, 0) + sign * q", "merged.get(k, 0) + q"),
+    Mutant("plus-minus-sign-ignored", "characters.py", "get(k, 0) + sign * q", "get(k, 0) + q"),
+    # span and monomial write their jumps as they are canonical, with no _canonical pass to mend them.
+    Mutant(
+        "span-end-jump-one-short",
+        "characters.py",
+        "new._jumps = {lo: 1, hi + 1: -1} if lo <= hi else {}",
+        "new._jumps = {lo: 1, hi: -1} if lo <= hi else {}",
+    ),
+    Mutant(
+        "monomial-keeps-zero-multiplicity",
+        "characters.py",
+        "new._jumps = {weight: mult, weight + 1: -mult} if mult else {}",
+        "new._jumps = {weight: mult, weight + 1: -mult}",
+    ),
     # The --checks flag and a config's checks list share one validator; each adds its own context.
     Mutant(
         "config-check-prefix-dropped",
@@ -189,9 +202,11 @@ MUTANTS = [
     Mutant(
         "oracle-window-one-short",
         "oracles.py",
-        "max(line.r_p, line.r_q) + 2)",
-        "max(line.r_p, line.r_q) + 1)",
+        "max(r_p, r_q) + 2)",
+        "max(r_p, r_q) + 1)",
     ),
+    # The pivot is the first nonzero column, counted as the row is walked.
+    Mutant("row-rank-column-not-counted", "oracles.py", "        c += 1\n", ""),
     # Records are NamedTuples: _make, and so _replace, must still run the constructor's checks.
     Mutant(
         "bundle-make-skips-checks",
