@@ -518,6 +518,55 @@ GOLDEN = [
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
+    (
+        ["verify", "--checks", "gluing", "1:0"],
+        0,
+        "",
+        (309, "888ce61bf80b3493b2042701d2e36f9e6ea4f07f0031eb3725fe76980bf379e1"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--checks", "gluing", "--checks", "mcut"],
+        0,
+        "",
+        (338, "108d974a690c608d194ae1ee313e704aea6a42c055c32990e62c7f06e3157f93"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--out={tmp}/out/eq.json"],
+        0,
+        "",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1803, "2eb56acf933ba5daecf354285623948fbdd04e003d85ec6289e6070c7bd8159c"),
+    ),
+    (
+        ["sweep", "--rp-range=-1..1", "--rq-range", "-1..0"],
+        0,
+        "",
+        (8093, "ac8fab349efc8cb163a4b4551c1e280990cabf58d6e8c38aeeb270e380471459"),
+        None,
+    ),
+    (
+        ["verify", "--", "1:0"],
+        0,
+        "",
+        (1803, "2eb56acf933ba5daecf354285623948fbdd04e003d85ec6289e6070c7bd8159c"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--checks", "-x"],
+        2,
+        "usage: cutchar verify [-h] [--out PATH] [--timestamps] [--checks CHECKS]\n                      [--format {json,csv,md}]\n                      bundle\ncutchar verify: error: argument --checks: expected one argument\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["verify", "1:0", "--format"],
+        2,
+        "usage: cutchar verify [-h] [--out PATH] [--timestamps] [--checks CHECKS]\n                      [--format {json,csv,md}]\n                      bundle\ncutchar verify: error: argument --format: expected one argument\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
 ]
 
 
