@@ -13,6 +13,13 @@ are inclusive ``A..B``.  Exit status: 0 when everything passed, 1 when some
 check failed, 2 on usage or input errors and when the output cannot be
 written.  Output is byte-stable unless ``--timestamps`` is given.
 
+Every argument is declared once, in :data:`_COMMANDS`.  :func:`_scan` reads
+a plain command line (the command, then its positional and its options in
+full, each with its value) straight from those declarations, without
+importing argparse.  Anything else, help and every usage error included,
+goes to the argparse parser that :func:`_build_parser` builds from the same
+declarations, so every message and exit status there is argparse's.
+
 Each command only parses and validates its input, and hands :func:`main`
 its output path, its format and its work.  :func:`main` alone opens the
 output, runs the work, writes the result through :func:`_write` and picks
@@ -23,12 +30,12 @@ output its pieces as it makes them.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
@@ -62,6 +69,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 _NO_CHECKS = "no checks selected"
+_FORMATS = ("json", "csv", "md")
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -157,7 +165,7 @@ class RunConfig(NamedTuple):
             fmt = output.get("format")
             if out is not None and not isinstance(out, str):
                 raise _UsageError(f"config {path!r}: output path must be a string")
-            if fmt is not None and fmt not in ("json", "csv", "md"):
+            if fmt is not None and fmt not in _FORMATS:
                 raise _UsageError(f"config {path!r}: format must be json, csv or md")
         return cls(bundles, grid, checks, fail_fast, out, fmt)
 
@@ -272,62 +280,132 @@ def _cmd_equality_region(args):
     return args.out, args.format, lambda: equality_region(rp, rq)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Parser that accepts values starting with a negative weight.
-
-    Bundle literals like ``-3:0`` and ranges like ``-1..1`` begin with a
-    dash; widening the negative-number test keeps argparse from reading
-    them as option flags.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+def _arg(*names: str, **spec) -> tuple:
+    """One ``add_argument`` call, kept as data: :func:`_build_parser` replays it, :func:`_scan` reads it."""
+    return names, spec
 
 
 _CHECKS_HELP = "comma-separated check ids, spaces around each ignored, or all"
+_BUNDLE = _arg("bundle", help="bundle literal, e.g. 1:-1,2:2")
+# Every command takes these two first.
+_OUTPUT = (
+    _arg("--out", metavar="PATH", help="write output to PATH instead of stdout"),
+    _arg(
+        "--timestamps",
+        action="store_true",
+        default=False,
+        help="stamp JSON and Markdown output with the generation time; CSV gets no stamp",
+    ),
+)
 
-
-def _add_bundle(p) -> None:
-    p.add_argument("bundle", help="bundle literal, e.g. 1:-1,2:2")
-
-
-def _add_verify(p) -> None:
-    _add_bundle(p)
-    p.add_argument("--checks", default="all", help=_CHECKS_HELP)
-    p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-
-
-def _add_sweep(p) -> None:
-    p.add_argument("--rp-range", metavar="A..B", help="inclusive range of r_P")
-    p.add_argument("--rq-range", metavar="A..B", help="inclusive range of r_Q")
-    p.add_argument("--checks", help=_CHECKS_HELP)
-    p.add_argument("--format", choices=("json", "csv", "md"))
-    p.add_argument("--fail-fast", action="store_true", default=None, help="stop at the first failing check")
-    p.add_argument("--config", metavar="PATH", help="JSON run configuration; flags override it")
-
-
-def _add_region(p) -> None:
-    p.add_argument("--rp-range", metavar="A..B", required=True)
-    p.add_argument("--rq-range", metavar="A..B", required=True)
-    p.add_argument("--format", choices=("json", "csv", "md"), default="md")
-
-
-# Each command's help line, its handler, and what adds its own arguments.
+# Each command's help line, its handler, and its own arguments.
 _COMMANDS = {
-    "cohomology": ("section characters of a bundle", _cmd_cohomology, _add_bundle),
-    "cut": ("the level-zero cut and its cohomology", _cmd_cut, _add_bundle),
-    "verify": ("run checks on one bundle", _cmd_verify, _add_verify),
-    "sweep": ("run checks over a rank-one grid", _cmd_sweep, _add_sweep),
-    "equality-region": ("map where the Morse-type inequalities are tight", _cmd_equality_region, _add_region),
+    "cohomology": ("section characters of a bundle", _cmd_cohomology, (_BUNDLE,)),
+    "cut": ("the level-zero cut and its cohomology", _cmd_cut, (_BUNDLE,)),
+    "verify": (
+        "run checks on one bundle",
+        _cmd_verify,
+        (
+            _BUNDLE,
+            _arg("--checks", default="all", help=_CHECKS_HELP),
+            _arg("--format", choices=_FORMATS, default="json"),
+        ),
+    ),
+    "sweep": (
+        "run checks over a rank-one grid",
+        _cmd_sweep,
+        (
+            _arg("--rp-range", metavar="A..B", help="inclusive range of r_P"),
+            _arg("--rq-range", metavar="A..B", help="inclusive range of r_Q"),
+            _arg("--checks", help=_CHECKS_HELP),
+            _arg("--format", choices=_FORMATS),
+            _arg("--fail-fast", action="store_true", default=None, help="stop at the first failing check"),
+            _arg("--config", metavar="PATH", help="JSON run configuration; flags override it"),
+        ),
+    ),
+    "equality-region": (
+        "map where the Morse-type inequalities are tight",
+        _cmd_equality_region,
+        (
+            _arg("--rp-range", metavar="A..B", required=True),
+            _arg("--rq-range", metavar="A..B", required=True),
+            _arg("--format", choices=_FORMATS, default="md"),
+        ),
+    ),
 }
 
+# Bundle literals like -3:0 and ranges like -1..1 begin with a dash; a token
+# that starts with a negative weight is a value, never an option.
+_NEGATIVE = re.compile(r"^-\d")
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+
+def _is_value(token: str) -> bool:
+    return token[:1] != "-" or _NEGATIVE.match(token) is not None
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """What ``parse_args`` makes of a plain ``argv``; None for any other.
+
+    Plain is: a command, then in any order its positional and its options
+    spelled in full, where an option that takes a value is followed by one
+    (empty, not dash-led, or led by a negative weight) within its choices,
+    and every required argument is there.  A repeated option keeps its last
+    value, as in argparse.  Help, ``--opt=value``, abbreviations, ``--``,
+    unknown, missing or extra arguments and bad choices are argparse's, so
+    every help text, usage line and error stays its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    positionals, options, required = [], {}, []
+    for names, spec in _OUTPUT + arguments:
+        dest = names[0].lstrip("-").replace("-", "_")
+        values[dest] = spec.get("default")
+        if names[0][0] != "-":
+            positionals.append(dest)
+        else:
+            options[names[0]] = dest, spec
+            if spec.get("required"):
+                required.append(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = token
+            continue
+        if token not in options:
+            return None
+        dest, spec = options[token]
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused as a dash-led one is
+        if not _is_value(value) or value not in spec.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if positionals or any(values[dest] is None for dest in required):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser(command: str | None = None):
     """The parser of ``command`` alone when it names one, else of every command.
 
-    A process parses once, and building a subparser costs more than most commands' work.
+    :func:`main` builds it only for what :func:`_scan` refuses, and a
+    process parses once: argparse and building a subparser cost more than
+    most commands' work.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Parser that reads a token led by a negative weight as a value, as :func:`_scan` does."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE
+
     parser = _Parser(
         prog="cutchar",
         description="Exact circle-equivariant section characters on the projective line, "
@@ -338,20 +416,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # Only then: it would also rename the action in the unknown- and missing-command errors.
     metavar = "{" + ",".join(_COMMANDS) + "}" if one else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    stamp = "stamp JSON and Markdown output with the generation time; CSV gets no stamp"
     for name in [command] if one else _COMMANDS:
-        help_line, handler, add_arguments = _COMMANDS[name]
+        help_line, handler, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        p.add_argument("--timestamps", action="store_true", help=stamp)
-        add_arguments(p)
+        for names, spec in _OUTPUT + arguments:
+            p.add_argument(*names, **spec)
         p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _scan(argv) or _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         out, fmt, work = args.func(args)
         with _destination(out) as dest:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,8 +28,9 @@ from cutchar import (
     cut,
     mcut_cohomology,
 )
-from cutchar.cli import _timestamp, main
+from cutchar.cli import _build_parser, _scan, _timestamp, main
 from cutchar.verify import ALL_CHECKS, _REGISTRY, equality_region, grid_bundles, sweep
+from test_golden import GOLDEN
 
 
 def json_text(report: SweepReport) -> str:
@@ -481,11 +483,18 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         ("argv", "parsers"),
-        [(["verify", "1:0", "--checks", "gluing"], 2), (["--help"], 6), (["bogus"], 6), ([], 6)],
-        ids=["named-command", "help", "unknown-command", "no-command"],
+        [
+            (["verify", "1:0", "--checks", "gluing"], 0),
+            (["verify", "1:0", "--chec", "gluing"], 2),
+            (["--help"], 6),
+            (["bogus"], 6),
+            ([], 6),
+        ],
+        ids=["scanned", "named-command", "help", "unknown-command", "no-command"],
     )
     def test_builds_only_the_named_commands_parser(self, argv, parsers, monkeypatch, capsys):
-        """A named command builds the top-level parser and its own; anything else, every command's."""
+        """A scanned argv builds no parser; one that names a command, the top-level parser and
+        its own; anything else, every command's."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -497,6 +506,99 @@ class TestUsage:
         with contextlib.suppress(SystemExit):
             main(argv)
         assert len(built) == parsers
+
+
+# Each command's options, in full.
+_OPTIONS = {
+    "cohomology": ("--out", "--timestamps"),
+    "cut": ("--out", "--timestamps"),
+    "verify": ("--out", "--timestamps", "--checks", "--format"),
+    "sweep": ("--out", "--timestamps", "--rp-range", "--rq-range", "--checks", "--format", "--fail-fast", "--config"),
+    "equality-region": ("--out", "--timestamps", "--rp-range", "--rq-range", "--format"),
+}
+_ALL_OPTIONS = sorted({flag for flags in _OPTIONS.values() for flag in flags})
+_scan_values = st.sampled_from(["", "1:0", "-3:0", "2:-1,-1:1", "0..1", "-1..1", "gluing", "all", "-x", "-", "xml"])
+_scan_tokens = st.one_of(
+    st.sampled_from(_ALL_OPTIONS),
+    st.sampled_from(_ALL_OPTIONS).flatmap(lambda flag: st.integers(3, len(flag) - 1).map(lambda k: flag[:k])),
+    st.tuples(st.sampled_from(_ALL_OPTIONS), _scan_values).map("=".join),
+    st.sampled_from(["-h", "--help", "--", "--bogus"]),
+    _scan_values,
+)
+
+
+@st.composite
+def _scan_argv(draw):
+    """A command, its positional (or not), and pieces: mostly one of its options with a value, else any token."""
+    cmd = draw(st.sampled_from([*_OPTIONS, "bogus"]))
+    own = st.sampled_from(_OPTIONS.get(cmd, _ALL_OPTIONS))
+    value = _mostly(st.sampled_from(["json", "csv", "md", "0..1", "-1..1"]), _scan_values)
+    piece = _mostly(st.tuples(own, value), st.tuples(_scan_tokens))
+    pieces = draw(st.lists(piece, max_size=4))
+    if cmd in ("cohomology", "cut", "verify") and draw(st.integers(0, 5)):
+        pieces.insert(draw(st.integers(0, len(pieces))), (draw(_scan_values),))
+    return [cmd, *(arg for piece in pieces for arg in piece)]
+
+
+def _parsed(argv: list[str]) -> dict | None:
+    """``vars`` of what argparse makes of ``argv``, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _plain(argv: list[str]) -> bool:
+    """A command, then values and its options in full: no help, ``--``, ``=`` or abbreviation."""
+    if not argv or argv[0] not in _OPTIONS:
+        return False
+    return all(a[:1] != "-" or re.match(r"-[0-9]", a) or a in _OPTIONS[argv[0]] for a in argv[1:])
+
+
+class TestScan:
+    """``_scan`` gives argparse's namespace or nothing, and nothing only where argparse refuses a plain argv."""
+
+    def agrees(self, argv):
+        scanned, parsed = _scan(argv), _parsed(argv)
+        if scanned is not None:
+            assert vars(scanned) == parsed
+        elif _plain(argv):
+            assert parsed is None, argv
+        return scanned
+
+    @settings(max_examples=400, deadline=None)
+    @example(["verify", "-3:0", "--format", "md", "--checks", "", "--timestamps"])
+    @example(["equality-region", "--rq-range", "-1..1", "--rp-range", "0..1"])
+    @given(_scan_argv())
+    def test_agrees_with_argparse(self, argv):
+        self.agrees(argv)
+
+    @pytest.mark.parametrize("argv", [row[0] for row in GOLDEN], ids=" ".join)
+    def test_agrees_on_golden_rows(self, argv):
+        assert (self.agrees(argv) is not None) == (_plain(argv) and _parsed(argv) is not None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "1:0", "--format", "xml"],
+            ["verify", "1:0", "--checks", "-x"],
+            ["verify", "1:0", "--checks"],
+            ["equality-region", "--rp-range", "0..1"],
+            ["verify", "1:0", "extra"],
+            ["verify", "-", "--checks", "gluing"],
+            ["verify", "1:0", "--form", "xml"],
+        ],
+        ids=["bad-choice", "dash-led-value", "missing-value", "missing-range", "extra", "lone-dash", "abbreviated"],
+    )
+    def test_leaves_to_argparse(self, argv, capsys):
+        assert _scan(argv) is None
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        assert status == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 class TestRepeatedMain:
@@ -798,31 +900,44 @@ _config_bytes = _mostly(
 
 @st.composite
 def cli_runs(draw):
-    """One argv, with the raw bytes of its config file when it names one."""
+    """One argv, with the raw bytes of its config file when it names one.
+
+    The positional and the options come in any order, an option may be
+    repeated, abbreviated or written ``--opt=value``, and a ``--`` may lead
+    the positional: the scanner reads some of these argv, argparse the rest.
+    """
     commands = st.sampled_from(["cohomology", "cut", "verify", "sweep", "equality-region"])
     cmd = draw(_mostly(commands, st.just("x")))
-    argv, config = [cmd], None
+    pieces, config = [], None
 
-    def maybe(*flag_and_value):
-        if draw(st.booleans()):
-            argv.extend(flag_and_value)
+    def spelled(flag, values=None):
+        how = draw(st.sampled_from(["full", "full", "full", "abbreviated", "joined"]))
+        name = flag[: draw(st.integers(3, len(flag) - 1))] if how == "abbreviated" else flag
+        if values is None:
+            return [name]
+        return [f"{name}={draw(values)}"] if how == "joined" else [name, draw(values)]
+
+    def maybe(flag, values=None):
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            pieces.append(spelled(flag, values))
 
     if cmd in ("cohomology", "cut", "verify"):
-        argv.append(draw(_bundle_text))
+        bundle = draw(_bundle_text)
+        pieces.append(["--", bundle] if draw(st.integers(0, 7)) == 0 else [bundle])
     if cmd in ("sweep", "equality-region"):
-        ranges = ["--rp-range", draw(_range_text), "--rq-range", draw(_range_text)]
-        argv += ranges[: draw(st.sampled_from([4, 4, 2, 0]))]
+        for flag in ("--rp-range", "--rq-range")[: draw(st.sampled_from([2, 2, 1, 0]))]:
+            pieces.append(spelled(flag, _range_text))
     if cmd in ("verify", "sweep"):
-        maybe("--checks", draw(_check_text))
+        maybe("--checks", _check_text)
     if cmd in ("verify", "sweep", "equality-region"):
-        maybe("--format", draw(_format))
+        maybe("--format", _format)
     if cmd == "sweep":
         maybe("--fail-fast")
         if draw(st.booleans()):
             config = draw(_config_bytes)
-            argv += ["--config", "@config@"]
-    maybe("--out", "@out@")
-    return argv, config
+            pieces.append(spelled("--config", st.just("@config@")))
+    maybe("--out", st.just("@out@"))
+    return [cmd, *(arg for piece in draw(st.permutations(pieces)) for arg in piece)], config
 
 
 def _holds_failed_check(text: str) -> bool:
@@ -848,7 +963,7 @@ class TestFuzzMain:
             out, cfg = Path(tmp) / "out", Path(tmp) / "run.json"
             if config is not None:
                 cfg.write_bytes(config.replace(b"@out@", json.dumps(str(out))[1:-1].encode()))
-            argv = [{"@out@": str(out), "@config@": str(cfg)}.get(a, a) for a in argv]
+            argv = [a.replace("@out@", str(out)).replace("@config@", str(cfg)) for a in argv]
 
             def fails(t):  # the drawn check, if any, fails on every bundle
                 return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))

@@ -237,25 +237,36 @@ class TestLocalization:
 
 
 def _terms_built(monkeypatch, route, arg) -> int:
-    """Total terms of all characters constructed while ``route(arg)`` runs.
+    """Total terms of all characters built while ``route(arg)`` runs.
 
-    Every instance comes from ``__init__`` or ``_from_jumps``, so both are counted.
+    A character is built by ``__init__``, ``_from_jumps``, ``span``,
+    ``monomial`` or ``_plus`` (the body of + and -), so all five are
+    counted; ``_plus`` only when it builds one, not when it hands back an
+    operand.
     """
-    init, from_jumps = Character.__init__, Character._from_jumps.__func__
     built = [0]
 
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built[0] += len(self.coeffs)
-
-    def counted_from_jumps(cls, jumps):
-        new = from_jumps(cls, jumps)
+    def count(new):
         built[0] += len(new.coeffs)
         return new
 
+    init = Character.__init__
+    from_jumps, span, monomial = (Character.__dict__[name].__func__ for name in ("_from_jumps", "span", "monomial"))
+    plus = Character._plus
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        count(self)
+
+    def counted_plus(self, other, sign):
+        new = plus(self, other, sign)
+        return count(new) if isinstance(new, Character) and new is not self and new is not other else new
+
     with monkeypatch.context() as m:
-        m.setattr(Character, "__init__", counted)
-        m.setattr(Character, "_from_jumps", classmethod(counted_from_jumps))
+        m.setattr(Character, "__init__", counted_init)
+        m.setattr(Character, "_plus", counted_plus)
+        for name, method in (("_from_jumps", from_jumps), ("span", span), ("monomial", monomial)):
+            m.setattr(Character, name, classmethod(lambda cls, *a, _method=method, **kw: count(_method(cls, *a, **kw))))
         route(arg)
     return built[0]
 
@@ -276,6 +287,18 @@ class TestOracleCost:
         small = _terms_built(monkeypatch, route, make(n))
         large = _terms_built(monkeypatch, route, make(2 * n))
         assert large <= 2.5 * small, (small, large)
+
+    def test_terms_count_sees_a_route_that_resums_per_weight(self, monkeypatch):
+        # Such a route builds with + alone, which the count must see for the test above to fail it.
+        def resumming(line):
+            total = Character()
+            for m in range(line.r_q - 1, line.r_p + 2):
+                total = total + Character.monomial(m)
+            return total
+
+        small = _terms_built(monkeypatch, resumming, LineWeights(50, -50))
+        large = _terms_built(monkeypatch, resumming, LineWeights(100, -100))
+        assert large > 2.5 * small, (small, large)
 
     @pytest.mark.parametrize(
         "route, arg",

@@ -21,15 +21,22 @@ def test_package_exports_each_modules_names_once():
 
 
 def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
-    # Every CLI process pays for its imports; dataclasses pulls in inspect, and so ast, dis and tokenize.
+    # Every CLI process pays for its imports; dataclasses pulls in inspect, and so ast, dis and
+    # tokenize; argparse's first message pulls in gettext and locale.  A plain command line is
+    # scanned without argparse.  -S keeps the site hook from importing any of these first.
     src = Path(cutchar.__file__).resolve().parent.parent
+    heavy = {"dataclasses", "inspect", "datetime", "argparse", "gettext", "locale"}
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import cutchar.cli\n"
         f"assert cutchar.cli.main(['cohomology', '0:0', '--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
-        "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))\n"
+        f"loaded = {sorted(heavy)!r}\n"
+        "print(sorted(set(loaded) & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cutchar.cli.main(['verify', '1:0']) == 0\n"
+        "print(sorted(set(loaded) & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n[]\n"
     assert (tmp_path / "out.json").read_text(encoding="utf-8").startswith('{\n  "h0": {\n    "0": 1\n')

@@ -243,6 +243,29 @@ MUTANTS = [
         'metavar = "{" + ",".join(_COMMANDS) + "}" if one else None',
         'metavar = "{" + ",".join(_COMMANDS) + "}"',
     ),
+    # The scanner takes a plain argv, and must leave every other to argparse.  Each is killed by
+    # tests/test_cli.py::TestScan (test_leaves_to_argparse, or test_agrees_on_golden_rows for the last).
+    Mutant(
+        "scan-choices-unchecked",
+        "cli.py",
+        ' or value not in spec.get("choices", (value,)):',
+        ":",
+    ),
+    Mutant("scan-dash-led-value-taken", "cli.py", "if not _is_value(value) or value", "if value"),
+    Mutant("scan-missing-value-taken", "cli.py", 'value = next(tokens, "-")', 'value = next(tokens, "")'),
+    Mutant(
+        "scan-required-range-unchecked",
+        "cli.py",
+        "if positionals or any(values[dest] is None for dest in required):",
+        "if positionals:",
+    ),
+    Mutant("scan-positional-unchecked", "cli.py", "if positionals or any(", "if any("),
+    Mutant(
+        "scan-negative-weight-left-to-argparse",
+        "cli.py",
+        'return token[:1] != "-" or _NEGATIVE.match(token) is not None',
+        'return token[:1] != "-"',
+    ),
     Mutant(
         "node-column-first",
         "oracles.py",
