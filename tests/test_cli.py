@@ -493,8 +493,7 @@ class TestUsage:
         ids=["scanned", "named-command", "help", "unknown-command", "no-command"],
     )
     def test_builds_only_the_named_commands_parser(self, argv, parsers, monkeypatch, capsys):
-        """A scanned argv builds no parser; one that names a command, the top-level parser and
-        its own; anything else, every command's."""
+        """A scanned argv builds no parser; a named command, the top-level parser and its own; else every command's."""
         built = []
         init = argparse.ArgumentParser.__init__
 
