@@ -280,9 +280,9 @@ def _cmd_equality_region(args):
     return args.out, args.format, lambda: equality_region(rp, rq)
 
 
-def _arg(*names: str, **spec) -> tuple:
+def _arg(name: str, **spec) -> tuple:
     """One ``add_argument`` call, kept as data: :func:`_build_parser` replays it, :func:`_scan` reads it."""
-    return names, spec
+    return name, spec
 
 
 _CHECKS_HELP = "comma-separated check ids, spaces around each ignored, or all"
@@ -359,13 +359,13 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     _, handler, arguments = _COMMANDS[argv[0]]
     values = {"command": argv[0], "func": handler}
     positionals, options, required = [], {}, []
-    for names, spec in _OUTPUT + arguments:
-        dest = names[0].lstrip("-").replace("-", "_")
+    for name, spec in _OUTPUT + arguments:
+        dest = name.lstrip("-").replace("-", "_")
         values[dest] = spec.get("default")
-        if names[0][0] != "-":
+        if name[0] != "-":
             positionals.append(dest)
         else:
-            options[names[0]] = dest, spec
+            options[name] = dest, spec
             if spec.get("required"):
                 required.append(dest)
     tokens = iter(argv[1:])
@@ -419,8 +419,8 @@ def _build_parser(command: str | None = None):
     for name in [command] if one else _COMMANDS:
         help_line, handler, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        for names, spec in _OUTPUT + arguments:
-            p.add_argument(*names, **spec)
+        for arg, spec in _OUTPUT + arguments:
+            p.add_argument(arg, **spec)
         p.set_defaults(func=handler)
     return parser
 
