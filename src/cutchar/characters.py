@@ -212,10 +212,6 @@ class Character:
     def __rsub__(self, other: int) -> "Character":
         return _as_character(other) - self
 
-    def to_json_obj(self) -> dict[str, int]:
-        """JSON form: decimal weight strings to integer multiplicities."""
-        return {str(k): q for k, q in self.items()}
-
     def __repr__(self) -> str:
         return f"Character({dict(self.items())!r})"
 
@@ -318,10 +314,6 @@ class CharPoly:
 
     def __rsub__(self, other: "Character | int") -> "CharPoly":
         return _as_charpoly(other) - self
-
-    def to_json_obj(self) -> list[dict[str, int]]:
-        """JSON form: array of characters indexed by power of t."""
-        return [c.to_json_obj() for c in self._coeffs]
 
     def __repr__(self) -> str:
         return f"CharPoly({list(self._coeffs)!r})"

@@ -390,13 +390,8 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(command: str | None = None):
-    """The parser of ``command`` alone when it names one, else of every command.
-
-    :func:`main` builds it only for what :func:`_scan` refuses, and a
-    process parses once: argparse and building a subparser cost more than
-    most commands' work.
-    """
+def _build_parser():
+    """The argparse parser of every command; :func:`main` builds it only for what :func:`_scan` refuses."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -411,13 +406,8 @@ def _build_parser(command: str | None = None):
         description="Exact circle-equivariant section characters on the projective line, "
         "the level-zero cut, and checks of the gluing and Morse-type relations.",
     )
-    one = command in _COMMANDS
-    # The top-level usage lists the commands built, so with one built the metavar names all.
-    # Only then: it would also rename the action in the unknown- and missing-command errors.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if one else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if one else _COMMANDS:
-        help_line, handler, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for arg, spec in _OUTPUT + arguments:
             p.add_argument(arg, **spec)
@@ -427,7 +417,7 @@ def _build_parser(command: str | None = None):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _scan(argv) or _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _scan(argv) or _build_parser().parse_args(argv)
     try:
         out, fmt, work = args.func(args)
         with _destination(out) as dest:

@@ -128,9 +128,6 @@ class CohomologyTable(NamedTuple):
         """Equivariant Euler characteristic h0 - h1."""
         return self.h0 - self.h1
 
-    def to_json_obj(self) -> dict:
-        return {"h0": self.h0.to_json_obj(), "h1": self.h1.to_json_obj(), "n": self.n}
-
 
 class CutDecomposition(NamedTuple("CutDecomposition", [("plus", EquivBundleCP1), ("minus", EquivBundleCP1)])):
     """The two sides of the level-zero cut, paired summand by summand.

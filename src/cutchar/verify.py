@@ -21,10 +21,12 @@ Check ids:
                       with the Cech, nodal Cech and localization recomputations
 
 Every JSON document of the command line, a report or a table, is laid out
-by one writer here, as ``json.dumps(obj, indent=2)`` lays out the matching
-``to_json_obj`` objects, and handed to its destination piece by piece;
-only this module knows that layout.  Reports are only written: no command
-reads one back, so nothing here parses a report or a result.
+by one writer here, as ``json.dumps(obj, indent=2)`` lays out plain dicts
+and lists, and handed to its destination piece by piece: a character is an
+object of decimal weight keys, a polynomial in t the array of its
+coefficients.  Only this module knows that layout.  Reports are only
+written: no command reads one back, so nothing here parses a report or a
+result.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ class CheckResult(NamedTuple):
     passed: bool
     witness: CharPoly | None = None
     residual: CharPoly | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "bundle": self.bundle.literal(),
-            "passed": self.passed,
-            "witness": None if self.witness is None else self.witness.to_json_obj(),
-            "residual": None if self.residual is None else self.residual.to_json_obj(),
-        }
 
 
 #: The most terms of one run that the JSON writer puts in one piece, so that
@@ -155,7 +148,7 @@ def _write_json(value, write, pad: str = "") -> None:
 
 
 def _csv_cell(poly: CharPoly) -> str:
-    """``json.dumps(poly.to_json_obj(), separators=(",", ":"))``, written run by run."""
+    """The compact JSON of ``poly``, one object of weight keys per power of t, written run by run."""
     return "[" + ",".join(_compact_character(c) for c in poly.coeffs) + "]"
 
 
@@ -354,18 +347,11 @@ class SweepReport(NamedTuple):
         return tuple(b.literal() for b in self.grid if all(s.r_q <= 0 <= s.r_p for s in b.summands))
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "grid": [b.literal() for b in self.grid],
-            "results": [[r.to_json_obj() for r in row] for row in self.results],
-            "summary": self.summary,
-            "equality_sets": {cid: list(lits) for cid, lits in self.equality_sets.items()},
-        }
-        if self.region:
-            obj["claimed_region"] = list(self.claimed_region)
-        return obj
+        """The report's JSON text read back, as plain dicts and lists."""
+        return json.loads(self.to_json_text())
 
     def _json_members(self) -> dict:
-        """The members :meth:`to_json_obj` holds, with the results and views as they are."""
+        """The report's JSON members in order, with the results and views as they are."""
         members = {
             "grid": [b.literal() for b in self.grid],
             "results": self.results,
@@ -377,7 +363,7 @@ class SweepReport(NamedTuple):
         return members
 
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2)``, written from the objects directly."""
+        """The report as indented JSON, as the command line writes it without a stamp."""
         buf = StringIO()
         _write_json(self._json_members(), buf.write)
         return buf.getvalue()

@@ -5,7 +5,6 @@ the lines:
     pytest tests/test_acceptance.py -v -s
 """
 
-import json
 import random
 import time
 
@@ -166,7 +165,7 @@ def test_8_equality_region_findings():
         assert "-1:1" in mcut_eq and "-1:1" not in claimed
         # deterministic serialization
         again = equality_region((-3, 3), (-3, 3))
-        assert json.dumps(report.to_json_obj()) == json.dumps(again.to_json_obj())
+        assert report.to_json_text() == again.to_json_text()
 
     _criterion("8 equality-region findings on [-3,3]^2", 1000.0, body)
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from cutchar import Character, CharPoly, NotDivisible, morse_quotient
+from test_verify import _json_text
 
 u = Character.monomial(1)
 
@@ -107,7 +110,7 @@ class TestCharacter:
 
     def test_json_round_trip(self):
         a = Character({-1: 1, 0: 2})
-        obj = a.to_json_obj()
+        obj = json.loads(_json_text(a))
         assert obj == {"-1": 1, "0": 2}
         assert list(obj) == ["-1", "0"]
         assert Character({int(k): q for k, q in obj.items()}) == a
@@ -187,7 +190,7 @@ class TestCharPoly:
 
     def test_json_round_trip(self):
         p = CharPoly([Character({-1: 1}), Character({0: 2})])
-        obj = p.to_json_obj()
+        obj = json.loads(_json_text(p))
         assert obj == [{"-1": 1}, {"0": 2}]
         assert CharPoly(Character({int(k): q for k, q in c.items()}) for c in obj) == p
 

@@ -18,10 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutchar import (
-    Character,
     CharPoly,
     CheckResult,
-    CohomologyTable,
     EquivBundleCP1,
     SweepReport,
     cohomology,
@@ -31,6 +29,7 @@ from cutchar import (
 from cutchar.cli import _build_parser, _scan, _timestamp, main
 from cutchar.verify import ALL_CHECKS, _REGISTRY, equality_region, grid_bundles, sweep
 from test_golden import GOLDEN
+import json_model
 
 
 def json_text(report: SweepReport) -> str:
@@ -240,13 +239,10 @@ class TestSweep:
             assert "\n".join(lines) == run_cli(*argv).stdout
 
     def test_json_report_needs_no_object_model(self):
-        # The CLI writes a report's JSON text directly; to_json_obj is only
-        # for library callers, so nothing may fall back to it.
+        # The CLI writes a report's JSON text directly; SweepReport.to_json_obj
+        # reads that text back for library callers, so the CLI never calls it.
         argv = ["sweep", "--rp-range", "-2..2", "--rq-range", "-2..2"]
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main(argv) == 0
-        want = json.dumps(sweep(grid_bundles((-2, 2), (-2, 2))).to_json_obj(), indent=2) + "\n"
-        assert out.getvalue() == want
+        want = json.dumps(json_model.report(sweep(grid_bundles((-2, 2), (-2, 2)))), indent=2) + "\n"
 
         def refuse(self):
             raise AssertionError("to_json_obj called")
@@ -255,19 +251,6 @@ class TestSweep:
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 assert main(argv) == 0
         assert out.getvalue() == want
-
-        # cohomology and cut go through the same writer, without the table
-        # or character object models.
-        tables = [(argv, json.dumps(_parent_json_obj(*argv), indent=2) + "\n") for argv in TABLE_RUNS]
-        with (
-            mock.patch.object(SweepReport, "to_json_obj", refuse),
-            mock.patch.object(CohomologyTable, "to_json_obj", refuse),
-            mock.patch.object(Character, "to_json_obj", refuse),
-        ):
-            for argv, want in tables:
-                with contextlib.redirect_stdout(io.StringIO()) as out:
-                    assert main(argv) == 0
-                assert out.getvalue() == want, argv
 
     def test_timestamps_leave_csv_alone(self):
         # A stamp line would break CSV readers, so CSV carries none.
@@ -281,26 +264,23 @@ class TestSweep:
         assert texts[0].startswith("r_P,r_Q,check_id,passed,witness\n")
 
 
-TABLE_RUNS = [["cohomology", "1:-1,2:2"], ["cohomology", "0:0"], ["cut", "1:-1,2:2,-3:5"]]
-
-
-def _parent_json_obj(command: str, literal: str) -> dict:
-    """The dict that ``command`` once handed json.dumps, built from the object models."""
+def _table_json_obj(command: str, literal: str) -> dict:
+    """What ``command`` writes for ``literal``, as plain values from ``json_model``."""
     bundle = EquivBundleCP1.parse(literal)
     if command == "cohomology":
-        return cohomology(bundle).to_json_obj()
+        return json_model.table(cohomology(bundle))
     cutd = cut(bundle)
     return {
         "bundle": bundle.literal(),
-        "plus": {"bundle": cutd.plus.literal(), **cohomology(cutd.plus).to_json_obj()},
-        "minus": {"bundle": cutd.minus.literal(), **cohomology(cutd.minus).to_json_obj()},
+        "plus": json_model.table(cohomology(cutd.plus), bundle=cutd.plus.literal()),
+        "minus": json_model.table(cohomology(cutd.minus), bundle=cutd.minus.literal()),
         "red_dims": list(cutd.red_dims),
-        "mcut": mcut_cohomology(cutd).to_json_obj(),
+        "mcut": json_model.table(mcut_cohomology(cutd)),
     }
 
 
 class TestTableJsonText:
-    """``cohomology`` and ``cut`` write exactly what json.dumps writes of their object models."""
+    """``cohomology`` and ``cut`` write exactly what json.dumps writes of their plain values."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,7 +290,7 @@ class TestTableJsonText:
     )
     def test_equals_json_dumps(self, command, weights, stamped):
         literal = ",".join(f"{rp}:{rq}" for rp, rq in weights)
-        obj = _parent_json_obj(command, literal)
+        obj = _table_json_obj(command, literal)
         argv = [command, literal]
         if stamped:
             argv.append("--timestamps")
@@ -485,7 +465,7 @@ class TestUsage:
         ("argv", "parsers"),
         [
             (["verify", "1:0", "--checks", "gluing"], 0),
-            (["verify", "1:0", "--chec", "gluing"], 2),
+            (["verify", "1:0", "--chec", "gluing"], 6),
             (["--help"], 6),
             (["bogus"], 6),
             ([], 6),
@@ -493,7 +473,7 @@ class TestUsage:
         ids=["scanned", "named-command", "help", "unknown-command", "no-command"],
     )
     def test_builds_only_the_named_commands_parser(self, argv, parsers, monkeypatch, capsys):
-        """A scanned argv builds no parser; a named command, the top-level parser and its own; else every command's."""
+        """A scanned argv builds no parser; any other builds the top-level parser and every command's."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -543,7 +523,7 @@ def _parsed(argv: list[str]) -> dict | None:
     """``vars`` of what argparse makes of ``argv``, or None when it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+            return vars(_build_parser().parse_args(argv))
         except SystemExit:
             return None
 

@@ -21,6 +21,7 @@ import pytest
 
 import cutchar.verify
 from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, cut, run_check, sweep
+import json_model
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class TestFaultTable:
         inject(monkeypatch, name, b, k)
         report = sweep([b])
         assert {r.check_id for r in report.results[0] if not r.passed} == failing
-        assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
+        assert report.to_json_text() == json.dumps(json_model.report(report), indent=2)
 
 
 def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> None:

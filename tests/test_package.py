@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,28 @@ def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n[]\n"
     assert (tmp_path / "out.json").read_text(encoding="utf-8").startswith('{\n  "h0": {\n    "0": 1\n')
+
+
+def test_benchmark_tracer_binds_the_package_names_it_wraps():
+    # perfbench/spans.py rebinds names of the package from outside: deleting one of them, such as
+    # SweepReport.to_json_obj or to_csv, Character.__init__ or Character.coeffs, breaks the
+    # benchmark's traced runs.  Its spans must install, and fire through main.
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import contextlib, io, json\n"
+        "import cutchar.characters, cutchar.cli, cutchar.verify, spans\n"
+        "tracer = spans.install(cutchar.cli, cutchar.verify, cutchar.characters)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cutchar.cli.main(['verify', '1:0']) == 0\n"
+        "    assert cutchar.cli.main(['sweep', '--rp-range', '0..1', '--rq-range', '-1..0', '--format', 'csv']) == 0\n"
+        "cutchar.characters.Character({0: 2, 1: 1})\n"
+        "print(json.dumps(tracer.snapshot()))\n"
+    )
+    src = Path(cutchar.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    trace = json.loads(proc.stdout)
+    assert trace["calls"]["verify.sweep"] == 2
+    assert trace["calls"]["verify.report_csv"] == 1
+    assert trace["calls"]["verify.check.oracle"] == 5
+    assert trace["counts"]["characters.terms"] >= 2

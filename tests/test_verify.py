@@ -29,6 +29,7 @@ from cutchar import (
 import cutchar.characters
 import cutchar.verify
 from cutchar.verify import _REGISTRY, _RUN_CHUNK, _csv_cell, _morse_check, _write_json
+import json_model
 
 u = Character.monomial(1)
 
@@ -155,7 +156,7 @@ def _rebuilt(obj) -> SweepReport:
 class TestCheckResultJson:
     def test_round_trip_with_witness(self):
         r = run_check("mcut", bundle("2:2"))
-        obj = json.loads(json.dumps(r.to_json_obj()))
+        (obj,) = json.loads(_json_text((r,)))
         assert obj["bundle"] == "2:2"
         assert obj["witness"] == [{"1": 1}]
         assert obj["residual"] is None
@@ -164,7 +165,7 @@ class TestCheckResultJson:
 
     def test_round_trip_without_witness(self):
         r = run_check("gluing", bundle("1:-1,2:2"))
-        obj = json.loads(json.dumps(r.to_json_obj()))
+        (obj,) = json.loads(_json_text((r,)))
         assert obj == {"check_id": "gluing", "bundle": "1:-1,2:2", "passed": True, "witness": None, "residual": None}
         assert _rebuilt_result(obj) == r
 
@@ -244,7 +245,7 @@ class TestSweepReportSerialization:
         obj = json.loads(report.to_json_text())
         back = _rebuilt(obj)
         assert back == report
-        assert back.to_json_obj() == obj
+        assert json_model.report(back) == obj
 
     def test_json_round_trip_with_claimed_region(self):
         report = equality_region((-1, 1), (-1, 1))
@@ -252,7 +253,7 @@ class TestSweepReportSerialization:
         back = _rebuilt(obj)
         assert back == report
         assert back.claimed_region == report.claimed_region == tuple(obj["claimed_region"])
-        assert back.to_json_obj() == obj
+        assert json_model.report(back) == obj
 
     def test_fail_fast_report_round_trips(self, monkeypatch):
         # mcut was selected but never ran: its set is present and empty.
@@ -354,7 +355,7 @@ def _characters(draw) -> Character:
 
 
 class TestJsonText:
-    """``SweepReport.to_json_text`` writes exactly what json.dumps writes of ``to_json_obj``."""
+    """The writer lays out exactly what json.dumps lays out of the plain values in ``json_model``."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -377,12 +378,13 @@ class TestJsonText:
         with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
             report = sweep(grid, checks, fail_fast=fail_fast)
         report = SweepReport(report.grid, report.results, report.morse_checks, region)
-        assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
+        assert report.to_json_text() == json.dumps(json_model.report(report), indent=2)
 
     def test_equality_region_report(self):
         report = equality_region((-3, 3), (-3, 3))
         assert report.claimed_region
-        assert report.to_json_text() == json.dumps(report.to_json_obj(), indent=2)
+        assert report.to_json_text() == json.dumps(json_model.report(report), indent=2)
+        assert report.to_json_obj() == json_model.report(report)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -403,7 +405,7 @@ class TestJsonText:
         # Runs longer than a writer piece, adjacent runs, negative weights
         # and multiplicities, and empty characters, alone and in a poly.
         poly = CharPoly(chars)
-        obj = poly.to_json_obj()
+        obj = json_model.poly(poly)
         value = {"poly": poly, "empty": [Character(), CharPoly()], "chars": poly.coeffs}
         assert _json_text(value) == json.dumps({"poly": obj, "empty": [{}, []], "chars": obj}, indent=2)
         assert _csv_cell(poly) == json.dumps(obj, separators=(",", ":"))

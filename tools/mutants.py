@@ -6,10 +6,13 @@ Usage, from the root of a checkout::
 
 A mutant replaces one exact piece of a file under ``src/cutchar/``, most
 often one line, by another.  For each mutant (or only those named) the
-script copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory, applies the mutant there and runs ``python -m pytest -x -q`` on
-the copy; the checkout itself is never edited.  A mutant is killed when
-pytest fails, and survives when it passes.
+script copies ``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` to a
+temporary directory and applies the mutant there; the checkout itself is
+never edited.  It then runs ``python -m pytest -x -q`` on the copy, first
+on the test files that cover the mutated module (:data:`COVERING`), and on
+the whole suite only if those pass.  A mutant is killed when pytest fails,
+and survives when the whole suite passes, so the first stage changes how
+soon a verdict comes, never which.
 
 Equivalent mutants change no behaviour any input can show, so no test can
 kill them; they carry the reason, are run like the others, and are
@@ -224,24 +227,12 @@ MUTANTS = [
     Mutant("nodal-sides-swapped", "oracles.py", "return glued, plus, minus", "return glued, minus, plus"),
     # The generation time is UTC whatever the local zone.
     Mutant("stamp-in-local-time", "cli.py", "time.gmtime()", "time.localtime()"),
-    # A named command builds its own subparser alone, and the top-level usage still names all five.
+    # A library caller's report object is the written text read back: plain dicts and lists.
     Mutant(
-        "every-command-parser-built",
-        "cli.py",
-        "for name in [command] if one else _COMMANDS:",
-        "for name in _COMMANDS:",
-    ),
-    Mutant(
-        "top-usage-metavar-dropped",
-        "cli.py",
-        'metavar = "{" + ",".join(_COMMANDS) + "}" if one else None',
-        "metavar = None",
-    ),
-    Mutant(
-        "metavar-on-full-path",
-        "cli.py",
-        'metavar = "{" + ",".join(_COMMANDS) + "}" if one else None',
-        'metavar = "{" + ",".join(_COMMANDS) + "}"',
+        "report-obj-not-read-back",
+        "verify.py",
+        "return json.loads(self.to_json_text())",
+        "return self._json_members()",
     ),
     # The scanner takes a plain argv, and must leave every other to argparse.  Each is killed by
     # tests/test_cli.py::TestScan (test_leaves_to_argparse, or test_agrees_on_golden_rows for the last).
@@ -283,6 +274,16 @@ MUTANTS = [
 ]
 
 
+#: The test files that cover each module, the one that most often kills its mutants first.
+COVERING = {
+    "characters.py": ("test_characters.py", "test_character_model.py", "test_properties.py"),
+    "geometry.py": ("test_geometry.py", "test_records.py", "test_golden.py"),
+    "oracles.py": ("test_oracles.py", "test_faults.py"),
+    "verify.py": ("test_golden.py", "test_verify.py", "test_faults.py"),
+    "cli.py": ("test_golden.py", "test_cli.py"),
+}
+
+
 def _mutated(mutant: Mutant) -> str:
     """The text of the mutant's file with the mutant applied."""
     text = (ROOT / "src" / "cutchar" / mutant.path).read_text(encoding="utf-8")
@@ -292,23 +293,29 @@ def _mutated(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def _killed(mutant: Mutant) -> tuple[bool, str]:
-    """Whether the tests fail with ``mutant`` applied, and the first failing test's line."""
-    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        work = Path(tmp)
-        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
-        (work / "src" / "cutchar" / mutant.path).write_text(_mutated(mutant), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-        try:
-            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return True, f"timed out after {TIMEOUT_S} s"
+def _pytest(work: Path, files: list[str]) -> tuple[bool, str]:
+    """Whether ``pytest -x`` fails on ``files`` of the copy (all when empty), and the first failing test's line."""
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    try:
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return True, f"timed out after {TIMEOUT_S} s"
     failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     last = (proc.stdout.strip().splitlines() or proc.stderr.strip().splitlines() or [""])[-1]
     return proc.returncode != 0, failed[0] if failed else last
+
+
+def _killed(mutant: Mutant) -> tuple[bool, str]:
+    """Whether the tests fail with ``mutant`` applied: its covering files first, then the whole suite."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        for tree in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / tree, work / tree, ignore=shutil.ignore_patterns("__pycache__", ".work"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        (work / "src" / "cutchar" / mutant.path).write_text(_mutated(mutant), encoding="utf-8")
+        killed, detail = _pytest(work, [f"tests/{name}" for name in COVERING[mutant.path]])
+        return (killed, detail) if killed else _pytest(work, [])
 
 
 def main(names: list[str]) -> int:
