@@ -356,8 +356,8 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, handler, arguments = _COMMANDS[argv[0]]
-    values = {"command": argv[0], "func": handler}
+    arguments = _COMMANDS[argv[0]][2]
+    values = {"command": argv[0]}
     positionals, options, required = [], {}, []
     for name, spec in _OUTPUT + arguments:
         dest = name.lstrip("-").replace("-", "_")
@@ -407,11 +407,10 @@ def _build_parser():
         "the level-zero cut, and checks of the gluing and Morse-type relations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, handler, arguments) in _COMMANDS.items():
+    for name, (help_line, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for arg, spec in _OUTPUT + arguments:
             p.add_argument(arg, **spec)
-        p.set_defaults(func=handler)
     return parser
 
 
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _scan(argv) or _build_parser().parse_args(argv)
     try:
-        out, fmt, work = args.func(args)
+        out, fmt, work = _COMMANDS[args.command][1](args)
         with _destination(out) as dest:
             result = work()
             _write(result, fmt, args.timestamps, dest)

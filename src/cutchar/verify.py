@@ -147,14 +147,18 @@ def _write_json(value, write, pad: str = "") -> None:
     write(f"\n{pad}{brackets[1]}")
 
 
-def _csv_cell(poly: CharPoly) -> str:
-    """The compact JSON of ``poly``, one object of weight keys per power of t, written run by run."""
-    return "[" + ",".join(_compact_character(c) for c in poly.coeffs) + "]"
+def _csv_cell(poly: CharPoly | None) -> str:
+    """The witness cell of a CSV row in its final bytes: empty for None, a bare ``[]`` for zero.
 
-
-def _compact_character(ch: Character) -> str:
-    runs = ('"' + f'":{q},"'.join(map(str, range(lo, hi))) + f'":{q}' for lo, hi, q in _runs(ch._jumps))
-    return "{" + ",".join(runs) + "}"
+    Else the compact JSON in quotes, run by run, each key laid out as ``""k"":q``, its quotes doubled.
+    """
+    if not poly:
+        return "" if poly is None else "[]"
+    chars = (
+        ",".join('""' + f'"":{q},""'.join(map(str, range(lo, hi))) + f'"":{q}' for lo, hi, q in _runs(c._jumps))
+        for c in poly.coeffs
+    )
+    return '"[{' + "},{".join(chars) + '}]"'
 
 
 def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: CharPoly) -> CheckResult:
@@ -369,24 +373,14 @@ class SweepReport(NamedTuple):
         return buf.getvalue()
 
     def to_csv(self) -> str:
-        """Delimited form, one row per (bundle, check).
-
-        The witness column holds the compact JSON of the witness when there
-        is one, else of the residual, else is empty.
-        """
-        import csv
-
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r_P", "r_Q", "check_id", "passed", "witness"])
+        """One row per (bundle, check), as ``csv.writer`` writes it: no cell but :func:`_csv_cell` holds a quote."""
+        lines = ["r_P,r_Q,check_id,passed,witness\n"]
         for bundle, row in zip(self.grid, self.results):
-            rp = ";".join(str(s.r_p) for s in bundle.summands)
-            rq = ";".join(str(s.r_q) for s in bundle.summands)
+            rp, rq = (";".join(map(str, weights)) for weights in zip(*bundle.summands))
             for r in row:
-                payload = r.witness if r.witness is not None else r.residual
-                cell = "" if payload is None else _csv_cell(payload)
-                writer.writerow([rp, rq, r.check_id, str(r.passed).lower(), cell])
-        return buf.getvalue()
+                cell = _csv_cell(r.witness if r.witness is not None else r.residual)
+                lines.append(f"{rp},{rq},{r.check_id},{'true' if r.passed else 'false'},{cell}\n")
+        return "".join(lines)
 
     def to_markdown(self) -> str:
         def cell(value) -> str:  # a witness or residual, or empty when there is none

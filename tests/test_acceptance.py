@@ -18,7 +18,6 @@ from cutchar import (
     cut,
     equality_region,
     grid_bundles,
-    localization_index,
     mcut_cohomology,
     morse_quotient,
     run_check,

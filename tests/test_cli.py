@@ -470,9 +470,9 @@ class TestUsage:
             (["bogus"], 6),
             ([], 6),
         ],
-        ids=["scanned", "named-command", "help", "unknown-command", "no-command"],
+        ids=["scanned", "abbreviated-option", "help", "unknown-command", "no-command"],
     )
-    def test_builds_only_the_named_commands_parser(self, argv, parsers, monkeypatch, capsys):
+    def test_builds_every_parser_unless_scanned(self, argv, parsers, monkeypatch, capsys):
         """A scanned argv builds no parser; any other builds the top-level parser and every command's."""
         built = []
         init = argparse.ArgumentParser.__init__

@@ -24,9 +24,10 @@ def test_package_exports_each_modules_names_once():
 def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
     # Every CLI process pays for its imports; dataclasses pulls in inspect, and so ast, dis and
     # tokenize; argparse's first message pulls in gettext and locale.  A plain command line is
-    # scanned without argparse.  -S keeps the site hook from importing any of these first.
+    # scanned without argparse, and CSV is laid out without the csv module.  -S keeps the site
+    # hook from importing any of these first.
     src = Path(cutchar.__file__).resolve().parent.parent
-    heavy = {"dataclasses", "inspect", "datetime", "argparse", "gettext", "locale"}
+    heavy = {"dataclasses", "inspect", "datetime", "argparse", "gettext", "locale", "csv"}
     code = (
         "import contextlib, io, sys\n"
         "import cutchar.cli\n"
@@ -35,6 +36,7 @@ def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
         "print(sorted(set(loaded) & set(sys.modules)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cutchar.cli.main(['verify', '1:0']) == 0\n"
+        "    assert cutchar.cli.main(['verify', '1:0', '--format', 'csv']) == 0\n"
         "print(sorted(set(loaded) & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from collections import Counter
@@ -336,6 +337,11 @@ def _json_text(value) -> str:
     return buf.getvalue()
 
 
+def _csv_fields(line: str) -> list[str]:
+    """The fields ``csv.reader`` reads from one line."""
+    return next(csv.reader([line]))
+
+
 @st.composite
 def _characters(draw) -> Character:
     """A character of consecutive runs from a weight that may be negative.
@@ -408,8 +414,48 @@ class TestJsonText:
         obj = json_model.poly(poly)
         value = {"poly": poly, "empty": [Character(), CharPoly()], "chars": poly.coeffs}
         assert _json_text(value) == json.dumps({"poly": obj, "empty": [{}, []], "chars": obj}, indent=2)
-        assert _csv_cell(poly) == json.dumps(obj, separators=(",", ":"))
-        assert _csv_cell(CharPoly([Character(), 1])) == '[{},{"0":1}]'
+        assert _csv_fields(_csv_cell(poly)) == [json.dumps(obj, separators=(",", ":"))]
+        assert _csv_fields(_csv_cell(CharPoly([Character(), 1]))) == ['[{},{"0":1}]']
+
+
+@st.composite
+def _reports(draw) -> SweepReport:
+    """Rows of drawn results: any check id and outcome, each witness and residual missing, zero or drawn."""
+    polys = st.none() | st.just(CharPoly()) | st.lists(_characters(), min_size=1, max_size=3).map(CharPoly)
+    weights = st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=3)
+    grid, rows = [], []
+    for summands in draw(st.lists(weights, min_size=1, max_size=3)):
+        b = EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands))
+        checks = draw(st.lists(st.sampled_from(ALL_CHECKS), max_size=3))
+        rows.append(tuple(CheckResult(cid, b, draw(st.booleans()), draw(polys), draw(polys)) for cid in checks))
+        grid.append(b)
+    return SweepReport(tuple(grid), tuple(rows))
+
+
+def _csv_writer_text(report: SweepReport) -> str:
+    """What ``csv.writer`` writes of the report's rows, each witness cell json.dumps of ``json_model``'s value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["r_P", "r_Q", "check_id", "passed", "witness"])
+    for b, row in zip(report.grid, report.results):
+        rp = ";".join(str(s.r_p) for s in b.summands)
+        rq = ";".join(str(s.r_q) for s in b.summands)
+        for r in row:
+            payload = r.witness if r.witness is not None else r.residual
+            cell = "" if payload is None else json.dumps(json_model.poly(payload), separators=(",", ":"))
+            writer.writerow([rp, rq, r.check_id, "true" if r.passed else "false", cell])
+    return buf.getvalue()
+
+
+class TestCsvText:
+    """The CSV report is what ``csv.writer`` writes of the same rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_reports())
+    def test_equals_csv_writer(self, report):
+        # Failing and passing checks; witnesses and residuals missing, zero, or with runs longer
+        # than a writer piece; bundles of several summands with negative weights.
+        assert report.to_csv() == _csv_writer_text(report)
 
 
 class TestEqualityRegion:

@@ -12,7 +12,8 @@ never edited.  It then runs ``python -m pytest -x -q`` on the copy, first
 on the test files that cover the mutated module (:data:`COVERING`), and on
 the whole suite only if those pass.  A mutant is killed when pytest fails,
 and survives when the whole suite passes, so the first stage changes how
-soon a verdict comes, never which.
+soon a verdict comes, never which.  Two mutants run at a time, each in its
+own copy, and the report lists them in table order.
 
 Equivalent mutants change no behaviour any input can show, so no test can
 kill them; they carry the reason, are run like the others, and are
@@ -32,11 +33,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 900
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -119,8 +122,22 @@ MUTANTS = [
         "min(start + _RUN_CHUNK, hi)",
         "min(start + _RUN_CHUNK + 1, hi)",
     ),
-    # The CSV witness cell is compact JSON, written run by run.
-    Mutant("csv-cell-separator", "verify.py", """f'":{q},"'""", """f'": {q},"'"""),
+    # The CSV witness cell is compact JSON, written run by run, quoted with its quotes doubled;
+    # a zero witness is a bare [] and a missing one an empty cell.
+    Mutant("csv-cell-separator", "verify.py", """f'"":{q},""'""", """f'"": {q},""'"""),
+    Mutant(
+        "csv-quotes-not-doubled",
+        "verify.py",
+        """'""' + f'"":{q},""'.join(map(str, range(lo, hi))) + f'"":{q}'""",
+        """'"' + f'":{q},"'.join(map(str, range(lo, hi))) + f'":{q}'""",
+    ),
+    Mutant(
+        "csv-zero-witness-quoted",
+        "verify.py",
+        'return "" if poly is None else "[]"',
+        """return "" if poly is None else '"[]"'""",
+    ),
+    Mutant("csv-missing-witness-as-zero", "verify.py", 'return "" if poly is None else "[]"', 'return "[]"'),
     # A failed write to stdout exits 2.
     Mutant("output-not-flushed", "cli.py", "            fh.flush()\n", "            pass\n"),
     Mutant(
@@ -306,8 +323,12 @@ def _pytest(work: Path, files: list[str]) -> tuple[bool, str]:
     return proc.returncode != 0, failed[0] if failed else last
 
 
-def _killed(mutant: Mutant) -> tuple[bool, str]:
-    """Whether the tests fail with ``mutant`` applied: its covering files first, then the whole suite."""
+def _killed(mutant: Mutant) -> tuple[bool, str, float]:
+    """Whether the tests fail with ``mutant`` applied, the first failing test's line, and the seconds taken.
+
+    The covering files run first, then the whole suite if they pass.
+    """
+    start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
         for tree in ("src", "tests", "perfbench"):
@@ -315,7 +336,9 @@ def _killed(mutant: Mutant) -> tuple[bool, str]:
         shutil.copy(ROOT / "pyproject.toml", work)
         (work / "src" / "cutchar" / mutant.path).write_text(_mutated(mutant), encoding="utf-8")
         killed, detail = _pytest(work, [f"tests/{name}" for name in COVERING[mutant.path]])
-        return (killed, detail) if killed else _pytest(work, [])
+        if not killed:
+            killed, detail = _pytest(work, [])
+    return killed, detail, time.monotonic() - start
 
 
 def main(names: list[str]) -> int:
@@ -331,16 +354,16 @@ def main(names: list[str]) -> int:
         print(exc, file=sys.stderr)
         return 2
     unexpected = []
-    for m in chosen:
-        start = time.monotonic()
-        killed, detail = _killed(m)
-        if killed:
-            outcome = "KILLED (equivalent?)" if m.equivalent else "killed"
-        else:
-            outcome = "survived (equivalent)" if m.equivalent else "SURVIVED"
-        if killed == bool(m.equivalent):
-            unexpected.append(m.name)
-        print(f"{outcome:22} {m.name:36} {time.monotonic() - start:6.1f} s  {detail}", flush=True)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        # map hands back the outcomes in table order, each as soon as it and those before it are in.
+        for m, (killed, detail, seconds) in zip(chosen, pool.map(_killed, chosen)):
+            if killed:
+                outcome = "KILLED (equivalent?)" if m.equivalent else "killed"
+            else:
+                outcome = "survived (equivalent)" if m.equivalent else "SURVIVED"
+            if killed == bool(m.equivalent):
+                unexpected.append(m.name)
+            print(f"{outcome:22} {m.name:36} {seconds:6.1f} s  {detail}", flush=True)
     equivalent = [m for m in chosen if m.equivalent]
     print(f"\n{len(chosen)} mutants, {len(unexpected)} unexpected outcomes")
     for m in equivalent:
