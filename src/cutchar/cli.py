@@ -38,7 +38,7 @@ import time
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .geometry import _WEIGHT, EquivBundleCP1, cohomology, cut, mcut_cohomology
+from .geometry import EquivBundleCP1, _parse_weight, cohomology, cut, mcut_cohomology
 from .verify import ALL_CHECKS, SweepReport, _normalize_checks, _write_json, equality_region, grid_bundles, sweep
 
 __all__ = ["main", "console_main", "RunConfig"]
@@ -59,10 +59,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     head, sep, tail = text.partition("..")
     if not sep:
         raise _UsageError(f"bad range {text!r}: expected A..B")
-    # The bundle weight grammar; int() alone would also take "1_0", " +0", "01", "-0" and "٠".
-    if not (_WEIGHT.fullmatch(head) and _WEIGHT.fullmatch(tail)):
-        raise _UsageError(f"bad range {text!r}: endpoints must match {_WEIGHT.pattern}")
-    lo, hi = int(head), int(tail)
+    try:
+        lo, hi = _parse_weight(head, "endpoints"), _parse_weight(tail, "endpoints")
+    except ValueError as exc:
+        raise _UsageError(f"bad range {text!r}: {exc}") from None
     if lo > hi:
         raise _UsageError(f"bad range {text!r}: {lo} > {hi}")
     return lo, hi

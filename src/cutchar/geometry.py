@@ -24,6 +24,7 @@ invariant section through the node (r_P >= 0 or r_Q <= 0) and 0 otherwise.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .characters import ZERO, Character, CharPoly
@@ -42,6 +43,21 @@ __all__ = [
 
 # The decimal form str() writes, so every accepted weight writes back as itself.
 _WEIGHT = re.compile("0|-?[1-9][0-9]*")
+
+
+def _parse_weight(text: str, what: str) -> int:
+    """The int that ``text`` spells as str() writes it, :data:`_WEIGHT`; else a ValueError about ``what``.
+
+    int() alone would also take "1_0", "+3", " 3", "03", "-0" and non-ASCII
+    digits, and it refuses a literal of more digits than the interpreter's
+    limit (4300 by default) with a message about Python's own settings.
+    """
+    if not _WEIGHT.fullmatch(text):
+        raise ValueError(f"{what} must match {_WEIGHT.pattern}")
+    try:
+        return int(text)
+    except ValueError:  # the grammar matched, so only the digit limit refuses it
+        raise ValueError(f"{what} must have at most {sys.get_int_max_str_digits()} digits") from None
 
 
 class MalformedCut(ValueError):
@@ -99,10 +115,10 @@ class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeight
             head, sep, tail = piece.partition(":")
             if not sep:
                 raise ValueError(f"bad summand {piece!r}: expected rP:rQ")
-            # int() alone would also take "1_0", "+3", " 3", "03", "-0" and non-ASCII digits.
-            if not (_WEIGHT.fullmatch(head) and _WEIGHT.fullmatch(tail)):
-                raise ValueError(f"bad summand {piece!r}: weights must match {_WEIGHT.pattern}")
-            summands.append(LineWeights(int(head), int(tail)))
+            try:
+                summands.append(LineWeights(_parse_weight(head, "weights"), _parse_weight(tail, "weights")))
+            except ValueError as exc:
+                raise ValueError(f"bad summand {piece!r}: {exc}") from None
         return cls(tuple(summands))
 
     def literal(self) -> str:

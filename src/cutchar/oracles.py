@@ -9,8 +9,8 @@ Three routes that share no code with the closed forms in :mod:`.geometry`:
   is built from once;
 * the same loop on the two cut pieces glued at the node: each side's Cech
   table, one loop per line over its own window, plus one node term per
-  summand pair from the rank of the matching condition at the node fiber,
-  returned with the two side tables; and
+  summand pair from the two sides' weight-0 blocks, returned with the two
+  side tables; and
 * the fixed-point localization formula: the two fixed-point terms over
   their common denominator, which is -u^(-1) (1 - u)^2, so the index is
   four monomials divided twice by 1 - u, each division reading the
@@ -28,9 +28,8 @@ chart-0 terms.  All cohomology in a fixed weight m sits inside the block
     C^0_m = span of the chart monomials of weight m   -->   C^1_m = Q z^(m - r_Q)
 
 with differential (s0, s1) |-> s0 - s1 on the overlap, so each block matrix
-has a single row with entries +1 (chart 0) and -1 (chart 1), and so has the
-node's matching condition.  One row is reduced exactly without elimination:
-its rank over Q is 1 unless it is zero, and its kernel is read off the row.
+has a single row with entries +1 (chart 0) and -1 (chart 1).  One row is
+reduced exactly without elimination: its rank over Q is 1 unless it is zero.
 """
 
 from __future__ import annotations
@@ -56,27 +55,6 @@ def _row_rank(row: Sequence[int]) -> tuple[int, int | None]:
             return 1, c
         c += 1
     return 0, None
-
-
-def _row_kernel(row: Sequence[int]) -> list[tuple[int, ...]]:
-    """Integer basis of the kernel of the one-row matrix ``row``, one vector per free column.
-
-    Free column f gives |p| e_f - sign(p) a_f e_pivot, for the pivot entry p
-    and the entry a_f at f; a zero row gives the unit vectors.
-    """
-    _, pivot = _row_rank(row)
-    n = len(row)
-    if pivot is None:
-        return [tuple(int(i == f) for i in range(n)) for f in range(n)]
-    p = row[pivot]
-    basis = []
-    for f in range(n):
-        if f != pivot:
-            v = [0] * n
-            v[f] = abs(p)
-            v[pivot] = -row[f] if p > 0 else row[f]
-            basis.append(tuple(v))
-    return basis
 
 
 def _block(line: LineWeights, m: int) -> list[int]:
@@ -134,15 +112,6 @@ def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
     return _table([summand])
 
 
-def _node_values(line: LineWeights, node_chart: int) -> list[int]:
-    """The weight-0 kernel basis of the line, each vector read at the node's column.
-
-    The node column is the block's first for chart 0 and its last for chart 1.
-    """
-    col = 0 if node_chart == 0 else -1
-    return [v[col] for v in _row_kernel(_block(line, 0))]
-
-
 def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
     """Cohomology of the two cut pieces glued at the node, from first principles.
 
@@ -155,10 +124,15 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, Coho
 
     gives each side's Cech table, from one loop per line over its own
     window, plus one node term per summand pair: -rank in H^0 and 1 - rank
-    in H^1 at weight 0, where rank is that of the joint evaluation map.
-    Off weight 0 the fiber and the evaluation map are zero.  Returns
-    ``(glued, plus, minus)``: the glued table, then the two sides' own Cech
-    tables it was glued from.
+    in H^1 at weight 0, where rank is that of the joint evaluation map onto
+    the pair's one-dimensional fiber.  Off weight 0 the fiber and the
+    evaluation map are zero.  Each side's weight-0 dimension is read from
+    its weight-0 block as the Cech loop reads any block, columns - rank.
+    That block's row is [1, -1] or a single +-1, so every weight-0 section
+    is a multiple of (1, 1), which is 1 at the node whichever chart holds
+    it: the map has rank 1 exactly when some side has such a section.
+    Returns ``(glued, plus, minus)``: the glued table, then the two sides'
+    own Cech tables it was glued from.
 
     >>> from .geometry import cut, EquivBundleCP1
     >>> glued, plus, minus = cech_cohomology_nodal(cut(EquivBundleCP1.parse("2:2")))
@@ -171,8 +145,8 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, Coho
     minus = _table(cutd.minus.summands)
     node_h0 = node_h1 = 0
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
-        evals = _node_values(ps, 0) + [-x for x in _node_values(ms, 1)]
-        rank, _ = _row_rank(evals)
+        d_plus, d_minus = (len(row) - _row_rank(row)[0] for row in (_block(ps, 0), _block(ms, 0)))
+        rank = 1 if d_plus + d_minus > 0 else 0
         node_h0 -= rank
         node_h1 += 1 - rank
     glued = CohomologyTable(

@@ -108,8 +108,11 @@ def _write_json(value, write, pad: str = "") -> None:
     if isinstance(value, str):
         write(_quote(value))
         return
-    if value is None or isinstance(value, int):  # bools too
-        write(json.dumps(value))
+    if value is None or value is True or value is False:
+        write("null" if value is None else "true" if value else "false")
+        return
+    if isinstance(value, int):
+        write(int.__repr__(value))  # as json.dumps spells it, for an int subclass too
         return
     if type(value) is CharPoly:
         brackets, members = "[]", [("", c) for c in value.coeffs]

@@ -28,7 +28,7 @@ from cutchar import (
 )
 from cutchar.cli import _build_parser, _scan, _timestamp, main
 from cutchar.verify import ALL_CHECKS, _REGISTRY, equality_region, grid_bundles, sweep
-from test_golden import GOLDEN
+from test_golden import GOLDEN, LONG
 import json_model
 
 
@@ -934,6 +934,13 @@ class TestFuzzMain:
     @example((["sweep", "--config", "@config@"], b"\xff\xfe"), None)
     @example((["sweep", "--config", "@config@"], b"[" * 100000 + b"]" * 100000), None)
     @example((["sweep", "--config", "a\0b"], None), None)
+    # Weights of more digits than int() converts by default, as a bundle, a range flag and a config range.
+    @example((["verify", f"{LONG}:0"], None), None)
+    @example((["sweep", "--rp-range", f"0..{LONG}", "--rq-range", "0..0"], None), None)
+    @example(
+        (["sweep", "--config", "@config@"], b'{"grid": {"rp_range": "0..%s", "rq_range": "0..0"}}' % LONG.encode()),
+        None,
+    )
     @given(cli_runs(), st.none() | st.sampled_from(ALL_CHECKS))
     def test_exit_status_contract(self, run, broken):
         argv, config = run

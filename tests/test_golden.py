@@ -9,8 +9,9 @@ the code does.  A row that changes is a behaviour change, to be recorded in
 
 ``{tmp}`` in an argv, in a config below or in stderr stands for the test's
 temporary directory.  The configs are written there before each row, and a
-command's output file goes to ``{tmp}/out/``.  A generation time written by
-``--timestamps`` is masked before hashing, keeping its length.
+command's output file goes to ``{tmp}/out/``.  ``{long}`` in an argv or in
+stderr stands for :data:`LONG`, a 5000-digit weight.  A generation time
+written by ``--timestamps`` is masked before hashing, keeping its length.
 
 ``python3 tools/golden.py`` prints the table from the current code.  To add
 a row, add its argv with any placeholder values and regenerate.
@@ -30,6 +31,9 @@ import pytest
 from cutchar.cli import main
 
 TMP = "{tmp}"
+
+#: A canonical weight literal of more digits than int() converts by default (4300).
+LONG, LONG_MARK = "1" * 5000, "{long}"
 
 _STAMP = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
@@ -57,6 +61,7 @@ CONFIGS = {
         "output": {"path": f"{TMP}/out/report.md", "format": "md"},
     },
     "nul-output.json": {"bundles": ["1:-1"], "output": {"path": "a\u0000b"}},
+    "long-range.json": {"grid": {"rp_range": f"0..{LONG}", "rq_range": "0..0"}},
 }
 
 
@@ -73,13 +78,14 @@ def run(argv: list[str], tmp) -> tuple:
     # argparse wraps its usage lines to the terminal width, read from COLUMNS first.
     with redirect_stdout(stdout), redirect_stderr(stderr), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
-            status = main([arg.replace(TMP, str(tmp)) for arg in argv])
+            status = main([arg.replace(TMP, str(tmp)).replace(LONG_MARK, LONG) for arg in argv])
         except SystemExit as exc:
             status = exc.code
     written = list((tmp / "out").iterdir())
     assert len(written) <= 1, written
     out = _digest(written[0].read_bytes()) if written else None
-    return argv, status, stderr.getvalue().replace(str(tmp), TMP), _digest(stdout.getvalue().encode()), out
+    stderr = stderr.getvalue().replace(str(tmp), TMP).replace(LONG, LONG_MARK)
+    return argv, status, stderr, _digest(stdout.getvalue().encode()), out
 
 
 # (argv, exit status, stderr, (stdout length, stdout SHA-256), the same for the output file or None)
@@ -424,6 +430,27 @@ GOLDEN = [
         ["sweep", "--rp-range", "00..1", "--rq-range", "0..0"],
         2,
         "error: bad range '00..1': endpoints must match 0|-?[1-9][0-9]*\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["verify", "{long}:0"],
+        2,
+        "error: bad summand '{long}:0': weights must have at most 4300 digits\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["sweep", "--rp-range", "0..{long}", "--rq-range", "0..0"],
+        2,
+        "error: bad range '0..{long}': endpoints must have at most 4300 digits\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["sweep", "--config", "{tmp}/long-range.json"],
+        2,
+        "error: bad range '0..{long}': endpoints must have at most 4300 digits\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),
