@@ -26,17 +26,20 @@ output, runs the work, writes the result through :func:`_write` and picks
 the exit status.  JSON goes through the one writer in :mod:`cutchar.verify`,
 which takes the characters and check results as they are and hands the
 output its pieces as it makes them.
+
+Every command runs in its own process, so start-up loads only what a plain
+command uses: no ``typing``, ``re``, ``json`` or ``contextlib``.  The records
+are ``collections.namedtuple`` subclasses, :meth:`RunConfig.load` imports
+``json`` to read a config, and :func:`_build_parser` imports argparse, and
+with it ``re``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import re
 import sys
 import time
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .geometry import EquivBundleCP1, _parse_weight, cohomology, cut, mcut_cohomology
 from .verify import ALL_CHECKS, SweepReport, _normalize_checks, _write_json, equality_region, grid_bundles, sweep
@@ -90,7 +93,7 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-class RunConfig(NamedTuple):
+class RunConfig(namedtuple("RunConfig", "bundles grid checks fail_fast out fmt", defaults=(None,) * 6)):
     """Settings loadable from a JSON file, overridable by flags.
 
     The file holds exactly one bundle source, either
@@ -100,15 +103,12 @@ class RunConfig(NamedTuple):
     (bool) and ``"output"`` ({"path": ..., "format": ...}).
     """
 
-    bundles: tuple[EquivBundleCP1, ...] | None = None
-    grid: tuple[tuple[int, int], tuple[int, int]] | None = None
-    checks: tuple[str, ...] | None = None
-    fail_fast: bool | None = None
-    out: str | None = None
-    fmt: str | None = None
+    __slots__ = ()
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
+        import json
+
         try:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -128,76 +128,51 @@ class RunConfig(NamedTuple):
             raise _UsageError(f"config {path!r} has unknown keys: {', '.join(sorted(unknown))}")
         if ("bundles" in obj) == ("grid" in obj):
             raise _UsageError(f"config {path!r} must set exactly one of bundles, grid")
-        bundles = grid = None
-        if "bundles" in obj:
-            lits = obj["bundles"]
-            if not _is_str_list(lits) or not lits:
-                raise _UsageError(f"config {path!r}: bundles must be a nonempty list of strings")
-            bundles = tuple(_parse_bundle(lit) for lit in lits)
-        else:
-            g = obj["grid"]
-            if not isinstance(g, dict) or set(g) != {"rp_range", "rq_range"}:
-                raise _UsageError(f"config {path!r}: grid must have keys rp_range, rq_range")
-            if not all(isinstance(v, str) for v in g.values()):
-                raise _UsageError(f"config {path!r}: grid ranges must be strings A..B")
-            grid = (_parse_range(g["rp_range"]), _parse_range(g["rq_range"]))
-        checks = None
-        if "checks" in obj:
-            ids = obj["checks"]
-            if not _is_str_list(ids):
-                raise _UsageError(f"config {path!r}: checks must be a list of ids")
-            if not ids:
-                raise _UsageError(f"config {path!r}: {_NO_CHECKS}")
-            # One id per entry: no "all" and no comma-separated lists here.
-            try:
-                checks = _normalize_checks(ids)
-            except ValueError as exc:
-                raise _UsageError(f"config {path!r}: {exc}") from None
+        bundles = grid = checks = out = fmt = None
         fail_fast = obj.get("fail_fast")
-        if fail_fast is not None and type(fail_fast) is not bool:
-            raise _UsageError(f"config {path!r}: fail_fast must be a boolean")
-        out = fmt = None
-        if "output" in obj:
-            output = obj["output"]
-            if not isinstance(output, dict) or not set(output) <= {"path", "format"}:
-                raise _UsageError(f"config {path!r}: output takes keys path, format")
-            out = output.get("path")
-            fmt = output.get("format")
-            if out is not None and not isinstance(out, str):
-                raise _UsageError(f"config {path!r}: output path must be a string")
-            if fmt is not None and fmt not in _FORMATS:
-                raise _UsageError(f"config {path!r}: format must be json, csv or md")
+        try:
+            if "bundles" in obj:
+                lits = obj["bundles"]
+                if not _is_str_list(lits) or not lits:
+                    raise _UsageError("bundles must be a nonempty list of strings")
+                bundles = tuple(_parse_bundle(lit) for lit in lits)
+            else:
+                g = obj["grid"]
+                if not isinstance(g, dict) or set(g) != {"rp_range", "rq_range"}:
+                    raise _UsageError("grid must have keys rp_range, rq_range")
+                if not all(isinstance(v, str) for v in g.values()):
+                    raise _UsageError("grid ranges must be strings A..B")
+                grid = (_parse_range(g["rp_range"]), _parse_range(g["rq_range"]))
+            if "checks" in obj:
+                ids = obj["checks"]
+                if not _is_str_list(ids):
+                    raise _UsageError("checks must be a list of ids")
+                if not ids:
+                    raise _UsageError(_NO_CHECKS)
+                # One id per entry: no "all" and no comma-separated lists here.
+                try:
+                    checks = _normalize_checks(ids)
+                except ValueError as exc:
+                    raise _UsageError(str(exc)) from None
+            if fail_fast is not None and type(fail_fast) is not bool:
+                raise _UsageError("fail_fast must be a boolean")
+            if "output" in obj:
+                output = obj["output"]
+                if not isinstance(output, dict) or not set(output) <= {"path", "format"}:
+                    raise _UsageError("output takes keys path, format")
+                out = output.get("path")
+                fmt = output.get("format")
+                if out is not None and not isinstance(out, str):
+                    raise _UsageError("output path must be a string")
+                if fmt is not None and fmt not in _FORMATS:
+                    raise _UsageError("format must be json, csv or md")
+        except _UsageError as exc:  # every error past the object's keys names the config
+            raise _UsageError(f"config {path!r}: {exc}") from None
         return cls(bundles, grid, checks, fail_fast, out, fmt)
 
 
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-@contextlib.contextmanager
-def _destination(out: str | None):
-    """Where a command writes: stdout, or the file ``out``.
-
-    :func:`main` enters this after a command has parsed its input and before
-    its work, so an unwritable path costs no work and a bad input leaves the
-    file untouched.
-    A failed write to either exits 2, as an input error does: exit 1 means only a failed check.
-    """
-    if out is None:
-        dest, where = contextlib.nullcontext(sys.stdout), "stdout"
-    else:
-        try:
-            dest, where = open(out, "w", encoding="utf-8"), repr(out)
-        except (OSError, ValueError) as exc:
-            # ValueError: a path holding a NUL or a lone surrogate, as a
-            # config's output path can.
-            raise _UsageError(f"cannot write {out!r}: {exc}") from None
-    try:
-        with dest as fh:
-            yield fh
-            fh.flush()
-    except OSError as exc:  # the work itself does no I/O
-        raise _UsageError(f"cannot write {where}: {exc}") from None
 
 
 def _table(table, **head) -> dict:
@@ -334,13 +309,10 @@ _COMMANDS = {
     ),
 }
 
-# Bundle literals like -3:0 and ranges like -1..1 begin with a dash; a token
-# that starts with a negative weight is a value, never an option.
-_NEGATIVE = re.compile(r"^-\d")
-
-
 def _is_value(token: str) -> bool:
-    return token[:1] != "-" or _NEGATIVE.match(token) is not None
+    # Bundle literals like -3:0 and ranges like -1..1 begin with a dash; a token that starts
+    # with a negative weight is a value, never an option: argparse's ^-\d, with \d any decimal digit.
+    return token[:1] != "-" or token[1:2].isdecimal()
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
@@ -393,13 +365,16 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
 def _build_parser():
     """The argparse parser of every command; :func:`main` builds it only for what :func:`_scan` refuses."""
     import argparse
+    import re
+
+    negative = re.compile(r"^-\d")
 
     class _Parser(argparse.ArgumentParser):
-        """Parser that reads a token led by a negative weight as a value, as :func:`_scan` does."""
+        """Parser that reads a token led by a negative weight as a value, as :func:`_is_value` does."""
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self._negative_number_matcher = _NEGATIVE
+            self._negative_number_matcher = negative
 
     parser = _Parser(
         prog="cutchar",
@@ -419,9 +394,23 @@ def main(argv=None) -> int:
     args = _scan(argv) or _build_parser().parse_args(argv)
     try:
         out, fmt, work = _COMMANDS[args.command][1](args)
-        with _destination(out) as dest:
-            result = work()
-            _write(result, fmt, args.timestamps, dest)
+        # The output opens after the command has parsed its input and before its work, so an
+        # unwritable path costs no work and a bad input leaves the file untouched.  A failed
+        # write exits 2, as an input error does: exit 1 means only a failed check.
+        try:
+            dest = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL or a lone surrogate
+            raise _UsageError(f"cannot write {out!r}: {exc}") from None
+        try:
+            try:
+                result = work()
+                _write(result, fmt, args.timestamps, dest)
+                dest.flush()
+            finally:
+                if out is not None:
+                    dest.close()
+        except OSError as exc:  # the work itself does no I/O
+            raise _UsageError(f"cannot write {'stdout' if out is None else repr(out)}: {exc}") from None
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

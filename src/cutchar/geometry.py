@@ -23,9 +23,8 @@ invariant section through the node (r_P >= 0 or r_Q <= 0) and 0 otherwise.
 
 from __future__ import annotations
 
-import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .characters import ZERO, Character, CharPoly
 
@@ -42,7 +41,7 @@ __all__ = [
 
 
 # The decimal form str() writes, so every accepted weight writes back as itself.
-_WEIGHT = re.compile("0|-?[1-9][0-9]*")
+_WEIGHT = "0|-?[1-9][0-9]*"
 
 
 def _parse_weight(text: str, what: str) -> int:
@@ -52,8 +51,9 @@ def _parse_weight(text: str, what: str) -> int:
     digits, and it refuses a literal of more digits than the interpreter's
     limit (4300 by default) with a message about Python's own settings.
     """
-    if not _WEIGHT.fullmatch(text):
-        raise ValueError(f"{what} must match {_WEIGHT.pattern}")
+    digits = text[1:] if text[:1] == "-" else text
+    if text != "0" and not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+        raise ValueError(f"{what} must match {_WEIGHT}")
     try:
         return int(text)
     except ValueError:  # the grammar matched, so only the digit limit refuses it
@@ -64,18 +64,17 @@ class MalformedCut(ValueError):
     """The pieces handed to the cut-space computation are inconsistent."""
 
 
-class LineWeights(NamedTuple):
+class LineWeights(namedtuple("LineWeights", "r_p r_q")):
     """Fixed-point weights (r_P, r_Q) of one equivariant line summand."""
 
-    r_p: int
-    r_q: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         return self.r_p - self.r_q
 
 
-class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeights, ...])])):
+class EquivBundleCP1(namedtuple("EquivBundleCP1", "summands")):
     """Formal direct sum of equivariant line bundles on CP^1.
 
     The literal form is comma-separated ``rP:rQ`` pairs, e.g. ``"1:-1,2:2"``.
@@ -98,7 +97,7 @@ class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeight
                 raise ValueError(f"summand {s!r} is not a LineWeights")
         return super().__new__(cls, summands)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's own skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__
 
     @property
     def rank(self) -> int:
@@ -125,11 +124,10 @@ class EquivBundleCP1(NamedTuple("EquivBundleCP1", [("summands", tuple[LineWeight
         return ",".join(f"{s.r_p}:{s.r_q}" for s in self.summands)
 
 
-class CohomologyTable(NamedTuple):
+class CohomologyTable(namedtuple("CohomologyTable", "h0 h1")):
     """Characters of H^0 and H^1 (all higher groups vanish on a curve)."""
 
-    h0: Character
-    h1: Character
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -145,7 +143,7 @@ class CohomologyTable(NamedTuple):
         return self.h0 - self.h1
 
 
-class CutDecomposition(NamedTuple("CutDecomposition", [("plus", EquivBundleCP1), ("minus", EquivBundleCP1)])):
+class CutDecomposition(namedtuple("CutDecomposition", "plus minus")):
     """The two sides of the level-zero cut, paired summand by summand.
 
     Raises :class:`MalformedCut` when built, also by ``_replace`` or
@@ -166,7 +164,7 @@ class CutDecomposition(NamedTuple("CutDecomposition", [("plus", EquivBundleCP1),
                 raise MalformedCut(f"minus-side node weight must be 0, got {s.r_p}")
         return super().__new__(cls, plus, minus)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # NamedTuple's own skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's own skips __new__
 
     @property
     def red_dims(self) -> tuple[int, int]:

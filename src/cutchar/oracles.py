@@ -34,7 +34,7 @@ reduced exactly without elimination: its rank over Q is 1 unless it is zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .characters import Character
 from .geometry import CohomologyTable, CutDecomposition, LineWeights
@@ -47,14 +47,9 @@ __all__ = [
 ]
 
 
-def _row_rank(row: Sequence[int]) -> tuple[int, int | None]:
-    """``(1, first nonzero column)`` for a nonzero one-row matrix, ``(0, None)`` for a zero one."""
-    c = 0
-    for a in row:
-        if a:
-            return 1, c
-        c += 1
-    return 0, None
+def _row_rank(row: Sequence[int]) -> int:
+    """The rank of a one-row matrix: 1 if the row is nonzero, else 0."""
+    return 1 if any(row) else 0
 
 
 def _block(line: LineWeights, m: int) -> list[int]:
@@ -88,7 +83,7 @@ def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
         prev0 = prev1 = 0
         for m in range(min(r_p, r_q) - 1, max(r_p, r_q) + 2):
             row = _block(line, m)
-            rank = _row_rank(row)[0]
+            rank = _row_rank(row)
             n0, n1 = len(row) - rank, 1 - rank
             if n0 != prev0:
                 h0[m] = h0.get(m, 0) + n0 - prev0
@@ -145,7 +140,7 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, Coho
     minus = _table(cutd.minus.summands)
     node_h0 = node_h1 = 0
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
-        d_plus, d_minus = (len(row) - _row_rank(row)[0] for row in (_block(ps, 0), _block(ms, 0)))
+        d_plus, d_minus = (len(row) - _row_rank(row) for row in (_block(ps, 0), _block(ms, 0)))
         rank = 1 if d_plus + d_minus > 0 else 0
         node_h0 -= rank
         node_h1 += 1 - rank

@@ -31,21 +31,12 @@ result.
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii as _quote
+from collections import namedtuple
 from io import StringIO
-from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple
 
 from .characters import ZERO, Character, CharPoly, NotDivisible, _runs, morse_quotient
-from .geometry import (
-    CohomologyTable,
-    CutDecomposition,
-    EquivBundleCP1,
-    LineWeights,
-    cohomology,
-    cut,
-    mcut_cohomology,
-)
+from .geometry import EquivBundleCP1, LineWeights, cohomology, cut, mcut_cohomology
 from .oracles import cech_cohomology_nodal, cech_cohomology_p1, localization_index
 
 __all__ = [
@@ -60,7 +51,7 @@ __all__ = [
 ]
 
 
-class CheckResult(NamedTuple):
+class CheckResult(namedtuple("CheckResult", "check_id bundle passed witness residual", defaults=(None, None))):
     """Outcome of one check on one bundle.
 
     ``witness`` is the certificate a passing inequality produces (the Morse
@@ -70,11 +61,7 @@ class CheckResult(NamedTuple):
     two routes disagree) and holds the difference.
     """
 
-    check_id: str
-    bundle: EquivBundleCP1
-    passed: bool
-    witness: CharPoly | None = None
-    residual: CharPoly | None = None
+    __slots__ = ()
 
 
 #: The most terms of one run that the JSON writer puts in one piece, so that
@@ -172,21 +159,15 @@ def _morse_check(check_id: str, bundle: EquivBundleCP1, lhs: CharPoly, rhs: Char
     return CheckResult(check_id, bundle, q.is_nonneg(), witness=q)
 
 
-class _BundlePass(NamedTuple):
-    """The closed forms of one bundle, shared by all of its checks."""
+class _BundlePass(namedtuple("_BundlePass", "bundle m plus minus cut_space cutd sides m_euler cut_euler m_index")):
+    """The closed forms of one bundle, shared by all of its checks.
 
-    bundle: EquivBundleCP1
-    m: CohomologyTable
-    plus: CohomologyTable
-    minus: CohomologyTable
-    cut_space: CohomologyTable
-    cutd: CutDecomposition
-    #: euler(plus) + euler(minus) + t * rank * u^0, the left side of morse and mv.
-    sides: CharPoly
-    #: euler(M), euler(cut) and index(M), which several checks read.
-    m_euler: CharPoly
-    cut_euler: CharPoly
-    m_index: Character
+    ``sides`` is euler(plus) + euler(minus) + t * rank * u^0, the left side
+    of morse and mv; ``m_euler``, ``cut_euler`` and ``m_index`` are
+    euler(M), euler(cut) and index(M), which several checks read.
+    """
+
+    __slots__ = ()
 
 
 def _tables(bundle: EquivBundleCP1) -> _BundlePass:
@@ -302,7 +283,7 @@ def run_check(check_id: str, bundle: EquivBundleCP1) -> CheckResult:
     return sweep([bundle], (check_id,)).results[0][0]
 
 
-class SweepReport(NamedTuple):
+class SweepReport(namedtuple("SweepReport", "grid results morse_checks region", defaults=((), False))):
     """All check results over a grid of bundles, plus derived views.
 
     ``results[i]`` are the results for ``grid[i]`` in registry order.
@@ -311,10 +292,7 @@ class SweepReport(NamedTuple):
     set only by :func:`equality_region`.  Everything else is derived.
     """
 
-    grid: tuple[EquivBundleCP1, ...]
-    results: tuple[tuple[CheckResult, ...], ...]
-    morse_checks: tuple[str, ...] = ()
-    region: bool = False
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -355,6 +333,8 @@ class SweepReport(NamedTuple):
 
     def to_json_obj(self) -> dict:
         """The report's JSON text read back, as plain dicts and lists."""
+        import json
+
         return json.loads(self.to_json_text())
 
     def _json_members(self) -> dict:

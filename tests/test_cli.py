@@ -26,7 +26,8 @@ from cutchar import (
     cut,
     mcut_cohomology,
 )
-from cutchar.cli import _build_parser, _scan, _timestamp, main
+from cutchar.cli import _build_parser, _is_value, _scan, _timestamp, main
+from cutchar.geometry import _WEIGHT, _parse_weight
 from cutchar.verify import ALL_CHECKS, _REGISTRY, equality_region, grid_bundles, sweep
 from test_golden import GOLDEN, LONG
 import json_model
@@ -578,6 +579,36 @@ class TestScan:
             status = exc.code
         assert status == 2
         assert capsys.readouterr().err.count("error:") == 1
+
+
+# Text near the two string tests' edges: ASCII digits and signs, an Arabic-Indic three and a
+# superscript two (a decimal digit and a digit that is not decimal), and any character at all.
+_near_weights = st.text(st.sampled_from("0123456789-+_ \u0663\u00b2") | st.characters(), max_size=6)
+
+
+class TestStringTests:
+    """The weight grammar and the dash-led value test are string tests, pinned here to the regexes they replace."""
+
+    @settings(max_examples=400)
+    @example("\u0663")
+    @example("\u00b2")
+    @example("-\u0663")
+    @example("-\u00b2")
+    @example("-")
+    @example("-0")
+    @example("+3")
+    @example("1_0")
+    @example("")
+    @given(_near_weights | _near_weights.map("-".__add__))
+    def test_match_the_regexes(self, text):
+        try:
+            value = _parse_weight(text, "weights")
+        except ValueError as exc:
+            assert str(exc) == f"weights must match {_WEIGHT}"
+            assert not re.fullmatch(_WEIGHT, text)
+        else:
+            assert re.fullmatch(_WEIGHT, text) and value == int(text)
+        assert _is_value(text) == (text[:1] != "-" or re.match(r"^-\d", text) is not None)
 
 
 class TestRepeatedMain:

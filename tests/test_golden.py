@@ -62,6 +62,7 @@ CONFIGS = {
     },
     "nul-output.json": {"bundles": ["1:-1"], "output": {"path": "a\u0000b"}},
     "long-range.json": {"grid": {"rp_range": f"0..{LONG}", "rq_range": "0..0"}},
+    "bad-bundle.json": {"bundles": ["01:0"]},
 }
 
 
@@ -450,7 +451,14 @@ GOLDEN = [
     (
         ["sweep", "--config", "{tmp}/long-range.json"],
         2,
-        "error: bad range '0..{long}': endpoints must have at most 4300 digits\n",
+        "error: config '{tmp}/long-range.json': bad range '0..{long}': endpoints must have at most 4300 digits\n",
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        None,
+    ),
+    (
+        ["sweep", "--config", "{tmp}/bad-bundle.json"],
+        2,
+        "error: config '{tmp}/bad-bundle.json': bad summand '01:0': weights must match 0|-?[1-9][0-9]*\n",
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         None,
     ),

@@ -72,7 +72,7 @@ class TestCechLine:
         assert _block(line, -1) == []
         rows = _blocks_built(monkeypatch, line)
         assert set(rows) == set(range(-4, 2))
-        h1_dims = {m: 1 - _row_rank(row)[0] for m, row in rows.items()}
+        h1_dims = {m: 1 - _row_rank(row) for m, row in rows.items()}
         assert h1_dims[-1] == 1
         assert h1_dims[0] == 0
 
@@ -392,9 +392,7 @@ class TestIntegerArithmetic:
     def test_row_rank(self, row):
         # Every matrix the oracles reduce is one integer row: a weight
         # block's differential, the node term's two weight-0 blocks included.
-        rank, pivot = _row_rank(row)
-        assert rank == _rank_over_q([row], len(row))
-        assert pivot == next((c for c, a in enumerate(row) if a), None)
+        assert _row_rank(row) == _rank_over_q([row], len(row))
 
     @settings(max_examples=200)
     @given(laurent_polys())

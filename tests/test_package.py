@@ -23,25 +23,33 @@ def test_package_exports_each_modules_names_once():
 
 def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
     # Every CLI process pays for its imports; dataclasses pulls in inspect, and so ast, dis and
-    # tokenize; argparse's first message pulls in gettext and locale.  A plain command line is
-    # scanned without argparse, and CSV is laid out without the csv module.  -S keeps the site
-    # hook from importing any of these first.
+    # tokenize; argparse's first message pulls in gettext and locale; typing alone costs more than
+    # the whole package.  A plain command line is scanned without argparse or re, CSV is laid out
+    # without the csv module, and json is imported only to read a config.  -S keeps the site hook
+    # from importing any of these first, and the harness swaps sys.stdout itself, not through
+    # contextlib.
     src = Path(cutchar.__file__).resolve().parent.parent
     heavy = {"dataclasses", "inspect", "datetime", "argparse", "gettext", "locale", "csv"}
+    heavy |= {"re", "typing", "json", "contextlib", "enum", "functools"}
+    runs = [
+        ["cohomology", "0:0", "--out", str(tmp_path / "out.json")],
+        ["cut", "1:-1"],
+        *(["verify", "1:0", "--format", fmt] for fmt in ("json", "csv", "md")),
+        ["sweep", "--rp-range", "0..1", "--rq-range", "0..1"],
+        ["equality-region", "--rp-range", "0..1", "--rq-range", "0..1"],
+    ]
     code = (
-        "import contextlib, io, sys\n"
+        "import io, sys\n"
         "import cutchar.cli\n"
-        f"assert cutchar.cli.main(['cohomology', '0:0', '--out', {str(tmp_path / 'out.json')!r}]) == 0\n"
-        f"loaded = {sorted(heavy)!r}\n"
-        "print(sorted(set(loaded) & set(sys.modules)))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cutchar.cli.main(['verify', '1:0']) == 0\n"
-        "    assert cutchar.cli.main(['verify', '1:0', '--format', 'csv']) == 0\n"
-        "print(sorted(set(loaded) & set(sys.modules)))\n"
+        f"for argv in {runs!r}:\n"
+        "    stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    status = cutchar.cli.main(argv)\n"
+        "    sys.stdout = stdout\n"
+        f"    print(status, sorted({sorted(heavy)!r} & sys.modules.keys()))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n[]\n"
+    assert proc.stdout == "0 []\n" * len(runs)
     assert (tmp_path / "out.json").read_text(encoding="utf-8").startswith('{\n  "h0": {\n    "0": 1\n')
 
 
