@@ -23,11 +23,11 @@ def test_package_exports_each_modules_names_once():
 
 def test_cli_start_up_loads_no_heavy_stdlib_modules(tmp_path):
     # Every CLI process pays for its imports; dataclasses pulls in inspect, and so ast, dis and
-    # tokenize; argparse's first message pulls in gettext and locale; typing alone costs more than
-    # the whole package.  A plain command line is scanned without argparse or re, CSV is laid out
-    # without the csv module, and json is imported only to read a config.  -S keeps the site hook
-    # from importing any of these first, and the harness swaps sys.stdout itself, not through
-    # contextlib.
+    # tokenize; argparse's first message pulls in gettext and locale; typing and json load re, enum,
+    # functools and contextlib, which cost twice the rest of the package's start-up under -S.  A
+    # plain command line is scanned without argparse or re, CSV is laid out without the csv module,
+    # and json is imported only to read a config.  -S keeps the site hook from importing any of
+    # these first, and the harness swaps sys.stdout itself, not through contextlib.
     src = Path(cutchar.__file__).resolve().parent.parent
     heavy = {"dataclasses", "inspect", "datetime", "argparse", "gettext", "locale", "csv"}
     heavy |= {"re", "typing", "json", "contextlib", "enum", "functools"}

@@ -1,4 +1,4 @@
-"""The package's records are immutable NamedTuples: what that keeps and what it changes."""
+"""The package's records are immutable named tuples: what that keeps and what it changes."""
 
 import copy
 import pickle
