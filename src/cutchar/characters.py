@@ -375,7 +375,5 @@ def _is_factorization(p: CharPoly, r: CharPoly, q: CharPoly) -> bool:
     max(deg p, deg r, deg q + 1) both sides vanish, so comparing up to there
     proves the polynomial identity exactly.
     """
-    top = max(p.degree, r.degree, q.degree + 1)
-    return all(
-        p.coeff(m) == r.coeff(m) + q.coeff(m) + (q.coeff(m - 1) if m else ZERO) for m in range(top + 1)
-    )
+    columns = zip_longest(p._coeffs, r._coeffs, q._coeffs, (ZERO, *q._coeffs), fillvalue=ZERO)
+    return all(p_m == r_m + q_m + q_prev for p_m, r_m, q_m, q_prev in columns)

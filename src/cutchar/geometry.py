@@ -14,11 +14,11 @@ Cutting at the zero level of the moment map splits CP^1 into a plus side
 (containing P) and a minus side (containing Q), each again a projective
 line, glued along the reduced space at level zero, a point.  The fiber over
 that point carries weight 0, so each summand (r_P, r_Q) cuts to (r_P, 0) on
-the plus side and (0, r_Q) on the minus side.  The cut-space cohomology is
-computed from the Mayer-Vietoris sequence of the two sides meeting at the
-node; the only subtle term is the rank of the evaluation-difference map into
-the weight-zero node fiber, which is 1 exactly when either side has an
-invariant section through the node (r_P >= 0 or r_Q <= 0) and 0 otherwise.
+the plus side and (0, r_Q) on the minus side.  The cut space is the two
+whole sides glued at the node, so its cohomology is the Mayer-Vietoris
+sequence of the two sides' cohomology and one node term per summand pair:
+delta, the rank of the evaluation map into the pair's line of the node fiber.
+H^0 loses delta copies of u^0, and H^1 gains rank - delta of them.
 """
 
 from __future__ import annotations
@@ -172,12 +172,6 @@ class CutDecomposition(namedtuple("CutDecomposition", "plus minus")):
         return (self.plus.rank, 0)
 
 
-def _line_cohomology(s: LineWeights) -> CohomologyTable:
-    if s.r_q <= s.r_p:
-        return CohomologyTable(Character.span(s.r_q, s.r_p), ZERO)
-    return CohomologyTable(ZERO, Character.span(s.r_p + 1, s.r_q - 1))
-
-
 def cohomology(bundle: EquivBundleCP1) -> CohomologyTable:
     """Characters of H^0 and H^1 of the bundle, by the closed form.
 
@@ -190,9 +184,10 @@ def cohomology(bundle: EquivBundleCP1) -> CohomologyTable:
     h0 = ZERO
     h1 = ZERO
     for s in bundle.summands:
-        table = _line_cohomology(s)
-        h0 += table.h0
-        h1 += table.h1
+        if s.r_q <= s.r_p:
+            h0 += Character.span(s.r_q, s.r_p)
+        else:
+            h1 += Character.span(s.r_p + 1, s.r_q - 1)
     return CohomologyTable(h0, h1)
 
 
@@ -208,20 +203,14 @@ def cut(bundle: EquivBundleCP1) -> CutDecomposition:
     return CutDecomposition(plus, minus)
 
 
-def _node_rank(plus: LineWeights, minus: LineWeights) -> int:
-    # Weight-zero sections through the node: the plus side has one iff its
-    # section range [0, r_p] contains 0, the minus side iff [r_q, 0] does.
-    return 1 if plus.r_p >= 0 or minus.r_q <= 0 else 0
-
-
 def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
-    """Cohomology of the cut space from its two sides via Mayer-Vietoris.
+    """Cohomology of the cut space, glued from its two whole sides via Mayer-Vietoris.
 
-    For each matched pair of summands, with delta the rank of the joint
-    evaluation map at the node (weight zero):
+    With delta the rank of the joint evaluation map from both sides'
+    sections onto the node fiber, rank lines of weight zero:
 
         h0(cut) = h0(plus) + h0(minus) - delta * u^0
-        h1(cut) = h1(plus) + h1(minus) + (1 - delta) * u^0
+        h1(cut) = h1(plus) + h1(minus) + (rank - delta) * u^0
 
     The sides pair up with zero node weights, which the
     :class:`CutDecomposition` checked when it was built.
@@ -231,12 +220,9 @@ def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
     >>> (t.h0, t.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
-    h0 = ZERO
-    h1 = ZERO
-    for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
-        tp = _line_cohomology(ps)
-        tm = _line_cohomology(ms)
-        delta = _node_rank(ps, ms)
-        h0 += tp.h0 + tm.h0 - Character.monomial(0, delta)
-        h1 += tp.h1 + tm.h1 + Character.monomial(0, 1 - delta)
-    return CohomologyTable(h0, h1)
+    plus, minus = cohomology(cutd.plus), cohomology(cutd.minus)
+    # A summand pair's node fiber is hit iff a side has a weight-zero section through the
+    # node: the plus side iff its section range [0, r_p] contains 0, the minus side iff [r_q, 0] does.
+    delta = sum(1 for ps, ms in zip(cutd.plus.summands, cutd.minus.summands) if ps.r_p >= 0 or ms.r_q <= 0)
+    h0 = plus.h0 + minus.h0 - Character.monomial(0, delta)
+    return CohomologyTable(h0, plus.h1 + minus.h1 + Character.monomial(0, len(cutd.plus.summands) - delta))

@@ -1,8 +1,22 @@
+import cProfile
 import json
+from pathlib import Path
 
 import pytest
 
-from cutchar import Character, CharPoly, NotDivisible, morse_quotient
+import cutchar
+from cutchar import (
+    Character,
+    CharPoly,
+    EquivBundleCP1,
+    NotDivisible,
+    cohomology,
+    cut,
+    mcut_cohomology,
+    morse_quotient,
+    sweep,
+)
+from cutchar.verify import ALL_CHECKS
 from test_verify import _json_text
 
 u = Character.monomial(1)
@@ -225,3 +239,36 @@ class TestMorseQuotient:
         with pytest.raises(NotDivisible) as info:
             morse_quotient(CharPoly([1, u]), CharPoly())
         assert info.value.residual == Character({0: 1, 1: -1})
+
+
+def _package_calls(run) -> int:
+    """The calls of functions defined in the package that ``run()`` makes, as cProfile counts them."""
+    package = str(Path(cutchar.__file__).parent)
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    return sum(
+        entry.callcount
+        for entry in profile.getstats()
+        if not isinstance(entry.code, str) and str(Path(entry.code.co_filename).parent) == package
+    )
+
+
+class TestCostClass:
+    """The closed forms and the six non-oracle checks cost O(rank), whatever the weights: counted exactly."""
+
+    def test_same_calls_at_every_scale_of_one_cell(self):
+        # The same cell at three scales: r_Q < 0 < r_P, then r_P < 0 < r_Q with r_P + 1 < r_Q.  Each
+        # count is compared as soon as it is taken, so a cost that grows with |r| fails at 10^3,
+        # before the 10^6 bundle would expand into millions of terms.
+        checks = [cid for cid in ALL_CHECKS if cid != "oracle"]
+
+        def run(b):
+            cohomology(b)
+            mcut_cohomology(cut(b))
+            sweep([b], checks)
+
+        counts = []
+        for lit in ("10:-10,-7:7", "1000:-1000,-700:700", "1000000:-1000000,-700000:700000"):
+            b = EquivBundleCP1.parse(lit)
+            counts.append(_package_calls(lambda: run(b)))
+            assert counts[-1] == counts[0], (lit, counts)

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 from collections import Counter
+from functools import cache
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -338,8 +340,12 @@ def _json_text(value) -> str:
 
 
 def _csv_fields(line: str) -> list[str]:
-    """The fields ``csv.reader`` reads from one line."""
-    return next(csv.reader([line]))
+    """The fields ``csv.reader`` reads from one line; a drawn witness can pass its default field limit."""
+    limit = csv.field_size_limit(1 << 30)
+    try:
+        return next(csv.reader([line]))
+    finally:
+        csv.field_size_limit(limit)
 
 
 @st.composite
@@ -558,6 +564,25 @@ def _no_dense_expansion():
 
 
 BIG = 10**9
+FAR = 10**100
+NON_ORACLE = tuple(cid for cid in ALL_CHECKS if cid != "oracle")
+
+
+def _cell(rp: int, rq: int) -> tuple[int, ...]:
+    """The order of r_P + 1, r_Q, 0 and 1: the sign of each pairwise difference."""
+    return tuple((a > b) - (a < b) for a, b in combinations((rp + 1, rq, 0, 1), 2))
+
+
+def _zero_witnesses(rp: int, rq: int) -> dict[str, bool]:
+    """Per non-oracle check, whether the line (r_P, r_Q) has no witness or a zero one."""
+    (row,) = sweep([EquivBundleCP1((LineWeights(rp, rq),))], NON_ORACLE).results
+    return {r.check_id: not r.witness for r in row}
+
+
+@cache
+def _cell_zeros() -> dict[tuple[int, ...], dict[str, bool]]:
+    """Each cell that [-3, 3]^2 meets, with the zero witnesses of a point of it there."""
+    return {_cell(rp, rq): _zero_witnesses(rp, rq) for rp in range(-3, 4) for rq in range(-3, 4)}
 
 
 def _mcut_tight(rp: int, rq: int) -> bool:
@@ -596,19 +621,50 @@ class TestUnboundedWeights:
         assert all(r.residual is None for r in report.results[0])
         assert report.equality_sets == {"mcut": (b.literal(),), "morse": (), "mv": ()}
 
-    @settings(max_examples=150, deadline=None)
+    def test_the_box_meets_every_cell(self):
+        # The 20 cells of the five lines r_P = -1, r_P = 0, r_Q = 0, r_Q = 1 and r_Q = r_P + 1; a
+        # wider box meets no other, and every point of a cell there has that cell's zero witnesses.
+        cells = _cell_zeros()
+        assert len(cells) == 20
+        for rp in range(-8, 9):
+            for rq in range(-8, 9):
+                assert _zero_witnesses(rp, rq) == cells[_cell(rp, rq)], (rp, rq)
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(-BIG, BIG) | st.integers(-3, 3),
-        st.integers(-BIG, BIG) | st.integers(-3, 3),
+        st.lists(
+            st.builds(
+                LineWeights,
+                st.integers(-FAR, FAR) | st.integers(-3, 3),
+                st.integers(-FAR, FAR) | st.integers(-3, 3),
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(EquivBundleCP1)
     )
-    def test_equality_map_over_unbounded_weights(self, rp, rq):
-        b = EquivBundleCP1((LineWeights(rp, rq),))
+    def test_equality_map_over_unbounded_weights(self, b):
+        """The equality maps hold at any weight and rank, cell by cell.
+
+        Every jump of every closed-form character of a line (r_P, r_Q) lies
+        at r_P + 1, r_Q, 0 or 1, and the six non-oracle checks only merge
+        jumps, compare them and take prefix sums: none calls ``dim()``, the
+        one operation that multiplies a position.  So each verdict, and
+        whether each witness is zero, depends only on the order of those four
+        values, the line's cell, which some point of [-3, 3]^2 shares.  The
+        witnesses of a bundle add over its summands and are nonnegative when
+        the checks pass, so the sum is zero exactly when each summand's is.
+        This argument rests on reading the code; a later change could break
+        it, say a check that reads ``dim()``, and this test is its guard.
+        """
         with _no_dense_expansion():
-            mcut = run_check("mcut", b)
-            morse = run_check("morse", b)
-        assert mcut.passed and morse.passed
-        assert (mcut.witness == CharPoly()) is _mcut_tight(rp, rq)
-        assert (morse.witness == CharPoly()) is _morse_tight(rp, rq)
+            (row,) = sweep([b], NON_ORACLE).results
+        cells = [_cell_zeros()[_cell(s.r_p, s.r_q)] for s in b.summands]
+        for r in row:
+            assert r.passed and r.residual is None, r.check_id
+            assert (not r.witness) is all(zeros[r.check_id] for zeros in cells), r.check_id
+        witness = {r.check_id: r.witness for r in row}
+        assert (witness["mcut"] == CharPoly()) is all(_mcut_tight(*s) for s in b.summands)
+        assert (witness["morse"] == CharPoly()) is all(_morse_tight(*s) for s in b.summands)
 
     def test_equality_map_by_the_oracles_on_the_grid(self):
         # The same map, with every table taken from the Cech oracles in

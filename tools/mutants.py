@@ -157,13 +157,14 @@ MUTANTS = [
         "except OSError as exc:  # the work itself does no I/O",
         "except ValueError as exc:  # the work itself does no I/O",
     ),
-    # The node rank of the cut space, which the P/Q mirror also constrains.
-    Mutant(
-        "node-rank-plus-strict",
-        "geometry.py",
-        "return 1 if plus.r_p >= 0 or minus.r_q <= 0 else 0",
-        "return 1 if plus.r_p > 0 or minus.r_q <= 0 else 0",
-    ),
+    # The closed forms as their formulas: each line's span, and the cut space glued from its two
+    # whole sides with delta node fibers hit, which the P/Q mirror also constrains.
+    Mutant("node-rank-plus-strict", "geometry.py", "if ps.r_p >= 0 or ms.r_q <= 0", "if ps.r_p > 0 or ms.r_q <= 0"),
+    Mutant("cohomology-branch-strict", "geometry.py", "if s.r_q <= s.r_p:", "if s.r_q < s.r_p:"),
+    Mutant("h1-span-one-early", "geometry.py", "Character.span(s.r_p + 1, s.r_q - 1)", "Character.span(s.r_p, s.r_q - 1)"),
+    Mutant("node-h1-count-as-delta", "geometry.py", "len(cutd.plus.summands) - delta", "delta"),
+    # The Morse self-check compares p_m with r_m + q_m + q_{m-1}.
+    Mutant("factorization-unshifted", "characters.py", "(ZERO, *q._coeffs)", "q._coeffs"),
     # Localization as -u N divided twice by 1 - u.
     Mutant(
         "localization-rp-shift",
@@ -193,6 +194,14 @@ MUTANTS = [
         "characters.py",
         "new._jumps = {lo: 1, hi + 1: -1} if lo <= hi else {}",
         "new._jumps = {lo: 1, hi: -1} if lo <= hi else {}",
+    ),
+    # The same span built densely, term by term: right, but linear in the range, so only the exact
+    # call counts of tests/test_characters.py::TestCostClass tell it apart, before any wide draw.
+    Mutant(
+        "span-built-densely",
+        "characters.py",
+        "new._jumps = {lo: 1, hi + 1: -1} if lo <= hi else {}",
+        "new._jumps = cls((m, 1) for m in range(lo, hi + 1))._jumps",
     ),
     Mutant(
         "monomial-keeps-zero-multiplicity",
