@@ -52,7 +52,8 @@ _SWEEP = "sweep"
 _WRITERS = "writers"
 _CLI = "CLI"
 
-#: Module -> function or class name -> layer; a class name covers its methods.
+#: Module -> function or class name -> layer; a class name covers its methods.  Names since deleted
+#: (``_line_cohomology``, ``_node_rank``) stay, so that older revisions map as the working tree does.
 LAYERS = {
     "characters": {
         **dict.fromkeys(
