@@ -209,12 +209,13 @@ def _cmd_cut(args):
 
     def work() -> dict:
         cutd = cut(bundle)
+        mcut, plus, minus = mcut_cohomology(cutd)
         return {
             "bundle": bundle.literal(),
-            "plus": _table(cohomology(cutd.plus), bundle=cutd.plus.literal()),
-            "minus": _table(cohomology(cutd.minus), bundle=cutd.minus.literal()),
+            "plus": _table(plus, bundle=cutd.plus.literal()),
+            "minus": _table(minus, bundle=cutd.minus.literal()),
             "red_dims": cutd.red_dims,
-            "mcut": _table(mcut_cohomology(cutd)),
+            "mcut": _table(mcut),
         }
 
     return args.out, "json", work

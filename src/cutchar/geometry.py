@@ -203,7 +203,7 @@ def cut(bundle: EquivBundleCP1) -> CutDecomposition:
     return CutDecomposition(plus, minus)
 
 
-def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
+def mcut_cohomology(cutd: CutDecomposition) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
     """Cohomology of the cut space, glued from its two whole sides via Mayer-Vietoris.
 
     With delta the rank of the joint evaluation map from both sides'
@@ -213,11 +213,11 @@ def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
         h1(cut) = h1(plus) + h1(minus) + (rank - delta) * u^0
 
     The sides pair up with zero node weights, which the
-    :class:`CutDecomposition` checked when it was built.
+    :class:`CutDecomposition` checked when it was built.  Returns
+    ``(glued, plus, minus)``, the cut space's table and the two sides'.
 
-    >>> d = cut(EquivBundleCP1.parse("2:2"))
-    >>> t = mcut_cohomology(d)
-    >>> (t.h0, t.h1)
+    >>> glued, plus, minus = mcut_cohomology(cut(EquivBundleCP1.parse("2:2")))
+    >>> (glued.h0, glued.h1)
     (Character({1: 1, 2: 1}), Character({1: 1}))
     """
     plus, minus = cohomology(cutd.plus), cohomology(cutd.minus)
@@ -225,4 +225,5 @@ def mcut_cohomology(cutd: CutDecomposition) -> CohomologyTable:
     # node: the plus side iff its section range [0, r_p] contains 0, the minus side iff [r_q, 0] does.
     delta = sum(1 for ps, ms in zip(cutd.plus.summands, cutd.minus.summands) if ps.r_p >= 0 or ms.r_q <= 0)
     h0 = plus.h0 + minus.h0 - Character.monomial(0, delta)
-    return CohomologyTable(h0, plus.h1 + minus.h1 + Character.monomial(0, len(cutd.plus.summands) - delta))
+    glued = CohomologyTable(h0, plus.h1 + minus.h1 + Character.monomial(0, len(cutd.plus.summands) - delta))
+    return glued, plus, minus

@@ -3,18 +3,18 @@
 Three routes that share no code with the closed forms in :mod:`.geometry`:
 
 * a two-chart Cech complex per line summand, split by weight: one loop per
-  line walks its weight window, builds each block's differential row when
-  it reaches it and row-reduces it once; no block is stored, and only the
-  weights where a dimension changes are kept, as the jumps each character
-  is built from once;
+  line of the bundle walks its weight window, builds each block's
+  differential row when it reaches it and row-reduces it once; no block is
+  stored, and only the weights where a dimension changes are kept, as the
+  jumps each character is built from once;
 * the same loop on the two cut pieces glued at the node: each side's Cech
   table, one loop per line over its own window, plus one node term per
   summand pair from the two sides' weight-0 blocks, returned with the two
   side tables; and
 * the fixed-point localization formula: the two fixed-point terms over
   their common denominator, which is -u^(-1) (1 - u)^2, so the index is
-  four monomials divided twice by 1 - u, each division reading the
-  dividend's coefficients as the quotient's jumps.
+  four monomials per summand divided twice by 1 - u, each division reading
+  the dividend's coefficients as the quotient's jumps.
 
 So every route holds O(rank) jumps, and the Cech routes one block, at a
 time, whatever the weights.
@@ -34,10 +34,10 @@ reduced exactly without elimination: its rank over Q is 1 unless it is zero.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .characters import Character
-from .geometry import CohomologyTable, CutDecomposition, LineWeights
+from .geometry import CohomologyTable, CutDecomposition, EquivBundleCP1, LineWeights
 
 __all__ = [
     "cech_cohomology_p1",
@@ -62,8 +62,8 @@ def _block(line: LineWeights, m: int) -> list[int]:
     return [-1] if m <= r_p else []
 
 
-def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
-    """The Cech table of the lines, summed, each character built once from its jumps.
+def cech_cohomology_p1(bundle: EquivBundleCP1) -> CohomologyTable:
+    """Cohomology of the bundle by explicit row reduction, each character built once from all its lines' jumps.
 
     Each line's weights m run over [min(r_P, r_Q) - 1, max(r_P, r_Q) + 1];
     outside that window each chart contributes exactly one monomial and the
@@ -75,10 +75,16 @@ def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
     are.  The window's first weight has only a chart-1 column and its last
     only a chart-0 one, so both dimensions are zero there and every line's
     runs close inside its window.
+
+    >>> t = cech_cohomology_p1(EquivBundleCP1.parse("2:0"))
+    >>> (t.h0, t.h1)
+    (Character({0: 1, 1: 1, 2: 1}), Character({}))
+    >>> cech_cohomology_p1(EquivBundleCP1.parse("-3:0,1:1")).h1
+    Character({-2: 1, -1: 1})
     """
     h0: dict[int, int] = {}
     h1: dict[int, int] = {}
-    for line in lines:
+    for line in bundle.summands:
         r_p, r_q = line
         prev0 = prev1 = 0
         for m in range(min(r_p, r_q) - 1, max(r_p, r_q) + 2):
@@ -93,18 +99,6 @@ def _table(lines: Iterable[LineWeights]) -> CohomologyTable:
                 prev1 = n1
     assert sum(h0.values()) == sum(h1.values()) == 0, "the dimension runs do not close"
     return CohomologyTable(Character._from_jumps(h0), Character._from_jumps(h1))
-
-
-def cech_cohomology_p1(summand: LineWeights) -> CohomologyTable:
-    """Cohomology of one line summand by explicit row reduction.
-
-    >>> t = cech_cohomology_p1(LineWeights(2, 0))
-    >>> (t.h0, t.h1)
-    (Character({0: 1, 1: 1, 2: 1}), Character({}))
-    >>> cech_cohomology_p1(LineWeights(-3, 0)).h1
-    Character({-2: 1, -1: 1})
-    """
-    return _table([summand])
 
 
 def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, CohomologyTable, CohomologyTable]:
@@ -136,8 +130,8 @@ def cech_cohomology_nodal(cutd: CutDecomposition) -> tuple[CohomologyTable, Coho
     >>> (plus.h0, minus.h1)
     (Character({0: 1, 1: 1, 2: 1}), Character({1: 1}))
     """
-    plus = _table(cutd.plus.summands)
-    minus = _table(cutd.minus.summands)
+    plus = cech_cohomology_p1(cutd.plus)
+    minus = cech_cohomology_p1(cutd.minus)
     node_h0 = node_h1 = 0
     for ps, ms in zip(cutd.plus.summands, cutd.minus.summands):
         d_plus, d_minus = (len(row) - _row_rank(row) for row in (_block(ps, 0), _block(ms, 0)))
@@ -167,22 +161,25 @@ def _over_one_minus_u(ch: Character) -> Character:
     return Character._from_jumps(dict(ch.items()))
 
 
-def localization_index(summand: LineWeights) -> Character:
-    """Index of one line summand from the two fixed-point contributions.
+def localization_index(bundle: EquivBundleCP1) -> Character:
+    """Index of the bundle from the two fixed-point contributions of each line summand.
 
     The point P (moment +1, tangent weight -1) contributes
     u^(r_P) / (1 - u^(-1)); the point Q (moment -1, tangent weight +1)
     contributes u^(r_Q) / (1 - u).  Over the common denominator
     (1 - u^(-1))(1 - u) = -u^(-1) (1 - u)^2 their sum is -u N / (1 - u)^2
-    for N = u^(r_P)(1 - u) + u^(r_Q)(1 - u^(-1)); both divisions by 1 - u
-    are exact, and the quotient is a genuine character equal to h0 - h1.
+    for N = u^(r_P)(1 - u) + u^(r_Q)(1 - u^(-1)).  Each summand's -u N has
+    dimension zero, and so has its quotient by 1 - u, so both divisions of
+    the sum over the summands are exact, and the quotient is a genuine
+    character equal to h0 - h1.
 
-    >>> localization_index(LineWeights(2, 0))
+    >>> localization_index(EquivBundleCP1.parse("2:0"))
     Character({0: 1, 1: 1, 2: 1})
-    >>> localization_index(LineWeights(-1, 0))
-    Character({})
+    >>> localization_index(EquivBundleCP1.parse("-1:0,2:0"))
+    Character({0: 1, 1: 1, 2: 1})
     """
-    r_p, r_q = summand.r_p, summand.r_q
-    # -u N, as its four terms.
-    num = Character(((r_p + 1, -1), (r_p + 2, 1), (r_q + 1, -1), (r_q, 1)))
-    return _over_one_minus_u(_over_one_minus_u(num))
+    # -u N of every summand, as its four terms; the constructor adds repeated weights.
+    num = []
+    for r_p, r_q in bundle.summands:
+        num += ((r_p + 1, -1), (r_p + 2, 1), (r_q + 1, -1), (r_q, 1))
+    return _over_one_minus_u(_over_one_minus_u(Character(num)))

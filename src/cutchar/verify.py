@@ -35,7 +35,7 @@ from _json import encode_basestring_ascii as _quote
 from collections import namedtuple
 from io import StringIO
 
-from .characters import ZERO, Character, CharPoly, NotDivisible, _runs, morse_quotient
+from .characters import Character, CharPoly, NotDivisible, _runs, morse_quotient
 from .geometry import EquivBundleCP1, LineWeights, cohomology, cut, mcut_cohomology
 from .oracles import cech_cohomology_nodal, cech_cohomology_p1, localization_index
 
@@ -178,9 +178,7 @@ def _tables(bundle: EquivBundleCP1) -> _BundlePass:
     """
     cutd = cut(bundle)
     tm = cohomology(bundle)
-    tp = cohomology(cutd.plus)
-    tmin = cohomology(cutd.minus)
-    tcut = mcut_cohomology(cutd)
+    tcut, tp, tmin = mcut_cohomology(cutd)
     sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + Character.monomial(0, bundle.rank)])
     return _BundlePass(bundle, tm, tp, tmin, tcut, cutd, sides, tm.euler_poly(), tcut.euler_poly(), tm.index())
 
@@ -235,21 +233,14 @@ def cross_validate(t: _BundlePass) -> CheckResult:
     against the Cech tables that the nodal route glued.  The check passes
     iff the residual is zero.
     """
-    cech_h0 = ZERO
-    cech_h1 = ZERO
-    loc_index = ZERO
-    for s in t.bundle.summands:
-        table = cech_cohomology_p1(s)
-        cech_h0 += table.h0
-        cech_h1 += table.h1
-        loc_index += localization_index(s)
+    cech = cech_cohomology_p1(t.bundle)
     nodal, plus, minus = cech_cohomology_nodal(t.cutd)
     pairs = (
-        (t.m.h0, cech_h0),
-        (t.m.h1, cech_h1),
+        (t.m.h0, cech.h0),
+        (t.m.h1, cech.h1),
         (t.cut_space.h0, nodal.h0),
         (t.cut_space.h1, nodal.h1),
-        (t.m_index, loc_index),
+        (t.m_index, localization_index(t.bundle)),
         (t.plus.h0, plus.h0),
         (t.plus.h1, plus.h1),
         (t.minus.h0, minus.h0),

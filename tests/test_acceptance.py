@@ -118,7 +118,7 @@ def test_6_index_and_semicontinuity_grid():
             result = run_check("semicontinuity", bundle)
             assert result.passed, bundle.literal()
             t = cohomology(bundle)
-            tc = mcut_cohomology(cut(bundle))
+            tc, _, _ = mcut_cohomology(cut(bundle))
             assert tc.index() == t.index(), bundle.literal()
             assert (tc.h0 - t.h0).is_nonneg() and (tc.h1 - t.h1).is_nonneg(), bundle.literal()
 
@@ -133,9 +133,9 @@ def test_7_oracle_agreement_grid():
         # the alternative lower limit r_P - 1 wherever it widens the range.
         s = LineWeights(-3, 0)
         certified = cohomology(EquivBundleCP1((s,))).h1
-        assert certified == cech_cohomology_p1(s).h1
+        assert certified == cech_cohomology_p1(EquivBundleCP1((s,))).h1
         alternative = Character.span(s.r_p - 1, s.r_q - 1)
-        assert alternative != cech_cohomology_p1(s).h1
+        assert alternative != cech_cohomology_p1(EquivBundleCP1((s,))).h1
         print(
             "acceptance note: h1 weight range certified as [r_P+1, r_Q-1]; "
             "lower limit r_P-1 is refuted by the Cech oracle at (-3, 0)"

@@ -276,7 +276,7 @@ def _table_json_obj(command: str, literal: str) -> dict:
         "plus": json_model.table(cohomology(cutd.plus), bundle=cutd.plus.literal()),
         "minus": json_model.table(cohomology(cutd.minus), bundle=cutd.minus.literal()),
         "red_dims": list(cutd.red_dims),
-        "mcut": json_model.table(mcut_cohomology(cutd)),
+        "mcut": json_model.table(mcut_cohomology(cutd)[0]),
     }
 
 

@@ -3,15 +3,18 @@
 No test elsewhere hands a check a wrong closed form, so without this file a
 check's failure branches, and each comparison inside ``cross_validate``,
 could be deleted with every test green.  Each fault below patches one
-closed form in ``verify``'s namespace (``cohomology`` for M or one side, or
-``mcut_cohomology`` for the cut space) so that it returns a table off by
-u^k in h0, in h1, or in the index alone; nothing is added to ``src/``.
-Each case pins the set of failing checks on a named bundle.
+closed form in ``verify``'s namespace so that one table it returns is off
+by u^k in h0, in h1, or in the index alone: ``cohomology`` for M, or one
+table of the ``(glued, plus, minus)`` triple of ``mcut_cohomology`` for
+the cut space or a side.  Nothing is added to ``src/``.  Each case pins
+the set of failing checks on a named bundle.
 
 The oracle-side table patches the three oracle routes in the same
-namespace instead, one output at a time, and pins the oracle's exact
-residual: a route computed from another route, such as the index taken
-from the Cech tables, moves more than its own comparison.
+namespace instead, one output at a time, in the same way: the Cech
+table or the localization index of the whole bundle, or one table of the
+nodal route's triple.  It pins the oracle's exact residual: a route
+computed from another route, such as the index taken from the Cech
+tables, moves more than its own comparison.
 """
 
 import json
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import pytest
 
 import cutchar.verify
-from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, cut, run_check, sweep
+from cutchar import ALL_CHECKS, Character, CharPoly, EquivBundleCP1, run_check, sweep
 import json_model
 
 
@@ -99,7 +102,19 @@ CASES = [
 ]
 
 
-def inject(monkeypatch, name: str, b: EquivBundleCP1, k: int) -> None:
+def edit_triple(monkeypatch, route: str, i: int, edit) -> None:
+    """Patch ``route`` in ``verify``'s namespace so that table ``i`` of the triple it returns is ``edit``-ed."""
+    original = getattr(cutchar.verify, route)
+
+    def faulty(arg):
+        tables = list(original(arg))
+        tables[i] = edit(tables[i])
+        return tuple(tables)
+
+    monkeypatch.setattr(cutchar.verify, route, faulty)
+
+
+def inject(monkeypatch, name: str, k: int) -> None:
     target, c0, c1, skew, _ = FAULTS[name]
 
     def edit(table):
@@ -107,16 +122,11 @@ def inject(monkeypatch, name: str, b: EquivBundleCP1, k: int) -> None:
             table.h0 + Character.monomial(k, c0), table.h1 + Character.monomial(k, c1), Character.monomial(k, skew)
         )
 
-    if target == "cut":
-        mcut_cohomology = cutchar.verify.mcut_cohomology
-        monkeypatch.setattr(cutchar.verify, "mcut_cohomology", lambda cutd: edit(mcut_cohomology(cutd)))
-    else:
-        cutd = cut(b)
-        hit = {"m": b, "plus": cutd.plus, "minus": cutd.minus}[target]
+    if target == "m":
         cohomology = cutchar.verify.cohomology
-        monkeypatch.setattr(
-            cutchar.verify, "cohomology", lambda x: edit(cohomology(x)) if x == hit else cohomology(x)
-        )
+        monkeypatch.setattr(cutchar.verify, "cohomology", lambda bundle: edit(cohomology(bundle)))
+    else:
+        edit_triple(monkeypatch, "mcut_cohomology", ("cut", "plus", "minus").index(target), edit)
 
 
 def results(b: EquivBundleCP1) -> dict:
@@ -133,7 +143,7 @@ class TestFaultTable:
     )
     def test_exactly_these_checks_fail(self, monkeypatch, name, lit, k, failing):
         b = EquivBundleCP1.parse(lit)
-        inject(monkeypatch, name, b, k)
+        inject(monkeypatch, name, k)
         got = results(b)
         assert {cid for cid, r in got.items() if not r.passed} == failing
         # Every fault puts its multiple of u^k into each comparison it moves, and 0 elsewhere.
@@ -143,7 +153,7 @@ class TestFaultTable:
 
     def test_cut_h0_fails_semicontinuity_by_its_index_alone(self, monkeypatch):
         b = EquivBundleCP1.parse(RANK_ONE)
-        inject(monkeypatch, "cut-h0-alone", b, FAR)
+        inject(monkeypatch, "cut-h0-alone", FAR)
         r = run_check("semicontinuity", b)
         assert not r.passed
         assert r.witness.is_nonneg()
@@ -161,44 +171,33 @@ class TestFaultTable:
         # negative multiplicities: the report writer must lay those out as
         # json.dumps does.
         b = EquivBundleCP1.parse(lit)
-        inject(monkeypatch, name, b, k)
+        inject(monkeypatch, name, k)
         report = sweep([b])
         assert {r.check_id for r in report.results[0] if not r.passed} == failing
         assert report.to_json_text() == json.dumps(json_model.report(report), indent=2)
 
 
-def inject_oracle(monkeypatch, comparison: str, b: EquivBundleCP1, k: int) -> None:
+def inject_oracle(monkeypatch, comparison: str, k: int) -> None:
     """Add u^k to the one oracle output that ``comparison`` reads.
 
-    ``cech-*`` and ``localization`` edit the route's result on the first
-    summand only; ``nodal-*``, ``plus-*`` and ``minus-*`` edit the glued,
-    plus or minus table of the nodal route's ``(glued, plus, minus)``.
+    ``cech-*`` and ``localization`` edit the route's result for the whole
+    bundle; ``nodal-*``, ``plus-*`` and ``minus-*`` edit the glued, plus or
+    minus table of the nodal route's ``(glued, plus, minus)``.
     """
     uk = Character.monomial(k)
     route, _, part = comparison.partition("-")
-    first = b.summands[0]
 
-    def bump(table, field):
-        return table._replace(**{field: getattr(table, field) + uk})
+    def bump(table):
+        return table._replace(**{part: getattr(table, part) + uk})
 
     if route == "cech":
         cech = cutchar.verify.cech_cohomology_p1
-        monkeypatch.setattr(
-            cutchar.verify, "cech_cohomology_p1", lambda s: bump(cech(s), part) if s == first else cech(s)
-        )
+        monkeypatch.setattr(cutchar.verify, "cech_cohomology_p1", lambda bundle: bump(cech(bundle)))
     elif route == "localization":
         loc = cutchar.verify.localization_index
-        monkeypatch.setattr(cutchar.verify, "localization_index", lambda s: loc(s) + uk if s == first else loc(s))
+        monkeypatch.setattr(cutchar.verify, "localization_index", lambda bundle: loc(bundle) + uk)
     else:
-        nodal = cutchar.verify.cech_cohomology_nodal
-
-        def faulty(cutd):
-            tables = list(nodal(cutd))
-            i = ("nodal", "plus", "minus").index(route)
-            tables[i] = bump(tables[i], part)
-            return tuple(tables)
-
-        monkeypatch.setattr(cutchar.verify, "cech_cohomology_nodal", faulty)
+        edit_triple(monkeypatch, "cech_cohomology_nodal", ("nodal", "plus", "minus").index(route), bump)
 
 
 ORACLE_CASES = [(c, lit, k) for c in COMPARISONS for lit, k in ((RANK_ONE, FAR), (RANK_THREE, 0))]
@@ -212,7 +211,7 @@ class TestOracleFaultTable:
     )
     def test_exact_residual(self, monkeypatch, comparison, lit, k):
         b = EquivBundleCP1.parse(lit)
-        inject_oracle(monkeypatch, comparison, b, k)
+        inject_oracle(monkeypatch, comparison, k)
         got = results(b)
         assert {cid for cid, r in got.items() if not r.passed} == {"oracle"}
         # The residual is closed form minus oracle, so the fault shows as -u^k.
@@ -222,7 +221,7 @@ class TestOracleFaultTable:
     def test_markdown_failure_row(self, monkeypatch):
         # The residual's zero coefficients below t^4 are skipped, and t^4 is written as a power.
         b = EquivBundleCP1.parse(RANK_ONE)
-        inject_oracle(monkeypatch, "localization", b, FAR)
+        inject_oracle(monkeypatch, "localization", FAR)
         lines = sweep([b]).to_markdown().splitlines()
         rows = lines[lines.index("## Failures") + 4 : lines.index("## Details") - 1]
         assert rows == [f"| `{RANK_ONE}` | oracle |  | t^4*(-u^{FAR}) |"]

@@ -140,30 +140,30 @@ class TestCut:
         assert d.red_dims == (2, 0)
 
     def test_mcut_equal_positive_weights(self):
-        t = mcut_cohomology(cut(EquivBundleCP1.parse("2:2")))
+        t, _, _ = mcut_cohomology(cut(EquivBundleCP1.parse("2:2")))
         assert t.h0 == Character({1: 1, 2: 1})
         assert t.h1 == Character.monomial(1)
         assert t.euler_poly() == CharPoly([Character({1: 1, 2: 1}), Character.monomial(1)])
         assert t.index() == Character.monomial(2)
 
     def test_mcut_trivial(self):
-        t = mcut_cohomology(cut(EquivBundleCP1.parse("0:0")))
+        t, _, _ = mcut_cohomology(cut(EquivBundleCP1.parse("0:0")))
         assert t.h0 == Character.monomial(0)
         assert t.h1 == Character()
 
     def test_mcut_no_invariant_section(self):
         # neither side sees weight 0, so the node fiber feeds h1
-        t = mcut_cohomology(cut(EquivBundleCP1.parse("-1:1")))
+        t, _, _ = mcut_cohomology(cut(EquivBundleCP1.parse("-1:1")))
         assert t.h0 == Character()
         assert t.h1 == Character.monomial(0)
 
     def test_mcut_additive_over_summands(self):
         lits = ["2:2", "-1:1", "3:-2"]
-        total = mcut_cohomology(cut(EquivBundleCP1.parse(",".join(lits))))
+        total, _, _ = mcut_cohomology(cut(EquivBundleCP1.parse(",".join(lits))))
         h0 = Character()
         h1 = Character()
         for lit in lits:
-            t = mcut_cohomology(cut(EquivBundleCP1.parse(lit)))
+            t, _, _ = mcut_cohomology(cut(EquivBundleCP1.parse(lit)))
             h0 += t.h0
             h1 += t.h1
         assert (total.h0, total.h1) == (h0, h1)

@@ -37,7 +37,7 @@ def times(a: Character, b: Character) -> Character:
 
 
 def _blocks_built(monkeypatch, line: LineWeights) -> dict[int, list[int]]:
-    """The row of each weight block that ``cech_cohomology_p1(line)`` builds, by weight."""
+    """The row of each weight block that ``cech_cohomology_p1`` builds for the one-line bundle, by weight."""
     block = cutchar.oracles._block
     rows = {}
 
@@ -47,7 +47,7 @@ def _blocks_built(monkeypatch, line: LineWeights) -> dict[int, list[int]]:
 
     with monkeypatch.context() as mp:
         mp.setattr(cutchar.oracles, "_block", recorded)
-        cech_cohomology_p1(line)
+        cech_cohomology_p1(EquivBundleCP1((line,)))
     return rows
 
 
@@ -81,17 +81,17 @@ class TestCechLine:
     def test_matches_closed_form_on_grid(self):
         for rp in range(-5, 6):
             for rq in range(-5, 6):
-                s = LineWeights(rp, rq)
-                got = cech_cohomology_p1(s)
-                want = cohomology(EquivBundleCP1((s,)))
+                b = EquivBundleCP1((LineWeights(rp, rq),))
+                got = cech_cohomology_p1(b)
+                want = cohomology(b)
                 assert (got.h0, got.h1) == (want.h0, want.h1), (rp, rq)
 
     def test_frozen_values(self):
-        t = cech_cohomology_p1(LineWeights(2, 0))
+        t = cech_cohomology_p1(EquivBundleCP1((LineWeights(2, 0),)))
         assert (t.h0, t.h1) == (Character.span(0, 2), Character())
-        t = cech_cohomology_p1(LineWeights(-3, 0))
+        t = cech_cohomology_p1(EquivBundleCP1((LineWeights(-3, 0),)))
         assert (t.h0, t.h1) == (Character(), Character({-2: 1, -1: 1}))
-        t = cech_cohomology_p1(LineWeights(2, 2))
+        t = cech_cohomology_p1(EquivBundleCP1((LineWeights(2, 2),)))
         assert (t.h0, t.h1) == (Character.monomial(2), Character())
 
 
@@ -101,13 +101,13 @@ class TestCechNodal:
             for rq in range(-5, 6):
                 d = cut(EquivBundleCP1((LineWeights(rp, rq),)))
                 got, _, _ = cech_cohomology_nodal(d)
-                want = mcut_cohomology(d)
+                want, _, _ = mcut_cohomology(d)
                 assert (got.h0, got.h1) == (want.h0, want.h1), (rp, rq)
 
     def test_rank_two(self):
         d = cut(EquivBundleCP1.parse("1:-1,2:2"))
         got, _, _ = cech_cohomology_nodal(d)
-        want = mcut_cohomology(d)
+        want, _, _ = mcut_cohomology(d)
         assert (got.h0, got.h1) == (want.h0, want.h1)
 
     def test_node_matching_drops_one_section(self):
@@ -121,11 +121,11 @@ class TestCechNodal:
     def test_result_compares_as_a_table_and_carries_the_sides(self):
         d = cut(EquivBundleCP1.parse("2:-3"))
         glued, plus, minus = cech_cohomology_nodal(d)
-        want = mcut_cohomology(d)
+        want, want_plus, want_minus = mcut_cohomology(d)
         assert type(glued) is CohomologyTable
         assert glued == want and want == glued and hash(glued) == hash(want)
-        assert plus == cech_cohomology_p1(d.plus.summands[0])
-        assert minus == cech_cohomology_p1(d.minus.summands[0])
+        assert plus == cech_cohomology_p1(d.plus) == want_plus
+        assert minus == cech_cohomology_p1(d.minus) == want_minus
 
     def test_rejects_malformed(self):
         with pytest.raises(MalformedCut):
@@ -150,12 +150,14 @@ class TestRoutesOnRandomBundles:
     def test_routes_match_closed_forms(self, b):
         # Several summands' node terms, some negative, meet at weight 0.
         d = cut(b)
-        (got, _, _), want = cech_cohomology_nodal(d), mcut_cohomology(d)
+        (got, _, _), (want, _, _) = cech_cohomology_nodal(d), mcut_cohomology(d)
         assert (got.h0, got.h1) == (want.h0, want.h1)
-        tables = [cech_cohomology_p1(s) for s in b.summands]
+        tables = [cech_cohomology_p1(EquivBundleCP1((s,))) for s in b.summands]
         want = cohomology(b)
         assert sum((t.h0 for t in tables), Character()) == want.h0
         assert sum((t.h1 for t in tables), Character()) == want.h1
+        assert cech_cohomology_p1(b) == want
+        assert localization_index(b) == want.index()
 
 
 def _row_rank_calls(monkeypatch, route, arg) -> int:
@@ -185,7 +187,7 @@ class TestEveryBlockReduced:
     def test_cech_reduces_each_weight(self, monkeypatch):
         n = self.N
         window = 2 * n + 3  # [-n - 1, n + 1]
-        assert _row_rank_calls(monkeypatch, cech_cohomology_p1, LineWeights(n, -n)) >= window
+        assert _row_rank_calls(monkeypatch, cech_cohomology_p1, EquivBundleCP1((LineWeights(n, -n),))) >= window
 
     def test_nodal_reduces_each_weight_of_each_side(self, monkeypatch):
         n = self.N
@@ -207,17 +209,16 @@ class TestCrossValidateReducesEachBlockOnce:
 
 class TestLocalization:
     def test_frozen_values(self):
-        assert localization_index(LineWeights(2, 0)) == Character.span(0, 2)
-        assert localization_index(LineWeights(0, 0)) == Character.monomial(0)
-        assert localization_index(LineWeights(-1, 0)) == Character()
-        assert localization_index(LineWeights(-3, 0)) == Character({-2: -1, -1: -1})
+        assert localization_index(EquivBundleCP1.parse("2:0")) == Character.span(0, 2)
+        assert localization_index(EquivBundleCP1.parse("0:0")) == Character.monomial(0)
+        assert localization_index(EquivBundleCP1.parse("-1:0")) == Character()
+        assert localization_index(EquivBundleCP1.parse("-3:0")) == Character({-2: -1, -1: -1})
 
     def test_matches_index_on_grid(self):
         for rp in range(-5, 6):
             for rq in range(-5, 6):
-                s = LineWeights(rp, rq)
-                want = cohomology(EquivBundleCP1((s,))).index()
-                assert localization_index(s) == want, (rp, rq)
+                b = EquivBundleCP1((LineWeights(rp, rq),))
+                assert localization_index(b) == cohomology(b).index(), (rp, rq)
 
     def test_exact_division(self):
         assert _over_one_minus_u(1 - Character.monomial(3)) == Character.span(0, 2)
@@ -272,7 +273,7 @@ class TestOracleCost:
     @pytest.mark.parametrize(
         "route, make",
         [
-            (cech_cohomology_p1, lambda n: LineWeights(n, -n)),
+            (cech_cohomology_p1, lambda n: EquivBundleCP1((LineWeights(n, -n),))),
             (cech_cohomology_nodal, lambda n: cut(EquivBundleCP1((LineWeights(n, -n),)))),
         ],
         ids=["cech", "nodal"],
@@ -300,9 +301,9 @@ class TestOracleCost:
     @pytest.mark.parametrize(
         "route, arg",
         [
-            (cech_cohomology_p1, LineWeights(10**5, -(10**5))),
+            (cech_cohomology_p1, EquivBundleCP1((LineWeights(10**5, -(10**5)),))),
             (cech_cohomology_nodal, cut(EquivBundleCP1((LineWeights(10**5, -(10**5)),)))),
-            (localization_index, LineWeights(10**5, -(10**5))),
+            (localization_index, EquivBundleCP1((LineWeights(10**5, -(10**5)),))),
         ],
         ids=["cech", "nodal", "localization"],
     )
@@ -328,8 +329,13 @@ class TestOracleCost:
 class TestIndependence:
     """The oracles may take types from geometry, never its closed forms."""
 
-    ALLOWED = {"CohomologyTable", "CutDecomposition", "LineWeights"}
-    # Every function geometry defines, so a closed form added there is covered without a new name here.
+    # Every class geometry defines, and every function, so a record or a closed form added there
+    # is covered without a new name here.
+    ALLOWED = {
+        name
+        for name, value in vars(cutchar.geometry).items()
+        if isinstance(value, type) and value.__module__ == "cutchar.geometry"
+    }
     CLOSED_FORMS = {
         name
         for name, value in vars(cutchar.geometry).items()
@@ -349,6 +355,10 @@ class TestIndependence:
 
     def test_closed_forms_are_derived(self):
         assert {"cohomology", "cut", "mcut_cohomology"} <= self.CLOSED_FORMS
+
+    def test_allowed_types_are_derived(self):
+        assert {"CohomologyTable", "CutDecomposition", "EquivBundleCP1", "LineWeights"} <= self.ALLOWED
+        assert not self.ALLOWED & self.CLOSED_FORMS, self.ALLOWED & self.CLOSED_FORMS
 
     def test_never_calls_a_closed_form(self):
         called = set()

@@ -23,7 +23,7 @@ def public_records():
     return [
         bundle.summands[0],
         bundle,
-        mcut_cohomology(cut(bundle)),
+        mcut_cohomology(cut(bundle))[0],
         cut(bundle),
         report.results[0][0],
         report,

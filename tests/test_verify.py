@@ -30,6 +30,7 @@ from cutchar import (
     sweep,
 )
 import cutchar.characters
+import cutchar.geometry
 import cutchar.verify
 from cutchar.verify import _REGISTRY, _RUN_CHUNK, _csv_cell, _morse_check, _write_json
 import json_model
@@ -487,7 +488,12 @@ class TestEqualityRegion:
 
 
 def _closed_form_calls(monkeypatch) -> Counter:
-    """Count the ``cohomology`` and ``mcut_cohomology`` calls ``verify`` makes from now on."""
+    """Count the ``cohomology`` and ``mcut_cohomology`` calls ``verify`` makes from now on.
+
+    ``"all cohomology"`` counts every call of ``cutchar.geometry.cohomology``:
+    those through ``verify``'s name, and those ``mcut_cohomology`` makes for
+    the two sides from inside ``geometry``.
+    """
     calls = Counter()
 
     def counting(name, fn):
@@ -497,8 +503,9 @@ def _closed_form_calls(monkeypatch) -> Counter:
 
         return wrapper
 
+    monkeypatch.setattr(cutchar.geometry, "cohomology", counting("all cohomology", cutchar.geometry.cohomology))
     for name in ("cohomology", "mcut_cohomology"):
-        monkeypatch.setattr(cutchar.verify, name, counting(name, getattr(cutchar.verify, name)))
+        monkeypatch.setattr(cutchar.verify, name, counting(name, getattr(cutchar.geometry, name)))
     return calls
 
 
@@ -506,15 +513,17 @@ class TestPerBundlePass:
     def test_closed_forms_once_per_bundle(self, monkeypatch):
         calls = _closed_form_calls(monkeypatch)
         sweep([bundle("1:-1,2:2")])
-        # M, plus and minus, and the cut space: once each for all checks.
-        assert calls == {"cohomology": 3, "mcut_cohomology": 1}
+        # M, plus and minus once each for all checks: the cut space is glued from the sides' tables.
+        assert calls.pop("all cohomology") == 3
+        assert calls == {"cohomology": 1, "mcut_cohomology": 1}
 
     def test_one_pass_per_visited_bundle(self, monkeypatch):
         calls = _closed_form_calls(monkeypatch)
         a, b = bundle("2:-1"), bundle("-3:2,1:1")
         sweep([a, b, a])
         # Revisiting a reuses nothing from its first visit.
-        assert calls == {"cohomology": 9, "mcut_cohomology": 3}
+        assert calls.pop("all cohomology") == 9
+        assert calls == {"cohomology": 3, "mcut_cohomology": 3}
 
     def test_sweep_revisiting_a_bundle_matches_fresh_runs(self):
         a, b = bundle("2:-1"), bundle("-3:2,1:1")
@@ -656,15 +665,17 @@ class TestUnboundedWeights:
         This argument rests on reading the code; a later change could break
         it, say a check that reads ``dim()``, and this test is its guard.
         """
+        # The asserts run inside the context too: a failing one writes out its operands, and there a
+        # witness of 10^100 terms raises in its repr at once instead of filling memory.
         with _no_dense_expansion():
             (row,) = sweep([b], NON_ORACLE).results
-        cells = [_cell_zeros()[_cell(s.r_p, s.r_q)] for s in b.summands]
-        for r in row:
-            assert r.passed and r.residual is None, r.check_id
-            assert (not r.witness) is all(zeros[r.check_id] for zeros in cells), r.check_id
-        witness = {r.check_id: r.witness for r in row}
-        assert (witness["mcut"] == CharPoly()) is all(_mcut_tight(*s) for s in b.summands)
-        assert (witness["morse"] == CharPoly()) is all(_morse_tight(*s) for s in b.summands)
+            cells = [_cell_zeros()[_cell(s.r_p, s.r_q)] for s in b.summands]
+            for r in row:
+                assert r.passed and r.residual is None, r.check_id
+                assert (not r.witness) is all(zeros[r.check_id] for zeros in cells), r.check_id
+            witness = {r.check_id: r.witness for r in row}
+            assert (witness["mcut"] == CharPoly()) is all(_mcut_tight(*s) for s in b.summands)
+            assert (witness["morse"] == CharPoly()) is all(_morse_tight(*s) for s in b.summands)
 
     def test_equality_map_by_the_oracles_on_the_grid(self):
         # The same map, with every table taken from the Cech oracles in
@@ -672,8 +683,7 @@ class TestUnboundedWeights:
         for b in grid_bundles((-10, 10), (-10, 10)):
             (s,) = b.summands
             cutd = cut(b)
-            (plus,), (minus,) = cutd.plus.summands, cutd.minus.summands
-            tm, tp, tmin = cech_cohomology_p1(s), cech_cohomology_p1(plus), cech_cohomology_p1(minus)
+            tm, tp, tmin = cech_cohomology_p1(b), cech_cohomology_p1(cutd.plus), cech_cohomology_p1(cutd.minus)
             tcut, _, _ = cech_cohomology_nodal(cutd)
             sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + 1])
             q_mcut = morse_quotient(tcut.euler_poly(), tm.euler_poly())

@@ -53,7 +53,8 @@ _WRITERS = "writers"
 _CLI = "CLI"
 
 #: Module -> function or class name -> layer; a class name covers its methods.  Names since deleted
-#: (``_line_cohomology``, ``_node_rank``) stay, so that older revisions map as the working tree does.
+#: (``_line_cohomology``, ``_node_rank``, the oracles' ``_table``) stay, so that older revisions map
+#: as the working tree does.  ``cech_cohomology_p1`` is the loop over blocks that both Cech routes run.
 LAYERS = {
     "characters": {
         **dict.fromkeys(
@@ -91,9 +92,10 @@ LAYERS = {
         ),
     },
     "oracles": {
-        "cech_cohomology_p1": "oracle: Cech",
         "cech_cohomology_nodal": "oracle: nodal Cech",
-        **dict.fromkeys(("_table", "_block", "_row_rank"), "oracle: Cech blocks, both Cech routes"),
+        **dict.fromkeys(
+            ("cech_cohomology_p1", "_table", "_block", "_row_rank"), "oracle: Cech blocks, both Cech routes"
+        ),
         **dict.fromkeys(("localization_index", "_over_one_minus_u", "NonPolynomialResult"), "oracle: localization"),
     },
     "cli": {

@@ -63,8 +63,8 @@ MUTANTS = [
     Mutant(
         "localization-from-cech",
         "verify.py",
-        "loc_index += localization_index(s)",
-        "loc_index += table.h0 - table.h1",
+        "(t.m_index, localization_index(t.bundle))",
+        "(t.m_index, cech.h0 - cech.h1)",
     ),
     Mutant(
         "config-fail-fast-ignored",
@@ -163,16 +163,26 @@ MUTANTS = [
     Mutant("cohomology-branch-strict", "geometry.py", "if s.r_q <= s.r_p:", "if s.r_q < s.r_p:"),
     Mutant("h1-span-one-early", "geometry.py", "Character.span(s.r_p + 1, s.r_q - 1)", "Character.span(s.r_p, s.r_q - 1)"),
     Mutant("node-h1-count-as-delta", "geometry.py", "len(cutd.plus.summands) - delta", "delta"),
+    # The closed form hands back its two side tables in order, as the nodal route does: plus, then minus.
+    Mutant("mcut-sides-swapped", "geometry.py", "return glued, plus, minus", "return glued, minus, plus"),
     # The Morse self-check compares p_m with r_m + q_m + q_{m-1}.
     Mutant("factorization-unshifted", "characters.py", "(ZERO, *q._coeffs)", "q._coeffs"),
-    # Localization as -u N divided twice by 1 - u.
+    # Localization as -u N of every summand, divided twice by 1 - u.
     Mutant(
         "localization-rp-shift",
         "oracles.py",
         "((r_p + 1, -1), (r_p + 2, 1),",
         "((r_p, -1), (r_p + 1, 1),",
     ),
-    Mutant("localization-rq-sign", "oracles.py", "(r_q, 1)))", "(r_q, -1)))"),
+    Mutant("localization-rq-sign", "oracles.py", "(r_q + 1, -1), (r_q, 1))", "(r_q + 1, -1), (r_q, -1))"),
+    Mutant(
+        "localization-first-summand-only",
+        "oracles.py",
+        "for r_p, r_q in bundle.summands:",
+        "for r_p, r_q in bundle.summands[:1]:",
+    ),
+    # The Cech route sums the tables of every line of the bundle.
+    Mutant("cech-first-line-only", "oracles.py", "for line in bundle.summands:", "for line in bundle.summands[:1]:"),
     Mutant(
         "localization-remainder-unchecked",
         "oracles.py",
@@ -232,6 +242,14 @@ MUTANTS = [
         "cli.py",
         "args.rp_range is not None else None\n    rq = _parse_range(args.rq_range) if args.rq_range is not None",
         "args.rp_range else None\n    rq = _parse_range(args.rq_range) if args.rq_range",
+    ),
+    # A verdict that reads a position's value, through dim(), which no check calls: right for small
+    # weights, wrong past 10^9, where only tests/test_verify.py::TestUnboundedWeights draws.
+    Mutant(
+        "verdict-reads-dim",
+        "verify.py",
+        "return CheckResult(check_id, bundle, q.is_nonneg(), witness=q)",
+        "return CheckResult(check_id, bundle, q.is_nonneg() and all(c.dim() < 10**9 for c in q.coeffs), witness=q)",
     ),
     # Each bundle's checks read that bundle's own closed-form pass.
     Mutant("pass-from-first-bundle", "verify.py", "t = _tables(bundle)", "t = _tables(grid[0])"),
