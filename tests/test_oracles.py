@@ -329,8 +329,8 @@ class TestOracleCost:
 class TestIndependence:
     """The oracles may take types from geometry, never its closed forms."""
 
-    # Every class geometry defines, and every function, so a record or a closed form added there
-    # is covered without a new name here.
+    # Every class geometry defines is a type the oracles may take, and every function it defines a
+    # closed form they may not call, so a record or a closed form added there needs no new name here.
     ALLOWED = {
         name
         for name, value in vars(cutchar.geometry).items()

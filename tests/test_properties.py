@@ -248,14 +248,16 @@ class TestOracleAgreement:
     @settings(max_examples=60)
     @given(line_weights)
     def test_cech_matches_closed_form(self, s):
-        got = cech_cohomology_p1(EquivBundleCP1((s,)))
-        want = cohomology(EquivBundleCP1((s,)))
+        b = EquivBundleCP1((s,))
+        got = cech_cohomology_p1(b)
+        want = cohomology(b)
         assert (got.h0, got.h1) == (want.h0, want.h1)
 
     @settings(max_examples=60)
     @given(line_weights)
     def test_localization_matches_index(self, s):
-        assert localization_index(EquivBundleCP1((s,))) == cohomology(EquivBundleCP1((s,))).index()
+        b = EquivBundleCP1((s,))
+        assert localization_index(b) == cohomology(b).index()
 
     @settings(max_examples=40)
     @given(bundles)
