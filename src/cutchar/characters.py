@@ -77,19 +77,19 @@ def _runs(jumps: Mapping[int, int]) -> Iterator[tuple[int, int, int]]:
 class Character:
     """Laurent polynomial in u with integer coefficients, stored by its jumps.
 
-    Supports + and - (with other characters or plain integers, an integer
-    meaning that multiple of u^0), equality and :meth:`is_nonneg`.
-    Instances are immutable, so an operation may return one of its
-    operands: ``a + 0`` is ``a``.  The constructor takes the dense
-    ``{weight: multiplicity}`` form, which is also what every view and the
-    repr show, or its pairs, where repeated weights add up.
+    Supports + and - with other characters, equality and :meth:`is_nonneg`;
+    an integer, meaning that multiple of u^0, may stand on either side of +
+    and on the right of -.  Instances are immutable, so an operation may
+    return one of its operands: ``a + 0`` is ``a``.  The constructor takes
+    the dense ``{weight: multiplicity}`` form, which is also what every view
+    and the repr show, or its pairs, where repeated weights add up.
 
     >>> Character([(0, 1), (2, 1), (0, 1)])
     Character({0: 2, 2: 1})
     >>> u = Character.monomial(1)
     >>> (1 + u) + (u - 2)
     Character({0: -1, 1: 2})
-    >>> u + (-u)
+    >>> (1 + u) - (u + 1)
     Character({})
     """
 
@@ -181,7 +181,7 @@ class Character:
     def _plus(self, other: "Character | int", sign: int) -> "Character":
         """``self + sign * other`` for a sign of 1 or -1: the one body of + and -."""
         if type(other) is not Character:
-            # Leave any other operand, a CharPoly say, to its own reflected method.
+            # Leave any other operand to its own reflected method, if it has one.
             if type(other) is not int and not isinstance(other, Character):
                 return NotImplemented
             other = _as_character(other)
@@ -203,14 +203,8 @@ class Character:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Character":
-        return Character._from_jumps({k: -q for k, q in self._jumps.items()})
-
     def __sub__(self, other: "Character | int") -> "Character":
         return self._plus(other, -1)
-
-    def __rsub__(self, other: int) -> "Character":
-        return _as_character(other) - self
 
     def __repr__(self) -> str:
         return f"Character({dict(self.items())!r})"
@@ -246,13 +240,14 @@ def _as_character(value: "Character | int") -> Character:
 class CharPoly:
     """Polynomial in t with :class:`Character` coefficients.
 
-    Trailing zero coefficients are trimmed, so the zero polynomial has
-    degree -1 and equality is canonical.  Integer entries are shorthand for
-    that multiple of u^0.
+    Trailing zero coefficients are trimmed, so the zero polynomial has no
+    coefficients and equality is canonical.  Integer entries are shorthand
+    for that multiple of u^0.  Polynomials subtract, and a character or an
+    integer on the right of - is the constant polynomial.
 
-    >>> p = CharPoly([Character.span(0, 2), Character.span(0, 1)])
-    >>> p.degree
-    1
+    >>> p = CharPoly([Character.span(0, 2), Character.span(0, 1), 0])
+    >>> len(p.coeffs)
+    2
     >>> p.at_minus_one()
     Character({2: 1})
     """
@@ -266,20 +261,8 @@ class CharPoly:
         self._coeffs: tuple[Character, ...] = tuple(cs)
 
     @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
     def coeffs(self) -> tuple[Character, ...]:
         return self._coeffs
-
-    def coeff(self, power: int) -> Character:
-        """Coefficient of t^power (zero beyond the degree)."""
-        if power < 0:
-            raise ValueError("t-powers are nonnegative")
-        if power >= len(self._coeffs):
-            return ZERO
-        return self._coeffs[power]
 
     def is_nonneg(self) -> bool:
         return all(c.is_nonneg() for c in self._coeffs)
@@ -302,18 +285,9 @@ class CharPoly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __add__(self, other: "CharPoly | Character | int") -> "CharPoly":
-        pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
-        return CharPoly([a + b for a, b in pairs])
-
-    __radd__ = __add__
-
     def __sub__(self, other: "CharPoly | Character | int") -> "CharPoly":
         pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
         return CharPoly([a - b for a, b in pairs])
-
-    def __rsub__(self, other: "Character | int") -> "CharPoly":
-        return _as_charpoly(other) - self
 
     def __repr__(self) -> str:
         return f"CharPoly({list(self._coeffs)!r})"

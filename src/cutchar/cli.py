@@ -36,6 +36,8 @@ with it ``re``.
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
 import time
 from collections import namedtuple
@@ -197,6 +199,37 @@ def _write(result: dict | SweepReport, fmt: str, stamp: bool, dest) -> None:
             members["generated_at"] = _timestamp()
         _write_json(members, dest.write)
         dest.write("\n")
+
+
+def _sibling(path: str) -> tuple[int, str] | None:
+    """A new file beside ``path`` to write it through, as (descriptor, name); None to write in place.
+
+    Only a regular file that may be written, or nothing, at ``path`` is
+    written through a sibling, which takes the file's mode bits.  A
+    read-only file, a symlink, a device such as /dev/null or /dev/full, a
+    FIFO, and a path whose directory takes no new file or that cannot be
+    examined are written in place: opening the path itself then reports any
+    error, naming the path.
+    """
+    head, name = os.path.split(path)
+    if not name:
+        return None
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    except (OSError, ValueError):  # ValueError: a path holding a NUL or a lone surrogate
+        return None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and os.access(path, os.W_OK)):
+        return None
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError:
+        return None
+    if st is not None:
+        os.fchmod(fd, stat.S_IMODE(st.st_mode))
+    return fd, tmp
 
 
 def _cmd_cohomology(args):
@@ -397,9 +430,12 @@ def main(argv=None) -> int:
         out, fmt, work = _COMMANDS[args.command][1](args)
         # The output opens after the command has parsed its input and before its work, so an
         # unwritable path costs no work and a bad input leaves the file untouched.  A failed
-        # write exits 2, as an input error does: exit 1 means only a failed check.
+        # write exits 2, as an input error does: exit 1 means only a failed check.  A sibling
+        # replaces the file only once the whole output is in it, so an exit 2 or an interrupt
+        # leaves the old file, or none, at the path.
         try:
-            dest = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+            sibling = None if out is None else _sibling(out)
+            dest = sys.stdout if out is None else open(sibling[0] if sibling else out, "w", encoding="utf-8")
         except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL or a lone surrogate
             raise _UsageError(f"cannot write {out!r}: {exc}") from None
         try:
@@ -410,8 +446,17 @@ def main(argv=None) -> int:
             finally:
                 if out is not None:
                     dest.close()
+            if sibling is not None:
+                os.replace(sibling[1], out)
+                sibling = None
         except OSError as exc:  # the work itself does no I/O
             raise _UsageError(f"cannot write {'stdout' if out is None else repr(out)}: {exc}") from None
+        finally:
+            if sibling is not None:
+                try:
+                    os.unlink(sibling[1])
+                except OSError:  # already gone: the path itself was never touched
+                    pass
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,10 +69,6 @@ class LineWeights(namedtuple("LineWeights", "r_p r_q")):
 
     __slots__ = ()
 
-    @property
-    def degree(self) -> int:
-        return self.r_p - self.r_q
-
 
 class EquivBundleCP1(namedtuple("EquivBundleCP1", "summands")):
     """Formal direct sum of equivariant line bundles on CP^1.

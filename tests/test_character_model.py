@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutchar import Character, CharPoly
+from cutchar.characters import ZERO
 from test_verify import _json_text
 
 
@@ -61,7 +62,7 @@ def pairs(draw):
     char, model = Character(), {}
     for c, m in draw(st.lists(base_pairs, min_size=1, max_size=3)):
         if draw(st.booleans()):
-            c, m = -c, m_neg(m)
+            c, m = Character() - c, m_neg(m)
         char, model = char + c, m_add(model, m)
     return char, model
 
@@ -75,7 +76,7 @@ class TestAgainstDictModel:
         (ca, ma), (cb, mb) = a, b
         assert dict((ca + cb).items()) == m_add(ma, mb)
         assert dict((ca - cb).items()) == m_add(ma, m_neg(mb))
-        assert dict((-ca).items()) == m_neg(ma)
+        assert dict((Character() - ca).items()) == m_neg(ma)
 
     @given(pairs(), ints)
     def test_int_operands(self, a, n):
@@ -83,7 +84,7 @@ class TestAgainstDictModel:
         const = clean({0: n})
         assert dict((ca + n).items()) == dict((n + ca).items()) == m_add(ma, const)
         assert dict((ca - n).items()) == m_add(ma, m_neg(const))
-        assert dict((n - ca).items()) == m_add(const, m_neg(ma))
+        assert dict((Character.monomial(0, n) - ca).items()) == m_add(const, m_neg(ma))
         assert (ca == n) is (ma == const)
 
     @given(pairs(), pairs())
@@ -137,23 +138,29 @@ class TestAgainstDictModel:
 ZEROS = [Character(), Character({}), 0]
 
 
+def as_left(zero) -> Character:
+    """``zero`` as the left operand of -, which takes a character only: an int as that multiple of u^0."""
+    return zero if isinstance(zero, Character) else Character.monomial(0, zero)
+
+
 class TestZeroOperands:
-    """Zero on either side of + and -, the operands the closed forms meet most."""
+    """Zero on either side of +, and on the right of -, the operands the closed forms meet most."""
 
     @pytest.mark.parametrize("zero", ZEROS, ids=["Character()", "Character({})", "0"])
     @given(pairs(), pairs())
     def test_zero_either_side(self, zero, a, b):
         (ca, ma), (cb, mb) = a, b
+        left = as_left(zero)
         assert dict((ca + zero).items()) == dict((zero + ca).items()) == ma
         assert dict((ca - zero).items()) == ma
-        assert dict((zero - ca).items()) == m_neg(ma)
-        assert zero - ca == -ca
-        assert dict((Character() + zero).items()) == dict((zero - Character()).items()) == {}
+        assert dict((left - ca).items()) == m_neg(ma)
+        assert left - ca == Character() - ca
+        assert dict((Character() + zero).items()) == dict((left - Character()).items()) == {}
         # A zero fast path hands back an operand: later arithmetic on the
         # result must leave that operand, and the zero, as they were.
         s = ca + zero
         t = zero + ca
-        after = [s + cb, s - cb, -s, t + cb, t - cb, cb - t, zero - s]
+        after = [s + cb, s - cb, Character() - s, t + cb, t - cb, cb - t, left - s]
         assert [dict(x.items()) for x in after] == [
             m_add(ma, mb),
             m_add(ma, m_neg(mb)),
@@ -167,12 +174,13 @@ class TestZeroOperands:
         assert zero == 0 and not zero
 
     def test_shared_zero_stays_zero(self):
-        for c in (CharPoly().coeff(3), CharPoly([1]).at_minus_one() - 1, CharPoly().at_minus_one()):
+        for c in (ZERO, CharPoly([1]).at_minus_one() - 1, CharPoly().at_minus_one()):
             assert dict(c.items()) == {} and c == 0
         u = Character.monomial(1)
-        total = CharPoly().coeff(0)
+        total = CharPoly().at_minus_one()
         total += u
-        assert dict(CharPoly().coeff(0).items()) == {} and dict(total.items()) == {1: 1}
+        assert dict(CharPoly().at_minus_one().items()) == {} and dict(total.items()) == {1: 1}
+        assert dict(ZERO.items()) == {}
 
 
 CANONICAL_KEY = re.compile("0|-?[1-9][0-9]*")

@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cutchar.cli
 from cutchar import (
     CharPoly,
     CheckResult,
@@ -851,6 +855,60 @@ class TestOutputOpenedFirst:
         out.write_text("kept")
         assert main(["verify", "1:0", "--checks", "nope", "--out", str(out)]) == 2
         assert out.read_text() == "kept"
+
+
+class TestOutputAllOrNothing:
+    """An existing ``--out`` file is replaced only by a whole output: an exit 2 or an interrupt leaves it."""
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        # The child may write 4096 bytes to any file; a larger one fails with EFBIG, not SIGXFSZ.
+        def limit():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        out = tmp_path / "r.json"
+        out.write_bytes(b'{"old": "report"}\n')
+        src = Path(cutchar.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutchar", "cohomology", "100000:0", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, preexec_fn=limit, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {str(out)!r}: [Errno 27] File too large")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert out.read_bytes() == b'{"old": "report"}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_interrupt_leaves_the_old_file(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        out = tmp_path / "r.json"
+        out.write_text("kept")
+        monkeypatch.setattr(cutchar.cli, "sweep", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "1:0", "--out", str(out)])
+        assert out.read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_whole_output_replaces_the_file_and_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        assert main(["cohomology", "0:0", "--out", str(out)]) == 0
+        expected = json.dumps(_table_json_obj("cohomology", "0:0"), indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == expected
+        assert out.stat().st_mode & 0o7777 == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert main(["cohomology", "0:0", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8").startswith('{\n  "h0"')
 
 
 # Argv and config fuzzing.  Weights stay within |w| <= 40 and ranges at most

@@ -61,8 +61,10 @@ class TestBundle:
         assert bundle.literal() == text
 
     def test_degree(self):
-        assert LineWeights(3, -1).degree == 4
-        assert LineWeights(-2, -2).degree == 0
+        # The underlying degree is r_P - r_Q.
+        for s, degree in [(LineWeights(3, -1), 4), (LineWeights(-2, -2), 0)]:
+            assert s.r_p - s.r_q == degree
+            assert cohomology(EquivBundleCP1((s,))).index().dim() == degree + 1
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError):

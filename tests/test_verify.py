@@ -124,12 +124,12 @@ class TestFailurePaths:
         r = _morse_check("mcut", b, CharPoly([1]), CharPoly([u]))
         assert not r.passed
         assert r.witness is None
-        assert r.residual == CharPoly([1 - u])
+        assert r.residual == CharPoly([Character.monomial(0) - u])
 
     def test_morse_check_negative_quotient(self):
         b = bundle("0:0")
-        q = CharPoly([-u])
-        r = _morse_check("mcut", b, CharPoly([-u, -u]), CharPoly())  # (1 + t) q
+        q = CharPoly([Character() - u])
+        r = _morse_check("mcut", b, CharPoly([Character() - u, Character() - u]), CharPoly())  # (1 + t) q
         assert not r.passed
         assert r.witness == q
         assert r.residual is None
@@ -294,7 +294,7 @@ class TestSweepReportSerialization:
 
     def test_markdown_failures_section(self, monkeypatch):
         def always_fails(t):
-            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1 - u]))
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([Character.monomial(0) - u]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         report = sweep([bundle("0:0"), bundle("1:0")], ("gluing",))
@@ -624,7 +624,7 @@ class TestUnboundedWeights:
             assert table.h0 == Character.span(-BIG, BIG)
             assert table.h1 == Character.span(-BIG + 1, BIG - 1)
             assert (table.h0.dim(), table.h1.dim()) == (2 * BIG + 1, 2 * BIG - 1)
-            assert table.h0.is_nonneg() and not (-table.h1).is_nonneg()
+            assert table.h0.is_nonneg() and not (Character() - table.h1).is_nonneg()
         assert report.passed
         assert {r.check_id: r.witness for r in report.results[0]} == expected
         assert all(r.residual is None for r in report.results[0])

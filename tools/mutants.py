@@ -6,9 +6,10 @@ Usage, from the root of a checkout::
 
 A mutant replaces one exact piece of a file under ``src/cutchar/``, most
 often one line, by another.  For each mutant (or only those named) the
-script copies ``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` to a
-temporary directory and applies the mutant there; the checkout itself is
-never edited.  It then runs ``python -m pytest -x -q`` on the copy, first
+script copies ``src``, ``tests``, ``perfbench``, ``pyproject.toml`` and
+``README.md`` (whose Library block a test runs) to a temporary directory
+and applies the mutant there; the checkout itself is never edited.  It
+then runs ``python -m pytest -x -q`` on the copy, first
 on the test files that cover the mutated module (:data:`COVERING`), and on
 the whole suite only if those pass.  A mutant is killed when pytest fails,
 and survives when the whole suite passes, so the first stage changes how
@@ -18,7 +19,11 @@ verdicts and names the same first failing tests, and skips the shrink phase
 (the ``mutants`` profile of ``tests/conftest.py``): a verdict needs a failing
 example, not the smallest one.  The tests themselves, run without the tool,
 keep their fresh draws and their shrinking.  Two mutants run at a time, each
-in its own copy, and the report lists them in table order.
+in its own copy, and the report lists them in table order.  Each pytest
+child's address space is capped at :data:`AS_CAP_MIB`, since the machine's
+memory is shared: a mutant that makes a test expand a far-weight character
+would otherwise grow until the timeout.  A child that reaches the cap fails
+with a ``MemoryError`` and counts as killed, and the report says so.
 
 Equivalent mutants change no behaviour any input can show, so no test can
 kill them; they carry the reason, are run like the others, and are
@@ -33,6 +38,7 @@ mutant's text is not found exactly once in its file.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -44,6 +50,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 900
+#: An unmutated whole-suite run in a fresh copy peaks at about 275 MiB of address space (VmPeak,
+#: Python 3.11), most of it hypothesis building its character tables, which it caches in the copy.
+AS_CAP_MIB = 512
 WORKERS = 2
 HYPOTHESIS_SEED = 0
 
@@ -298,6 +307,9 @@ MUTANTS = [
         "return json.loads(self.to_json_text())",
         "return self._json_members()",
     ),
+    # An --out file is written through a sibling that replaces it whole, or is removed.
+    Mutant("out-sibling-not-renamed", "cli.py", "os.replace(sibling[1], out)", "pass"),
+    Mutant("out-sibling-left-on-exit-2", "cli.py", "os.unlink(sibling[1])", "pass"),
     # The scanner takes a plain argv, and must leave every other to argparse.  Each is killed by
     # tests/test_cli.py::TestScan (test_leaves_to_argparse, or test_agrees_on_golden_rows for the last).
     Mutant(
@@ -345,18 +357,29 @@ def _mutated(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
+def _cap_address_space() -> None:
+    cap = AS_CAP_MIB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
 def _pytest(work: Path, files: list[str]) -> tuple[bool, str]:
     """Whether ``pytest -x`` fails on ``files`` of the copy (all when empty), and the first failing test's line."""
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     hypothesis = [f"--hypothesis-seed={HYPOTHESIS_SEED}", "--hypothesis-profile=mutants"]
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *hypothesis, *files]
     try:
-        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        proc = subprocess.run(
+            argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            preexec_fn=_cap_address_space,
+        )
     except subprocess.TimeoutExpired:
         return True, f"timed out after {TIMEOUT_S} s"
     failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     last = (proc.stdout.strip().splitlines() or proc.stderr.strip().splitlines() or [""])[-1]
-    return proc.returncode != 0, failed[0] if failed else last
+    detail = failed[0] if failed else last
+    if "MemoryError" in proc.stdout + proc.stderr:
+        detail = f"reached the {AS_CAP_MIB} MiB address-space cap: {detail}"
+    return proc.returncode != 0, detail
 
 
 def _killed(mutant: Mutant) -> tuple[bool, str, float]:
@@ -369,7 +392,8 @@ def _killed(mutant: Mutant) -> tuple[bool, str, float]:
         work = Path(tmp)
         for tree in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / tree, work / tree, ignore=shutil.ignore_patterns("__pycache__", ".work"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
         (work / "src" / "cutchar" / mutant.path).write_text(_mutated(mutant), encoding="utf-8")
         killed, detail = _pytest(work, [f"tests/{name}" for name in COVERING[mutant.path]])
         if not killed:
