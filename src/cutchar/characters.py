@@ -77,19 +77,20 @@ def _runs(jumps: Mapping[int, int]) -> Iterator[tuple[int, int, int]]:
 class Character:
     """Laurent polynomial in u with integer coefficients, stored by its jumps.
 
-    Supports + and - with other characters, equality and :meth:`is_nonneg`;
-    an integer, meaning that multiple of u^0, may stand on either side of +
-    and on the right of -.  Instances are immutable, so an operation may
-    return one of its operands: ``a + 0`` is ``a``.  The constructor takes
-    the dense ``{weight: multiplicity}`` form, which is also what every view
-    and the repr show, or its pairs, where repeated weights add up.
+    Supports + and - with other characters, equality and :meth:`is_nonneg`.
+    Every operand is a character: n * u^0 is ``Character.monomial(0, n)``,
+    and an int is no operand and equals no character.  Instances are
+    immutable, so an operation may return one of its operands:
+    ``a + Character()`` is ``a``.  The constructor takes the dense
+    ``{weight: multiplicity}`` form, which is also what every view and the
+    repr show, or its pairs, where repeated weights add up.
 
     >>> Character([(0, 1), (2, 1), (0, 1)])
     Character({0: 2, 2: 1})
-    >>> u = Character.monomial(1)
-    >>> (1 + u) + (u - 2)
+    >>> u, one = Character.monomial(1), Character.monomial(0, 1)
+    >>> (one + u) + (u - Character.monomial(0, 2))
     Character({0: -1, 1: 2})
-    >>> (1 + u) - (u + 1)
+    >>> (one + u) - (u + one)
     Character({})
     """
 
@@ -166,25 +167,18 @@ class Character:
         return bool(self._jumps)
 
     def __eq__(self, other: object) -> bool:
-        # bool is an int subclass; leave it to NotImplemented, as _as_character does.
-        if type(other) is int:
-            other = Character.monomial(0, other)
         if not isinstance(other, Character):
             return NotImplemented
         return self._jumps == other._jumps
 
     def __hash__(self) -> int:
-        # A multiple c of u^0 equals the int c, so it hashes as c does.
-        c = self._jumps.get(0, 0)
-        return hash(c) if self == c else hash(tuple(self._jumps.items()))
+        return hash(tuple(self._jumps.items()))
 
-    def _plus(self, other: "Character | int", sign: int) -> "Character":
+    def _plus(self, other: "Character", sign: int) -> "Character":
         """``self + sign * other`` for a sign of 1 or -1: the one body of + and -."""
-        if type(other) is not Character:
+        if not isinstance(other, Character):
             # Leave any other operand to its own reflected method, if it has one.
-            if type(other) is not int and not isinstance(other, Character):
-                return NotImplemented
-            other = _as_character(other)
+            return NotImplemented
         # Instances are immutable, so a zero operand can hand back the other one.
         if not other._jumps:
             return self
@@ -198,12 +192,10 @@ class Character:
         new._jumps = _canonical(merged)
         return new
 
-    def __add__(self, other: "Character | int") -> "Character":
+    def __add__(self, other: "Character") -> "Character":
         return self._plus(other, 1)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "Character | int") -> "Character":
+    def __sub__(self, other: "Character") -> "Character":
         return self._plus(other, -1)
 
     def __repr__(self) -> str:
@@ -229,23 +221,15 @@ class Character:
 ZERO = Character()
 
 
-def _as_character(value: "Character | int") -> Character:
-    if isinstance(value, Character):
-        return value
-    if type(value) is int:
-        return Character.monomial(0, value)
-    raise TypeError(f"expected Character or int, got {type(value).__name__}")
-
-
 class CharPoly:
     """Polynomial in t with :class:`Character` coefficients.
 
     Trailing zero coefficients are trimmed, so the zero polynomial has no
-    coefficients and equality is canonical.  Integer entries are shorthand
-    for that multiple of u^0.  Polynomials subtract, and a character or an
-    integer on the right of - is the constant polynomial.
+    coefficients and equality is canonical.  Every coefficient is a
+    character, n * u^0 included (``Character.monomial(0, n)``), and
+    polynomials subtract only polynomials.
 
-    >>> p = CharPoly([Character.span(0, 2), Character.span(0, 1), 0])
+    >>> p = CharPoly([Character.span(0, 2), Character.span(0, 1), Character.monomial(0, 0)])
     >>> len(p.coeffs)
     2
     >>> p.at_minus_one()
@@ -254,8 +238,11 @@ class CharPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable["Character | int"] = ()):
-        cs = [c if type(c) is Character else _as_character(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[Character] = ()):
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, Character):
+                raise TypeError(f"expected Character, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs: tuple[Character, ...] = tuple(cs)
@@ -285,8 +272,10 @@ class CharPoly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __sub__(self, other: "CharPoly | Character | int") -> "CharPoly":
-        pairs = zip_longest(self._coeffs, _as_charpoly(other)._coeffs, fillvalue=ZERO)
+    def __sub__(self, other: "CharPoly") -> "CharPoly":
+        if not isinstance(other, CharPoly):
+            return NotImplemented
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=ZERO)
         return CharPoly([a - b for a, b in pairs])
 
     def __repr__(self) -> str:
@@ -306,12 +295,6 @@ class CharPoly:
         return " + ".join(parts) if parts else "0"
 
 
-def _as_charpoly(value: "CharPoly | Character | int") -> CharPoly:
-    if isinstance(value, CharPoly):
-        return value
-    return CharPoly([_as_character(value)])
-
-
 def morse_quotient(p: CharPoly, r: CharPoly) -> CharPoly:
     """Solve ``p = r + (1+t) * q`` for q by synthetic division.
 
@@ -322,7 +305,7 @@ def morse_quotient(p: CharPoly, r: CharPoly) -> CharPoly:
     the caller's question, to be asked via :meth:`CharPoly.is_nonneg`.
 
     >>> u = Character.monomial(1)
-    >>> p = CharPoly([Character.span(0, 2), 1 + u])
+    >>> p = CharPoly([Character.span(0, 2), Character.monomial(0, 1) + u])
     >>> morse_quotient(p, CharPoly([Character.monomial(2)]))
     CharPoly([Character({0: 1, 1: 1})])
     """

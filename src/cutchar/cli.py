@@ -222,7 +222,8 @@ def _sibling(path: str) -> tuple[int, str] | None:
         return None
     if st is not None and not (stat.S_ISREG(st.st_mode) and os.access(path, os.W_OK)):
         return None
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    # The sibling's name does not grow with the path's: a long name would pass the file-name limit.
+    tmp = os.path.join(head, f".cutchar-{os.getpid()}.tmp")
     try:
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     except OSError:

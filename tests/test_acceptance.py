@@ -26,6 +26,7 @@ from cutchar import (
 from test_characters import poly_sum, times_one_plus_t
 
 u = Character.monomial(1)
+one = Character.monomial(0, 1)
 
 GRID = grid_bundles((-10, 10), (-10, 10))  # 441 rank-one bundles
 
@@ -55,7 +56,7 @@ def test_1_h0_fixture():
 
     def body():
         t = cohomology(EquivBundleCP1.parse("2:0"))
-        assert t.h0 == 1 + u + Character.monomial(2)
+        assert t.h0 == one + u + Character.monomial(2)
         assert t.h1 == Character()
 
     _criterion("1 h0 fixture (2:0)", 1.0, body)
@@ -108,7 +109,7 @@ def test_5_morse_family_grid():
                 result = run_check(cid, bundle)
                 assert result.passed, (bundle.literal(), cid)
                 if cid == "morse" and in_claimed_region(bundle):
-                    assert result.witness == CharPoly([1]), bundle.literal()
+                    assert result.witness == CharPoly([one]), bundle.literal()
 
     _criterion("5 morse family, Q' = 1 on region", 2000.0, body)
 
@@ -157,7 +158,7 @@ def test_8_equality_region_findings():
             for bundle, row in zip(report.grid, report.results)
         }
         for lit in claimed:
-            assert by_literal[lit]["morse"].witness == CharPoly([1]), lit
+            assert by_literal[lit]["morse"].witness == CharPoly([one]), lit
         assert claimed.isdisjoint(report.equality_sets["morse"])
         # (b) the cut-inequality equality set strictly exceeds the claim
         mcut_eq = set(report.equality_sets["mcut"])

@@ -80,12 +80,19 @@ class TestAgainstDictModel:
 
     @given(pairs(), ints)
     def test_int_operands(self, a, n):
+        # n * u^0 is the character Character.monomial(0, n); the int n is no operand and equals no character.
         ca, ma = a
-        const = clean({0: n})
-        assert dict((ca + n).items()) == dict((n + ca).items()) == m_add(ma, const)
-        assert dict((ca - n).items()) == m_add(ma, m_neg(const))
-        assert dict((Character.monomial(0, n) - ca).items()) == m_add(const, m_neg(ma))
-        assert (ca == n) is (ma == const)
+        const, cn = clean({0: n}), Character.monomial(0, n)
+        assert dict((ca + cn).items()) == dict((cn + ca).items()) == m_add(ma, const)
+        assert dict((ca - cn).items()) == m_add(ma, m_neg(const))
+        assert dict((cn - ca).items()) == m_add(const, m_neg(ma))
+        assert (ca == cn) is (ma == const)
+        assert (ca == n) is False
+        for left, right in [(ca, n), (n, ca)]:
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
 
     @given(pairs(), pairs())
     def test_eq_and_hash(self, a, b):
@@ -98,11 +105,11 @@ class TestAgainstDictModel:
             assert hash(ca) == hash(cb)
 
     @given(st.integers())
-    def test_u0_multiple_hashes_as_its_int(self, c):
-        # Character.monomial(0, c) == c, zero included, so they must hash alike.
+    def test_u0_multiple_is_not_its_int(self, c):
+        # Character.monomial(0, c) != c, zero included; it hashes as its value, as every character does.
         ch = Character.monomial(0, c)
-        assert ch == c and hash(ch) == hash(c)
-        assert {c: "x"}.get(ch) == "x" and len({ch, c}) == 1
+        assert ch != c and hash(ch) == hash(Character({0: c}))
+        assert {c: "x"}.get(ch) is None and len({ch, c}) == 2
 
     @given(pairs(), pairs())
     def test_order_nonneg_dim(self, a, b):
@@ -135,32 +142,27 @@ class TestAgainstDictModel:
         assert Character({int(k): q for k, q in obj.items()}) == ca
 
 
-ZEROS = [Character(), Character({}), 0]
-
-
-def as_left(zero) -> Character:
-    """``zero`` as the left operand of -, which takes a character only: an int as that multiple of u^0."""
-    return zero if isinstance(zero, Character) else Character.monomial(0, zero)
+#: The zero character, built three ways; the last is 0 * u^0.
+ZEROS = [Character(), Character({}), Character.monomial(0, 0)]
 
 
 class TestZeroOperands:
-    """Zero on either side of +, and on the right of -, the operands the closed forms meet most."""
+    """Zero on either side of + and -, the operands the closed forms meet most."""
 
     @pytest.mark.parametrize("zero", ZEROS, ids=["Character()", "Character({})", "0"])
     @given(pairs(), pairs())
     def test_zero_either_side(self, zero, a, b):
         (ca, ma), (cb, mb) = a, b
-        left = as_left(zero)
         assert dict((ca + zero).items()) == dict((zero + ca).items()) == ma
         assert dict((ca - zero).items()) == ma
-        assert dict((left - ca).items()) == m_neg(ma)
-        assert left - ca == Character() - ca
-        assert dict((Character() + zero).items()) == dict((left - Character()).items()) == {}
+        assert dict((zero - ca).items()) == m_neg(ma)
+        assert zero - ca == Character() - ca
+        assert dict((Character() + zero).items()) == dict((zero - Character()).items()) == {}
         # A zero fast path hands back an operand: later arithmetic on the
         # result must leave that operand, and the zero, as they were.
         s = ca + zero
         t = zero + ca
-        after = [s + cb, s - cb, Character() - s, t + cb, t - cb, cb - t, left - s]
+        after = [s + cb, s - cb, Character() - s, t + cb, t - cb, cb - t, zero - s]
         assert [dict(x.items()) for x in after] == [
             m_add(ma, mb),
             m_add(ma, m_neg(mb)),
@@ -171,11 +173,12 @@ class TestZeroOperands:
             m_neg(ma),
         ]
         assert dict(ca.items()) == dict(s.items()) == dict(t.items()) == ma
-        assert zero == 0 and not zero
+        assert zero == Character() and zero != 0 and not zero
 
     def test_shared_zero_stays_zero(self):
-        for c in (ZERO, CharPoly([1]).at_minus_one() - 1, CharPoly().at_minus_one()):
-            assert dict(c.items()) == {} and c == 0
+        one = Character.monomial(0, 1)
+        for c in (ZERO, CharPoly([one]).at_minus_one() - one, CharPoly().at_minus_one()):
+            assert dict(c.items()) == {} and c == Character()
         u = Character.monomial(1)
         total = CharPoly().at_minus_one()
         total += u

@@ -21,16 +21,17 @@ from cutchar.verify import ALL_CHECKS
 from test_verify import _json_text
 
 u = Character.monomial(1)
+one = Character.monomial(0, 1)
 
 
 def poly_sum(p: CharPoly, q: CharPoly) -> CharPoly:
     """p + q, coefficient by coefficient: the checks only subtract, so CharPoly has no +."""
-    return CharPoly(a + b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0))
+    return CharPoly(a + b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=Character()))
 
 
 def times_one_plus_t(q: CharPoly) -> CharPoly:
     """(1 + t) q, as q plus its shift by one power of t."""
-    return poly_sum(q, CharPoly([0, *q.coeffs]))
+    return poly_sum(q, CharPoly([Character(), *q.coeffs]))
 
 
 class TestCharacter:
@@ -78,21 +79,30 @@ class TestCharacter:
 
     def test_int_coercion(self):
         a = Character({1: 1})
-        assert a + 1 == Character({0: 1, 1: 1})
-        assert 1 + a == a + 1
+        assert a + one == Character({0: 1, 1: 1})
+        assert one + a == a + one
         assert Character.monomial(0, 2) - a == Character({0: 2, 1: -1})
-        # An int stands on either side of + but only on the right of -.
+        # No int coerces: n * u^0 is Character.monomial(0, n), on either side of + and -.
+        for left, right in [(a, 1), (1, a), (a, 0), (0, a), (a, -1)]:
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
         with pytest.raises(TypeError):
             2 - a
         with pytest.raises(TypeError):
             -a
-        # Only an int coerces: a float or a bool is no multiple of u^0.
+        # sum starts from the int 0, so it needs a character to start from.
+        with pytest.raises(TypeError):
+            sum([a])
+        assert sum([a, one], Character()) == a + one
+        # A float or a bool is no multiple of u^0 either.
         for left, right in [(a, 1.5), (1.5, a), (a, True)]:
             with pytest.raises(TypeError):
                 left + right
             with pytest.raises(TypeError):
                 left - right
-        # Integers coerce only for + and -: a character has no product, not even with an integer.
+        # A character has no product, not even with an integer.
         for left, right in [(a, a), (3, a), (a, 3)]:
             with pytest.raises(TypeError):
                 left * right
@@ -111,7 +121,7 @@ class TestCharacter:
         assert (Character({0: 2, 1: 1}) - Character({0: 1})).is_nonneg()
         assert not (Character({0: 1}) - Character({0: 2, 1: 1})).is_nonneg()
         # incomparable pair: neither dominates
-        a = 1 + u
+        a = one + u
         b = Character.monomial(0, 2)
         assert not (a - b).is_nonneg()
         assert not (b - a).is_nonneg()
@@ -124,9 +134,13 @@ class TestCharacter:
     def test_eq_and_hash(self):
         assert Character({0: 1, 1: 1}) == Character([(1, 1), (0, 1)])
         assert hash(Character({0: 1})) == hash(Character({0: 1, 5: 0}))
-        assert Character() == 0
-        assert Character.monomial(0, 2) == 2
+        # A character equals only a character: u^0 multiples are not the ints they were once shorthand for.
+        assert (Character() == 0) is False
+        assert (Character.monomial(0, 2) == 2) is False
         assert Character.monomial(1) != 1
+        # The hash is the hash of the jumps of (1 - u) * chi, u^0 multiples included.
+        assert hash(Character.monomial(0, 2)) == hash(((0, 2), (1, -2)))
+        assert hash(Character()) == hash(())
 
     def test_eq_with_bool_is_false(self):
         # bool is an int subclass, but never a character.
@@ -143,80 +157,82 @@ class TestCharacter:
 
     def test_str(self):
         assert str(Character()) == "0"
-        assert str(1 + u) == "1 + u"
+        assert str(one + u) == "1 + u"
         assert str(Character({-1: 1, 2: -3})) == "u^-1 - 3u^2"
 
 
 class TestCharPoly:
     def test_trailing_zeros_trimmed(self):
-        p = CharPoly([1 + u, Character(), Character()])
+        p = CharPoly([one + u, Character(), Character()])
         assert len(p.coeffs) - 1 == 0
         assert len(CharPoly().coeffs) - 1 == -1
         assert CharPoly([Character()]) == CharPoly()
 
     def test_coeff(self):
-        p = CharPoly([1, u])
+        p = CharPoly([one, u])
         assert p.coeffs[0] == Character.monomial(0)
         assert p.coeffs[1] == u
         assert p.coeffs[2:] == ()
         assert type(p.coeffs) is tuple
 
     def test_arithmetic(self):
-        p = CharPoly([1, u])
-        q = CharPoly([u, Character(), 1])
-        assert poly_sum(p, q) == CharPoly([1 + u, u, Character.monomial(0)])
+        p = CharPoly([one, u])
+        q = CharPoly([u, Character(), one])
+        assert poly_sum(p, q) == CharPoly([one + u, u, Character.monomial(0)])
         assert poly_sum(p, q) - q == p
         assert p - p == CharPoly()
-        # A character or an int on the right of - is the constant polynomial.
-        assert p - (Character() - u) == CharPoly([1 + u, u])
-        assert p - 1 == CharPoly([0, u])
-        assert p - -1 == CharPoly([2, u])
-        assert CharPoly([1]) - p == CharPoly([0, Character() - u])
-        assert CharPoly([1]) - (Character() - u) == CharPoly([1 + u])
-        assert CharPoly([u]) - 1 == CharPoly([u - 1])
-        assert CharPoly([u]) - p == CharPoly([u - 1, Character() - u])
-        # The checks only subtract polynomials: there is no +, and nothing on the left of - but a CharPoly.
+        # A constant on the right of - is written as the constant polynomial.
+        assert p - CharPoly([Character() - u]) == CharPoly([one + u, u])
+        assert p - CharPoly([one]) == CharPoly([Character(), u])
+        assert p - CharPoly([Character.monomial(0, -1)]) == CharPoly([Character.monomial(0, 2), u])
+        assert CharPoly([one]) - p == CharPoly([Character(), Character() - u])
+        assert CharPoly([one]) - CharPoly([Character() - u]) == CharPoly([one + u])
+        assert CharPoly([u]) - CharPoly([one]) == CharPoly([u - one])
+        assert CharPoly([u]) - p == CharPoly([u - one, Character() - u])
+        # The checks only subtract polynomials: there is no +, and - takes a CharPoly on either side.
         for left, right in [(p, p), (p, u), (u, p), (1, p), (p, 1)]:
             with pytest.raises(TypeError):
                 left + right
-        for left, right in [(u, p), (1, p)]:
+        for left, right in [(u, p), (1, p), (p, u), (p, 1), (p, -1), (p, 0)]:
             with pytest.raises(TypeError):
                 left - right
-        # An entry is a character or an int, nothing else.
-        for bad in ("x", 1.5, True, p):
-            with pytest.raises(TypeError, match="expected Character or int"):
+        # An entry is a character, nothing else: not even an int.
+        for bad in (1, 0, "x", 1.5, True, p):
+            with pytest.raises(TypeError, match="expected Character, got"):
                 CharPoly([bad])
+        with pytest.raises(TypeError, match="expected Character, got int"):
+            CharPoly([u, 1])
 
     def test_eq_and_hash(self):
-        p, q = CharPoly([1, u]), CharPoly([1, u, Character()])
+        p, q = CharPoly([one, u]), CharPoly([one, u, Character()])
         assert p == q and hash(p) == hash(q)
         assert {p: 1}[q] == 1
         # A CharPoly equals only a CharPoly: the zero one is not 0, and a constant one not its character.
         assert (CharPoly() == 0) is False
         assert (CharPoly([u]) == u) is False
-        assert CharPoly([1]) != 1
+        assert CharPoly([one]) != 1
 
     def test_mul(self):
         # No product: the (1 + t) multiples the checks compare are built by a shift.
-        p = CharPoly([1, 1])
+        p = CharPoly([one, one])
         for left, right in [(p, p), (2, p), (p, 2), (p, u)]:
             with pytest.raises(TypeError):
                 left * right
-        assert times_one_plus_t(p) == CharPoly([1, 2, 1])
+        assert times_one_plus_t(p) == CharPoly([one, Character.monomial(0, 2), one])
         assert times_one_plus_t(CharPoly()) == CharPoly()
 
     def test_at_minus_one(self):
-        p = CharPoly([Character.span(0, 2), 1 + u])
+        p = CharPoly([Character.span(0, 2), one + u])
         assert p.at_minus_one() == Character.monomial(2)
         assert CharPoly().at_minus_one() == Character()
-        assert CharPoly([1, 1]).at_minus_one() == Character()
+        assert CharPoly([one, one]).at_minus_one() == Character()
 
     def test_partial_order(self):
         # Coefficientwise in t and in u, as CharPoly.is_nonneg asks it of a difference.
-        assert (CharPoly([1 + u, u]) - CharPoly([u])).is_nonneg()
-        assert not (CharPoly([1]) - CharPoly([1, u])).is_nonneg()
-        assert (CharPoly([1 + u, u]) - CharPoly([u, u])).is_nonneg()
-        assert not (CharPoly([u]) - CharPoly([1 + u, u])).is_nonneg()
+        assert (CharPoly([one + u, u]) - CharPoly([u])).is_nonneg()
+        assert not (CharPoly([one]) - CharPoly([one, u])).is_nonneg()
+        assert (CharPoly([one + u, u]) - CharPoly([u, u])).is_nonneg()
+        assert not (CharPoly([u]) - CharPoly([one + u, u])).is_nonneg()
 
     def test_json_round_trip(self):
         p = CharPoly([Character({-1: 1}), Character({0: 2})])
@@ -227,17 +243,17 @@ class TestCharPoly:
 
 class TestMorseQuotient:
     def test_quotient_constant_in_t(self):
-        p = CharPoly([Character.span(0, 2), 1 + u])
+        p = CharPoly([Character.span(0, 2), one + u])
         q = morse_quotient(p, CharPoly([Character.monomial(2)]))
-        assert q == CharPoly([1 + u])
+        assert q == CharPoly([one + u])
 
     def test_reconstruction(self):
-        q = CharPoly([u, 1 + u, Character({-2: 3})])
+        q = CharPoly([u, one + u, Character({-2: 3})])
         r = CharPoly([Character({5: 1})])
         assert morse_quotient(poly_sum(times_one_plus_t(q), r), r) == q
 
     def test_zero_quotient(self):
-        r = CharPoly([1 + u])
+        r = CharPoly([one + u])
         assert morse_quotient(r, r) == CharPoly()
 
     def test_negative_quotient_returned(self):
@@ -248,12 +264,12 @@ class TestMorseQuotient:
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible) as info:
-            morse_quotient(CharPoly([1]), CharPoly([u]))
+            morse_quotient(CharPoly([one]), CharPoly([u]))
         assert info.value.residual == Character({0: 1, 1: -1})
 
     def test_not_divisible_respects_sign(self):
         with pytest.raises(NotDivisible) as info:
-            morse_quotient(CharPoly([1, u]), CharPoly())
+            morse_quotient(CharPoly([one, u]), CharPoly())
         assert info.value.residual == Character({0: 1, 1: -1})
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import cutchar.cli
 from cutchar import (
+    Character,
     CharPoly,
     CheckResult,
     EquivBundleCP1,
@@ -135,7 +136,7 @@ class TestVerify:
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
         def always_fails(t):
-            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([Character.monomial(0, 1)]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         assert main(["verify", "0:0"]) == 1
@@ -406,7 +407,7 @@ class TestSweepConfig:
 
     def test_config_fail_fast_stops_after_the_first_failure(self, tmp_path, monkeypatch, capsys):
         def always_fails(t):
-            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([Character.monomial(0, 1)]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         ran = {}
@@ -445,7 +446,7 @@ class TestEqualityRegion:
 
     def test_failing_check_exits_1(self, monkeypatch, capsys):
         def always_fails(t):
-            return CheckResult("mcut", t.bundle, False, residual=CharPoly([1]))
+            return CheckResult("mcut", t.bundle, False, residual=CharPoly([Character.monomial(0, 1)]))
 
         monkeypatch.setitem(_REGISTRY, "mcut", always_fails)
         assert main(["equality-region", "--rp-range", "-1..1", "--rq-range", "0..0", "--format", "json"]) == 1
@@ -866,19 +867,22 @@ class TestOutputAllOrNothing:
             signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
             resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
 
-        out = tmp_path / "r.json"
-        out.write_bytes(b'{"old": "report"}\n')
         src = Path(cutchar.__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-m", "cutchar", "cohomology", "100000:0", "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-            capture_output=True, text=True, preexec_fn=limit, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: cannot write {str(out)!r}: [Errno 27] File too large")
-        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
-        assert out.read_bytes() == b'{"old": "report"}\n'
-        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+        # A 250-character name is near the 255-byte limit on a file name, which no sibling may pass.
+        for name in ("r.json", "r" * 245 + ".json"):
+            out = tmp_path / name
+            out.write_bytes(b'{"old": "report"}\n')
+            proc = subprocess.run(
+                [sys.executable, "-m", "cutchar", "cohomology", "100000:0", "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+                capture_output=True, text=True, preexec_fn=limit, timeout=60,
+            )
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"error: cannot write {str(out)!r}: [Errno 27] File too large")
+            assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+            assert out.read_bytes() == b'{"old": "report"}\n'
+            assert [p.name for p in tmp_path.iterdir()] == [name]
+            out.unlink()
 
     def test_interrupt_leaves_the_old_file(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):
@@ -1041,7 +1045,7 @@ class TestFuzzMain:
             argv = [a.replace("@out@", str(out)).replace("@config@", str(cfg)) for a in argv]
 
             def fails(t):  # the drawn check, if any, fails on every bundle
-                return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))
+                return CheckResult(broken, t.bundle, False, residual=CharPoly([Character.monomial(0, 1)]))
 
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):

@@ -231,7 +231,7 @@ class TestLocalization:
         with pytest.raises(NonPolynomialResult):
             _over_one_minus_u(Character.monomial(3, 2))
         with pytest.raises(NonPolynomialResult):
-            _over_one_minus_u(u + 1)
+            _over_one_minus_u(u + Character.monomial(0, 1))
 
 
 def _terms_built(monkeypatch, route, arg) -> int:

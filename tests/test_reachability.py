@@ -37,7 +37,6 @@ ALLOWED = {
     "characters.CharPoly.__eq__": "the equality CharPoly's docstring promises, which __hash__ pairs with",
     "characters.Character.__repr__": "README's Library block shows it",
     "characters.CharPoly.__repr__": "README's Library block shows it",
-    "characters._as_character": "the int operands that the doctests of Character and CharPoly show",
     "geometry.EquivBundleCP1.<lambda>": "_make, which validates as the constructor does; namedtuple's own skips __new__",
     "geometry.CutDecomposition.<lambda>": "_make, which validates as the constructor does; namedtuple's own skips __new__",
     "characters.NotDivisible.__init__": (

@@ -36,6 +36,7 @@ from cutchar.verify import _REGISTRY, _RUN_CHUNK, _csv_cell, _morse_check, _writ
 import json_model
 
 u = Character.monomial(1)
+one = Character.monomial(0, 1)
 
 
 def bundle(lit):
@@ -77,8 +78,8 @@ class TestChecks:
     def test_morse_witnesses(self):
         cases = {
             "3:3": CharPoly([Character.span(0, 2)]),
-            "1:-1": CharPoly([1]),
-            "0:0": CharPoly([1]),
+            "1:-1": CharPoly([one]),
+            "0:0": CharPoly([one]),
             "-1:1": CharPoly(),
         }
         for lit, want in cases.items():
@@ -86,7 +87,7 @@ class TestChecks:
             assert r.passed and r.witness == want, lit
 
     def test_mv_witnesses(self):
-        cases = {"2:2": CharPoly([1]), "0:0": CharPoly([1]), "-1:1": CharPoly()}
+        cases = {"2:2": CharPoly([one]), "0:0": CharPoly([one]), "-1:1": CharPoly()}
         for lit, want in cases.items():
             r = run_check("mv", bundle(lit))
             assert r.passed and r.witness == want, lit
@@ -99,7 +100,7 @@ class TestChecks:
     def test_simple_slack(self):
         r = run_check("simple", bundle("2:2"))
         assert r.passed
-        assert r.witness == CharPoly([1 + u, 1 + u])
+        assert r.witness == CharPoly([one + u, one + u])
 
     def test_semicontinuity_equality_case(self):
         r = run_check("semicontinuity", bundle("-3:2"))
@@ -121,7 +122,7 @@ class TestChecks:
 class TestFailurePaths:
     def test_morse_check_not_divisible(self):
         b = bundle("0:0")
-        r = _morse_check("mcut", b, CharPoly([1]), CharPoly([u]))
+        r = _morse_check("mcut", b, CharPoly([one]), CharPoly([u]))
         assert not r.passed
         assert r.witness is None
         assert r.residual == CharPoly([Character.monomial(0) - u])
@@ -211,7 +212,7 @@ class TestSweep:
 
     def test_fail_fast_trims_grid(self, monkeypatch):
         def always_fails(t):
-            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([one]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         grid = grid_bundles((0, 4), (0, 0))
@@ -224,7 +225,7 @@ class TestSweep:
 
     def test_without_fail_fast_all_visited(self, monkeypatch):
         def always_fails(t):
-            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([one]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         grid = grid_bundles((0, 2), (0, 0))
@@ -262,7 +263,7 @@ class TestSweepReportSerialization:
     def test_fail_fast_report_round_trips(self, monkeypatch):
         # mcut was selected but never ran: its set is present and empty.
         def always_fails(t):
-            return CheckResult("gluing", t.bundle, False, residual=CharPoly([1]))
+            return CheckResult("gluing", t.bundle, False, residual=CharPoly([one]))
 
         monkeypatch.setitem(_REGISTRY, "gluing", always_fails)
         report = sweep([bundle("0:0"), bundle("1:0")], ("gluing", "mcut"), fail_fast=True)
@@ -323,7 +324,7 @@ class TestReportLoadsOnlyWhatItWrites:
         grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
 
         def fails(t):  # the drawn check, if any, fails on every bundle
-            return CheckResult(broken, t.bundle, False, residual=CharPoly([1]))
+            return CheckResult(broken, t.bundle, False, residual=CharPoly([one]))
 
         with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
             report = sweep(grid, checks, fail_fast=fail_fast)
@@ -386,7 +387,7 @@ class TestJsonText:
         grid = [EquivBundleCP1(tuple(LineWeights(rp, rq) for rp, rq in summands)) for summands in weights]
 
         def fails(t):  # the drawn check, if any, fails on every bundle
-            return CheckResult(broken, t.bundle, False, residual=CharPoly([0, Character.monomial(1, -2)]))
+            return CheckResult(broken, t.bundle, False, residual=CharPoly([Character(), Character.monomial(1, -2)]))
 
         with mock.patch.dict(_REGISTRY, {broken: fails} if broken else {}):
             report = sweep(grid, checks, fail_fast=fail_fast)
@@ -422,7 +423,7 @@ class TestJsonText:
         value = {"poly": poly, "empty": [Character(), CharPoly()], "chars": poly.coeffs}
         assert _json_text(value) == json.dumps({"poly": obj, "empty": [{}, []], "chars": obj}, indent=2)
         assert _csv_fields(_csv_cell(poly)) == [json.dumps(obj, separators=(",", ":"))]
-        assert _csv_fields(_csv_cell(CharPoly([Character(), 1]))) == ['[{},{"0":1}]']
+        assert _csv_fields(_csv_cell(CharPoly([Character(), one]))) == ['[{},{"0":1}]']
 
 
 @st.composite
@@ -609,13 +610,12 @@ class TestUnboundedWeights:
 
     def test_six_checks_on_huge_weights(self):
         b = bundle(f"{BIG}:{-BIG},{-BIG}:{BIG}")
-        one = CharPoly([1])
         expected = {
             "gluing": None,
             "mcut": CharPoly(),
-            "morse": one,
-            "mv": one,
-            "simple": CharPoly([1, 1]),
+            "morse": CharPoly([one]),
+            "mv": CharPoly([one]),
+            "simple": CharPoly([one, one]),
             "semicontinuity": CharPoly(),
         }
         with _no_dense_expansion():
@@ -685,7 +685,7 @@ class TestUnboundedWeights:
             cutd = cut(b)
             tm, tp, tmin = cech_cohomology_p1(b), cech_cohomology_p1(cutd.plus), cech_cohomology_p1(cutd.minus)
             tcut, _, _ = cech_cohomology_nodal(cutd)
-            sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + 1])
+            sides = CharPoly([tp.h0 + tmin.h0, tp.h1 + tmin.h1 + one])
             q_mcut = morse_quotient(tcut.euler_poly(), tm.euler_poly())
             q_morse = morse_quotient(sides, tm.euler_poly())
             assert q_mcut.is_nonneg() and q_morse.is_nonneg()

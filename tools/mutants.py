@@ -16,13 +16,19 @@ and survives when the whole suite passes, so the first stage changes how
 soon a verdict comes, never which.  Every run draws hypothesis's examples
 from one fixed seed (:data:`HYPOTHESIS_SEED`), so a rerun gives the same
 verdicts and names the same first failing tests, and skips the shrink phase
-(the ``mutants`` profile of ``tests/conftest.py``): a verdict needs a failing
-example, not the smallest one.  The tests themselves, run without the tool,
-keep their fresh draws and their shrinking.  Two mutants run at a time, each
-in its own copy, and the report lists them in table order.  Each pytest
-child's address space is capped at :data:`AS_CAP_MIB`, since the machine's
-memory is shared: a mutant that makes a test expand a far-weight character
-would otherwise grow until the timeout.  A child that reaches the cap fails
+and the example database (the ``mutants`` profile of ``tests/conftest.py``):
+a verdict needs a failing example, not the smallest one, and no mutant may
+replay an example saved by another.  The tests themselves, run without the
+tool, keep their fresh draws, their shrinking and their database.
+Hypothesis's unicode tables, which any test that draws text needs, are built
+once in a shared directory before any mutant runs, and every copy's
+``.hypothesis/unicode_data`` links to it; the rest of each copy's
+``.hypothesis`` is its own, since hypothesis writes some of it in place,
+where a concurrent child could read it half written.  Two mutants run at a
+time, each in its own copy, and the report lists them in table order.  Each
+pytest child's address space is capped at :data:`AS_CAP_MIB`, since the
+machine's memory is shared: a mutant that makes a test expand a far-weight
+character would otherwise grow until the timeout.  A child that reaches the cap fails
 with a ``MemoryError`` and counts as killed, and the report says so.
 
 Equivalent mutants change no behaviour any input can show, so no test can
@@ -51,7 +57,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 900
 #: An unmutated whole-suite run in a fresh copy peaks at about 275 MiB of address space (VmPeak,
-#: Python 3.11), most of it hypothesis building its character tables, which it caches in the copy.
+#: Python 3.11), most of it hypothesis building its unicode tables; _build_tables builds them once, for all.
 AS_CAP_MIB = 512
 WORKERS = 2
 HYPOTHESIS_SEED = 0
@@ -198,13 +204,8 @@ MUTANTS = [
         "    if ch.dim():\n",
         "    if False:\n",
     ),
-    # A u^0 multiple hashes as the int it equals.
-    Mutant(
-        "u0-hash-as-jumps",
-        "characters.py",
-        "return hash(c) if self == c else hash(tuple(self._jumps.items()))",
-        "return hash(tuple(self._jumps.items()))",
-    ),
+    # Every coefficient of a CharPoly is a character: an int, or any other type, is refused.
+    Mutant("charpoly-takes-any-type", "characters.py", "if not isinstance(c, Character):", "if False:"),
     # + and - share one body, which takes the sign.
     Mutant("plus-minus-sign-ignored", "characters.py", "get(k, 0) + sign * q", "get(k, 0) + q"),
     # span and monomial write their jumps as they are canonical, with no _canonical pass to mend them.
@@ -362,6 +363,17 @@ def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
+def _build_tables(store: Path) -> None:
+    """Build in ``store`` the unicode tables that hypothesis's text strategies read: st.text() draws utf-8."""
+    build = (
+        "from hypothesis.internal.charmap import charmap, intervals_from_codec\n"
+        "charmap()\n"
+        "intervals_from_codec('utf-8')\n"
+    )
+    env = {**os.environ, "HYPOTHESIS_STORAGE_DIRECTORY": str(store), "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, "-c", build], env=env, check=True, timeout=TIMEOUT_S, preexec_fn=_cap_address_space)
+
+
 def _pytest(work: Path, files: list[str]) -> tuple[bool, str]:
     """Whether ``pytest -x`` fails on ``files`` of the copy (all when empty), and the first failing test's line."""
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -382,10 +394,11 @@ def _pytest(work: Path, files: list[str]) -> tuple[bool, str]:
     return proc.returncode != 0, detail
 
 
-def _killed(mutant: Mutant) -> tuple[bool, str, float]:
+def _killed(mutant: Mutant, tables: Path) -> tuple[bool, str, float]:
     """Whether the tests fail with ``mutant`` applied, the first failing test's line, and the seconds taken.
 
-    The covering files run first, then the whole suite if they pass.
+    The covering files run first, then the whole suite if they pass.  ``tables`` holds the unicode
+    tables that :func:`_build_tables` built.
     """
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -394,6 +407,8 @@ def _killed(mutant: Mutant) -> tuple[bool, str, float]:
             shutil.copytree(ROOT / tree, work / tree, ignore=shutil.ignore_patterns("__pycache__", ".work"))
         for name in ("pyproject.toml", "README.md"):
             shutil.copy(ROOT / name, work)
+        (work / ".hypothesis").mkdir()
+        (work / ".hypothesis" / "unicode_data").symlink_to(tables / "unicode_data", target_is_directory=True)
         (work / "src" / "cutchar" / mutant.path).write_text(_mutated(mutant), encoding="utf-8")
         killed, detail = _pytest(work, [f"tests/{name}" for name in COVERING[mutant.path]])
         if not killed:
@@ -414,9 +429,11 @@ def main(names: list[str]) -> int:
         print(exc, file=sys.stderr)
         return 2
     unexpected = []
-    with ThreadPoolExecutor(WORKERS) as pool:
+    with tempfile.TemporaryDirectory(prefix="mutant-tables-") as tables, ThreadPoolExecutor(WORKERS) as pool:
+        _build_tables(Path(tables))
+        outcomes = pool.map(_killed, chosen, [Path(tables)] * len(chosen))
         # map hands back the outcomes in table order, each as soon as it and those before it are in.
-        for m, (killed, detail, seconds) in zip(chosen, pool.map(_killed, chosen)):
+        for m, (killed, detail, seconds) in zip(chosen, outcomes):
             if killed:
                 outcome = "KILLED (equivalent?)" if m.equivalent else "killed"
             else:
