@@ -176,7 +176,7 @@ class Character:
 
     def _plus(self, other: "Character", sign: int) -> "Character":
         """``self + sign * other`` for a sign of 1 or -1: the one body of + and -."""
-        if not isinstance(other, Character):
+        if type(other) is not Character:
             # Leave any other operand to its own reflected method, if it has one.
             return NotImplemented
         # Instances are immutable, so a zero operand can hand back the other one.
@@ -241,7 +241,7 @@ class CharPoly:
     def __init__(self, coeffs: Iterable[Character] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, Character):
+            if type(c) is not Character:
                 raise TypeError(f"expected Character, got {type(c).__name__}")
         while cs and not cs[-1]:
             cs.pop()
@@ -273,7 +273,7 @@ class CharPoly:
         return hash(self._coeffs)
 
     def __sub__(self, other: "CharPoly") -> "CharPoly":
-        if not isinstance(other, CharPoly):
+        if type(other) is not CharPoly:
             return NotImplemented
         pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=ZERO)
         return CharPoly([a - b for a, b in pairs])

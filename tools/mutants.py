@@ -205,7 +205,7 @@ MUTANTS = [
         "    if False:\n",
     ),
     # Every coefficient of a CharPoly is a character: an int, or any other type, is refused.
-    Mutant("charpoly-takes-any-type", "characters.py", "if not isinstance(c, Character):", "if False:"),
+    Mutant("charpoly-takes-any-type", "characters.py", "if type(c) is not Character:", "if False:"),
     # + and - share one body, which takes the sign.
     Mutant("plus-minus-sign-ignored", "characters.py", "get(k, 0) + sign * q", "get(k, 0) + q"),
     # span and monomial write their jumps as they are canonical, with no _canonical pass to mend them.
