@@ -134,7 +134,7 @@ class TestCharacter:
     def test_eq_and_hash(self):
         assert Character({0: 1, 1: 1}) == Character([(1, 1), (0, 1)])
         assert hash(Character({0: 1})) == hash(Character({0: 1, 5: 0}))
-        # A character equals only a character: u^0 multiples are not the ints they were once shorthand for.
+        # A character equals only a character: a multiple of u^0 is not its int.
         assert (Character() == 0) is False
         assert (Character.monomial(0, 2) == 2) is False
         assert Character.monomial(1) != 1
